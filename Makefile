@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-advisor bench-search race fuzz crossval crossval-search check clean
+.PHONY: all build test vet bench bench-advisor race fuzz crossval crossval-search check clean
 
 all: build
 
@@ -21,14 +21,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs every benchmark once for compile/run coverage, then the
-# full-scale sweep comparison at the default 1M refs -- legacy
-# three-pass arrangement vs the fused engine at one worker and at full
-# pool width with set sharding, plus a cold-record/warm-replay
-# trace-cache pair -- recording every series in BENCH_sweep.json.
+# bench runs every benchmark once for compile/run coverage. Per-layer
+# timings come from the repository benchmark instead:
+# `python3 perfbench/run.py --workload table6 --trace 1`.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
-	BENCH_SWEEP_JSON=$(CURDIR)/BENCH_sweep.json $(GO) test -run TestSweepBenchArtifact -count=1 -v ./internal/experiments/
 
 # bench-advisor fires the chaos harness's seeded client storm at the
 # advisor daemon over the real pipeline and records BENCH_advisor.json
@@ -37,14 +34,6 @@ bench:
 # direct run fails the target.
 bench-advisor:
 	BENCH_ADVISOR_JSON=$(CURDIR)/BENCH_advisor.json $(GO) test -run TestBenchAdvisorArtifact -count=1 -v ./internal/chaos/
-
-# bench-search times exhaustive-vs-pruned pricing of the big (>=1M
-# triple) design space with the same model and records configs/sec for
-# both strategies in BENCH_search.json. Ranking identity is asserted
-# inside the test; the speedup itself is reported, not gated (the
-# acceptance floor is 10x, judged from the artifact).
-bench-search:
-	BENCH_SEARCH_JSON=$(CURDIR)/BENCH_search.json $(GO) test -run TestSearchBenchArtifact -count=1 -v ./internal/experiments/
 
 fuzz:
 	$(GO) test -fuzz=FuzzTrace -fuzztime=20s -run=FuzzTrace ./internal/trace/

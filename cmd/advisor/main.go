@@ -111,7 +111,6 @@ func run() int {
 	srv := advisor.New(cfg)
 
 	obsSrv := obs.New(obs.Config{Registry: reg})
-	obsSrv.StartSampler()
 	defer obsSrv.Close()
 
 	mux := http.NewServeMux()

@@ -15,7 +15,6 @@ import (
 	"onchip/internal/experiments"
 	"onchip/internal/lifecycle"
 	"onchip/internal/obs"
-	"onchip/internal/search"
 	"onchip/internal/telemetry"
 	"onchip/internal/tracecache"
 	"onchip/internal/tsdb"
@@ -33,10 +32,9 @@ func runHistory(args []string, globalRefs int) int {
 	tsdbDir := fs.String("tsdb", "", "also persist sampled metric series to this time-series store root")
 	traceCacheDir := fs.String("trace-cache", "", "cache generated workload reference streams under this directory (warm runs replay instead of regenerating)")
 	shards := fs.Int("shards", 0, "set shards per sweep simulator group (power of two; 0 = automatic; never changes results)")
-	searchStrategy := fs.String("search", "exhaustive", "design-space search strategy for the allocation experiments: exhaustive or pruned (byte-identical top-10)")
-	spacePreset := fs.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid) or big (>=1M triples, power-law miss model off-grid)")
+	spacePreset := fs.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid, priced exhaustively) or big (>=1M triples, searched pruned; power-law miss model off-grid)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: memalloc history [-refs N] [-dir DIR | -o FILE] [-tsdb DIR] [-trace-cache DIR] [-shards N] [-search S] [-space P] <experiment>... | all
+		fmt.Fprintln(os.Stderr, `usage: memalloc history [-refs N] [-dir DIR | -o FILE] [-tsdb DIR] [-trace-cache DIR] [-shards N] [-space P] <experiment>... | all
 
 Runs the experiments with metrics collection on and persists the
 end-of-run telemetry snapshot as BENCH_<runid>.json, for later
@@ -45,11 +43,7 @@ metric series are also persisted to the durable time-series store, so
 one invocation feeds both "memalloc compare" and "memalloc tsdb trend".
 -trace-cache and -shards speed the sweeps up without changing any
 simulation result (compare warm-vs-cold snapshots with
--ignore 'tracecache\..*'). -search pruned keeps the allocation
-rankings byte-identical too; compare a pruned vs an exhaustive run
-with -ignore 'search\.configs_' (the strategies price and keep
-different counts; the pruned-only search.pruned_*/search.bound_*
-gauges are excluded automatically).`)
+-ignore 'tracecache\..*').`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -65,7 +59,7 @@ gauges are excluded automatically).`)
 	reg := telemetry.NewRegistry()
 	opt := experiments.Options{
 		Refs: *refs, Metrics: reg, Context: ctx, Shards: *shards,
-		SearchStrategy: *searchStrategy, SpacePreset: *spacePreset,
+		SpacePreset: *spacePreset,
 	}
 	if *traceCacheDir != "" {
 		tc, err := tracecache.Open(*traceCacheDir)
@@ -228,27 +222,6 @@ func readRunFile(path string) (obs.Run, error) {
 		msg += fmt.Sprintf(" (no BENCH_*.json run files in %s; create one with \"memalloc history\")", dir)
 	}
 	return run, errors.New(msg)
-}
-
-// runCheckpointInfo implements `memalloc checkpoint <file>`: validate a
-// sweep checkpoint (header, version, checksum) and summarize how much of
-// the enumeration it covers.
-func runCheckpointInfo(args []string) int {
-	if len(args) != 1 {
-		fmt.Fprintln(os.Stderr, "usage: memalloc checkpoint <file>")
-		return 2
-	}
-	cp, err := search.LoadCheckpoint(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memalloc:", err)
-		return 2
-	}
-	fmt.Printf("%s: valid checkpoint (version %d)\n", args[0], cp.Version)
-	fmt.Printf("  sweep:      %s\n", cp.Label)
-	fmt.Printf("  space sig:  %s\n", cp.SpaceSig)
-	fmt.Printf("  progress:   %d outer pairs done, %d combinations priced\n", cp.PairsDone, cp.Priced)
-	fmt.Printf("  kept:       %d allocations within budget\n", len(cp.Kept))
-	return 0
 }
 
 // resolveExperiments expands and validates experiment arguments shared

@@ -13,17 +13,13 @@
 // (paths, sampling). -refs controls the simulated references per
 // workload/OS run; larger is slower and less noisy.
 //
-// Design-space search flags (allocation experiments table6/table7):
+// Design-space flag (allocation experiments table6/table7):
 //
-//	-search STRATEGY  "exhaustive" (default) prices every TLB x
-//	                  I-cache x D-cache triple; "pruned" runs the
-//	                  Pareto/branch-and-bound engine, which reports a
-//	                  byte-identical top-10 while pricing a small
-//	                  fraction of the space (not compatible with
-//	                  -checkpoint/-resume)
-//	-space PRESET     "table5" (default) is the paper's grid; "big" is
-//	                  the >=1M-triple production space -- the simulators
-//	                  still sweep only the Table 5 grid, and off-grid
+//	-space PRESET     "table5" (default) is the paper's grid, priced
+//	                  exhaustively; "big" is the >=1M-triple production
+//	                  space, searched by the Pareto/branch-and-bound
+//	                  engine for the top 10 -- the simulators still
+//	                  sweep only the Table 5 grid, and off-grid
 //	                  configurations are priced by a power-law miss
 //	                  model fitted to the sweep output
 //
@@ -42,18 +38,17 @@
 //	-serve ADDR     serve the live observability plane on ADDR for the
 //	                duration of the run: GET /metrics (Prometheus),
 //	                /snapshot (JSON), /events (SSE tail of the stall-
-//	                event ring), /sweep (enumeration progress),
-//	                /series (sampled metric time series, with a
-//	                ?since=<unix_ms> cursor) and /query (the durable
-//	                time-series store, live and historical runs)
+//	                event ring), /sweep (enumeration progress) and,
+//	                with -tsdb, /query (the sampled metric series, live
+//	                and historical runs)
 //	-tsdb DIR       persist the sampled metric series to an embedded
 //	                on-disk time-series store under DIR (checksummed
 //	                append-only shards, raw + 10s + 1m rollup tiers);
 //	                query later with "memalloc tsdb" or a fresh
 //	                process's /query endpoint
 //	-spans FILE     record hierarchical execution spans (per-workload
-//	                generation phases, per-worker sweep jobs, search,
-//	                checkpoint and tsdb writes) and write them as Chrome
+//	                generation phases, per-worker sweep jobs, search
+//	                and tsdb writes) and write them as Chrome
 //	                trace-event JSON to FILE on exit; load the file in
 //	                Perfetto (ui.perfetto.dev) or chrome://tracing. With
 //	                -serve, GET /spans reports the live summary.
@@ -72,18 +67,14 @@
 //
 // Fault tolerance (see DESIGN.md "Fault tolerance"):
 //
-//	-checkpoint FILE  persist design-space sweep state to FILE
-//	                  periodically (atomic rename, checksummed)
-//	-resume FILE      resume an interrupted sweep from FILE; the final
-//	                  ranking is identical to an uninterrupted run
 //	-fault-seed N, -fault-panic-prob P, -fault-retries N
 //	                  deterministically inject sweep-worker panics and
 //	                  control how often a failed workload sweep is
 //	                  retried before being excluded from the model
 //
-// SIGINT/SIGTERM cancels the run gracefully: the sweep checkpoints,
-// telemetry flushes, partial results are written, and the process exits
-// with status 130. A second signal aborts immediately.
+// SIGINT/SIGTERM cancels the run gracefully: telemetry flushes, partial
+// results are written, and the process exits with status 130. A second
+// signal aborts immediately.
 //
 // Run history (see EXPERIMENTS.md "Live monitoring"):
 //
@@ -130,8 +121,7 @@ func main() {
 
 func run() int {
 	refs := flag.Int("refs", 0, "simulated references per workload run (0 = experiment default)")
-	searchStrategy := flag.String("search", "exhaustive", "design-space search strategy for the allocation experiments: exhaustive prices every triple; pruned runs the Pareto/branch-and-bound engine (byte-identical top-10)")
-	spacePreset := flag.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid) or big (>=1M triples; off-grid configurations priced by the power-law miss model)")
+	spacePreset := flag.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid, priced exhaustively) or big (>=1M triples, searched pruned; off-grid configurations priced by the power-law miss model)")
 	metricsFile := flag.String("metrics", "", "write run manifest and metrics as JSONL to this file")
 	traceFile := flag.String("trace", "", "write the machine stall-event window as JSONL to this file")
 	progress := flag.Bool("progress", false, "stream live progress lines to stderr")
@@ -141,8 +131,6 @@ func run() int {
 	spansFile := flag.String("spans", "", "write the run's execution spans as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
 	profSpan := flag.String("prof-span", "", "capture a CPU profile bracketed by the first span with this name (e.g. sweep.model, search.enumerate)")
 	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
-	checkpoint := flag.String("checkpoint", "", "persist design-space sweep state to this file (atomic, checksummed)")
-	resume := flag.String("resume", "", "resume a design-space sweep from this checkpoint file (implies -checkpoint to the same file)")
 	traceCacheDir := flag.String("trace-cache", "", "cache generated workload reference streams (compressed, content-addressed) under this directory; warm runs replay instead of regenerating")
 	shards := flag.Int("shards", 0, "set shards per sweep simulator group (power of two; 0 = automatic from the worker count; never changes results)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed (deterministic schedule)")
@@ -170,8 +158,6 @@ func run() int {
 		return runHistory(args[1:], *refs)
 	case "compare":
 		return runCompare(args[1:])
-	case "checkpoint":
-		return runCheckpointInfo(args[1:])
 	case "tsdb":
 		return runTsdb(args[1:])
 	}
@@ -179,13 +165,8 @@ func run() int {
 	if code >= 0 {
 		return code
 	}
-	if *resume != "" && len(ids) > 1 {
-		fmt.Fprintln(os.Stderr, "memalloc: -resume applies to a single experiment (a checkpoint is bound to one sweep)")
-		return 2
-	}
 
-	// Shutdown contract: the first SIGINT/SIGTERM cancels ctx -- the
-	// sweep persists a checkpoint (when -checkpoint/-resume is set),
+	// Shutdown contract: the first SIGINT/SIGTERM cancels ctx --
 	// telemetry is flushed, and the -metrics/-trace files are still
 	// written below; a second signal aborts immediately.
 	ctx, stopSignals := lifecycle.Notify(context.Background(), "memalloc", nil)
@@ -201,15 +182,7 @@ func run() int {
 	}
 
 	opt := experiments.Options{Refs: *refs, Context: ctx}
-	opt.SearchStrategy = *searchStrategy
 	opt.SpacePreset = *spacePreset
-	opt.CheckpointPath = *checkpoint
-	opt.ResumePath = *resume
-	if *resume != "" && opt.CheckpointPath == "" {
-		// Keep checkpointing where we resumed from, so a resumed run
-		// that is itself interrupted stays resumable.
-		opt.CheckpointPath = *resume
-	}
 	opt.FaultInjector = faultinject.New(faultinject.Config{Seed: *faultSeed, PanicProb: *faultPanicProb})
 	opt.FaultRetries = *faultRetries
 	opt.Shards = *shards
@@ -297,7 +270,6 @@ func run() int {
 		}
 		defer srv.Close()
 		opt.SweepObserver = srv.ObserveSweep
-		opt.CheckpointObserver = srv.ObserveCheckpoint
 	}
 	failed := false
 	interrupted := false
@@ -310,11 +282,7 @@ func run() int {
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				interrupted = true
-				fmt.Fprintf(os.Stderr, "memalloc: %s interrupted", id)
-				if opt.CheckpointPath != "" {
-					fmt.Fprintf(os.Stderr, "; resume with -resume %s", opt.CheckpointPath)
-				}
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintf(os.Stderr, "memalloc: %s interrupted\n", id)
 				break
 			}
 			fmt.Fprintln(os.Stderr, "memalloc:", err)
@@ -390,11 +358,9 @@ regression. "-tsdb DIR" persists sampled metric series to an embedded
 on-disk time-series store; "memalloc tsdb" lists, exports and fits
 longitudinal drift regressions over the stored runs.
 
-Fault tolerance: SIGINT/SIGTERM shuts down gracefully -- the design-
-space sweep persists a -checkpoint file, telemetry flushes, and partial
-results are written -- and "-resume FILE" continues an interrupted
-sweep, reproducing the uninterrupted ranking exactly (exit status 130
-marks an interrupted run). The -fault-* flags deterministically inject
+Fault tolerance: SIGINT/SIGTERM shuts down gracefully -- telemetry
+flushes and partial results are written (exit status 130 marks an
+interrupted run). The -fault-* flags deterministically inject
 sweep-worker faults to exercise the recovery paths.
 `)
 	flag.PrintDefaults()

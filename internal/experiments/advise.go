@@ -8,7 +8,6 @@ import (
 	"onchip/internal/area"
 	"onchip/internal/osmodel"
 	"onchip/internal/search"
-	"onchip/internal/search/missmodel"
 	"onchip/internal/sig"
 	"onchip/internal/workload"
 )
@@ -119,8 +118,8 @@ func (r *AdviseRequest) Normalize(maxRefs int) error {
 	return nil
 }
 
-// Signature content-addresses the normalized request: the FNV-64a
-// signature idiom shared with the search checkpoint's space hash. Two
+// Signature content-addresses the normalized request with the FNV-64a
+// signature idiom of internal/sig. Two
 // requests with equal signatures provably ask for the same sweep, so
 // the advisor keys its result cache and singleflight dedup on it.
 // Call only after Normalize.
@@ -184,19 +183,11 @@ func Advise(req AdviseRequest, opt Options) (*AdviseResponse, error) {
 		specs = append(specs, spec)
 	}
 	// The simulators always sweep the Table 5 grid; a big-space request
-	// widens only the search, with off-grid configurations priced by
-	// the power-law extension and the space explored pruned (an
-	// exhaustive scan of millions of triples per request would let one
-	// caller monopolize the daemon).
+	// widens only the search (searchPlan), which also keeps one caller
+	// from monopolizing the daemon with an exhaustive scan of millions
+	// of triples.
 	grid := search.Table5()
 	grid.MaxCacheAssoc = req.MaxCacheAssoc
-	space := grid
-	big := req.Space == "big"
-	if big {
-		space = search.Big()
-		space.MaxCacheAssoc = req.MaxCacheAssoc
-	}
-
 	measured, failed, err := buildMeasuredModel(v, specs, grid, req.Refs, opt)
 	if err != nil {
 		return nil, fmt.Errorf("advise: model-building sweep: %w", err)
@@ -205,12 +196,8 @@ func Advise(req AdviseRequest, opt Options) (*AdviseResponse, error) {
 		return nil, fmt.Errorf("advise: degraded model (%d workload sweep(s) failed: %s)",
 			len(failed), strings.Join(failed, "; "))
 	}
-	var model search.PerfModel = measured
-	searchOpts := []search.Option{search.WithContext(opt.ctx())}
-	if big {
-		model = missmodel.FromMeasured(measured)
-		searchOpts = append(searchOpts, search.WithPruning(req.Top))
-	}
+	space, model, searchOpts := searchPlan(req.Space == "big", grid, measured, req.Top)
+	searchOpts = append(searchOpts, search.WithContext(opt.ctx()))
 	allocs, err := search.EnumerateE(space, area.Default(), req.BudgetRBE, model, searchOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("advise: enumeration: %w", err)

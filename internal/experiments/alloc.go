@@ -440,30 +440,29 @@ func flushMeter(s trace.Sink) {
 // so K and the table depth must agree.
 const allocTableDepth = 10
 
-func runAllocation(opt Options, space search.Space, id, title string, extraNotes []string) (Result, error) {
-	pruned, err := opt.searchPruned()
-	if err != nil {
-		return Result{}, err
+// searchPlan is the one rule for how a space is searched, shared by
+// the experiments and the advisor. The measured grid (Table 5 shaped)
+// is enumerated exhaustively over the measured model, which also yields
+// the full ranking's tail and feasible count. When big is set, the
+// search widens to the big preset, searched pruned to the top k with
+// off-grid configurations priced by the power-law extension of the
+// measured model: an exhaustive scan of its millions of triples costs
+// seconds and hundreds of MB for the same top rows.
+func searchPlan(big bool, grid search.Space, measured *search.Measured, k int) (search.Space, search.PerfModel, []search.Option) {
+	if !big {
+		return grid, measured, nil
 	}
+	space := search.Big()
+	space.MaxCacheAssoc = grid.MaxCacheAssoc
+	return space, missmodel.FromMeasured(measured), []search.Option{search.WithPruning(k)}
+}
+
+func runAllocation(opt Options, grid search.Space, title string, extraNotes []string) (Result, error) {
 	big, err := opt.bigSpace()
 	if err != nil {
 		return Result{}, err
 	}
-	if pruned && (opt.CheckpointPath != "" || opt.ResumePath != "") {
-		// EnumerateE would refuse this too, but only after the sweep;
-		// fail before hours of simulation are sunk into it.
-		return Result{}, fmt.Errorf("pruned search does not support checkpoint/resume (use -search exhaustive for resumable sweeps)")
-	}
 	refs := opt.refs(defaultSweepRefs)
-	// The simulators always sweep the grid the experiment defines
-	// (Table 5 shaped); under the big preset the search space is wider
-	// and off-grid configurations are priced by the power-law extension
-	// of the measured model.
-	grid := space
-	if big {
-		space = search.Big()
-		space.MaxCacheAssoc = grid.MaxCacheAssoc
-	}
 	// Experiments run on the caller's goroutine, so the phase spans
 	// share its lane and nest under whatever span the caller has open
 	// (the binaries open "experiment.<id>").
@@ -474,24 +473,13 @@ func runAllocation(opt Options, space search.Space, id, title string, extraNotes
 	if err != nil {
 		return Result{}, fmt.Errorf("model-building sweep: %w", err)
 	}
-	var model search.PerfModel = measured
-	var extended *missmodel.Extended
+	space, model, searchOpts := searchPlan(big, grid, measured, allocTableDepth)
+	searchOpts = append(searchOpts, search.WithContext(opt.ctx()))
+	var pstats search.PruneStats
 	if big {
-		extended = missmodel.FromMeasured(measured)
-		model = extended
+		searchOpts = append(searchOpts, search.WithPruneStats(&pstats))
 		opt.progressf("search: big preset, %d of %d triples on the measured grid; off-grid priced by the power-law fit",
 			grid.Triples(), space.Triples())
-	}
-	// The checkpoint label binds a checkpoint file to this experiment
-	// and scale; the space signature inside search then binds it to the
-	// exact model values, so a resume against a different refs count or
-	// a differently-degraded model is refused, not silently wrong.
-	label := fmt.Sprintf("%s/refs=%d", id, refs)
-	searchOpts := []search.Option{search.WithContext(opt.ctx()), search.WithSpans(lane)}
-	var pstats search.PruneStats
-	if pruned {
-		searchOpts = append(searchOpts,
-			search.WithPruning(allocTableDepth), search.WithPruneStats(&pstats))
 	}
 	if opt.Progress != nil || opt.SweepObserver != nil {
 		searchOpts = append(searchOpts, search.WithProgress(0, func(p search.Progress) {
@@ -503,27 +491,6 @@ func runAllocation(opt Options, space search.Space, id, title string, extraNotes
 			}
 		}))
 	}
-	if opt.CheckpointPath != "" {
-		searchOpts = append(searchOpts, search.WithCheckpoint(opt.CheckpointPath, label, 0))
-		cpWrites := opt.Metrics.Counter("search.checkpoints_written", "sweep checkpoints persisted")
-		searchOpts = append(searchOpts, search.WithCheckpointObserver(func(cp *search.Checkpoint) {
-			cpWrites.Inc()
-			if opt.CheckpointObserver != nil {
-				opt.CheckpointObserver(cp)
-			}
-		}))
-	}
-	if opt.ResumePath != "" {
-		cp, err := search.LoadCheckpoint(opt.ResumePath)
-		if err != nil {
-			return Result{}, err
-		}
-		opt.progressf("search: resuming from %s (%d pairs done, %d kept)",
-			opt.ResumePath, cp.PairsDone, len(cp.Kept))
-		searchOpts = append(searchOpts, search.WithResume(cp))
-		opt.Metrics.Counter("search.resumed_pairs", "outer pairs skipped via checkpoint resume").
-			Add(uint64(cp.PairsDone))
-	}
 	searchStart := time.Now()
 	searchSpan := lane.Start("search.enumerate")
 	allocs, err := search.EnumerateE(space, area.Default(), area.BudgetRBE, model, searchOpts...)
@@ -534,7 +501,7 @@ func runAllocation(opt Options, space search.Space, id, title string, extraNotes
 		return Result{}, fmt.Errorf("enumeration: %w", err)
 	}
 	priced := opt.Metrics.Counter("search.configs_priced", "TLB x I-cache x D-cache combinations priced")
-	if pruned {
+	if big {
 		priced.Add(uint64(pstats.Priced))
 		opt.Metrics.Gauge("search.pruned_frontier_triples",
 			"triples removed by the per-axis Pareto-K frontier reduction").Set(float64(pstats.PrunedFrontier))
@@ -556,23 +523,19 @@ func runAllocation(opt Options, space search.Space, id, title string, extraNotes
 	}
 	// Like the paper's Table 7, show how far behind a poorly chosen
 	// configuration falls (its example was rank 1529 of the restricted
-	// space). The pruned strategy only materializes the top of the
-	// ranking, so the tail row is exhaustive-only.
+	// space). The big preset's pruned search materializes only the top
+	// of the ranking, so it has no tail row.
 	if len(allocs) > 100 {
 		tail := len(allocs) * 3 / 4
 		allocRow(t, tail+1, allocs[tail])
 	}
 	var notes []string
-	if pruned {
+	if big {
 		notes = append(notes, fmt.Sprintf(
 			"pruned search: top %d of %d composed triples; %d priced, %d pruned (%d frontier, %d budget, %d CPI bound)",
 			len(allocs), pstats.Composed, pstats.Priced,
 			pstats.Pruned(), pstats.PrunedFrontier, pstats.PrunedBudget, pstats.PrunedBound))
-	} else {
-		notes = append(notes, fmt.Sprintf(
-			"%d feasible allocations under the %d-rbe budget", len(allocs), area.BudgetRBE))
-	}
-	if extended != nil {
+		extended := model.(*missmodel.Extended)
 		onGrid := 0
 		for _, a := range top {
 			if extended.Measured(a.TLB, a.ICache, a.DCache) {
@@ -582,6 +545,9 @@ func runAllocation(opt Options, space search.Space, id, title string, extraNotes
 		notes = append(notes, fmt.Sprintf(
 			"big preset: %d of the %d reported rows lie on the measured Table 5 grid; the rest are power-law modeled",
 			onGrid, len(top)))
+	} else {
+		notes = append(notes, fmt.Sprintf(
+			"%d feasible allocations under the %d-rbe budget", len(allocs), area.BudgetRBE))
 	}
 	notes = append(notes, extraNotes...)
 	if len(failedWorkloads) > 0 {
@@ -598,7 +564,7 @@ func allocRow(t *report.Table, rank int, a search.Allocation) {
 }
 
 func table6(opt Options) (Result, error) {
-	return runAllocation(opt, search.Table5(), "table6",
+	return runAllocation(opt, search.Table5(),
 		"Ten best area allocations under 250,000 rbes (Mach measurements)",
 		[]string{
 			"paper: every top-10 configuration uses a 512-entry TLB; the best uses only ~163k rbes",
@@ -609,7 +575,7 @@ func table6(opt Options) (Result, error) {
 func table7(opt Options) (Result, error) {
 	space := search.Table5()
 	space.MaxCacheAssoc = 2
-	return runAllocation(opt, space, "table7",
+	return runAllocation(opt, space,
 		"Best allocations with caches restricted to 1- or 2-way associativity",
 		[]string{
 			"paper: the restriction raises the best CPI from 1.333 to 1.428; TLBs stay large and I-caches 2-4x the D-cache",

@@ -35,8 +35,8 @@ type Options struct {
 	Tracer *telemetry.Tracer
 	// Spans, when non-nil, records hierarchical execution spans across
 	// the pipeline: per-workload generation phases, per-worker group-pool
-	// jobs, search enumeration, and checkpoint writes. Nil (the default)
-	// records nothing and keeps the hot paths untouched.
+	// jobs, and search enumeration. Nil (the default) records nothing
+	// and keeps the hot paths untouched.
 	Spans *spans.Tracer
 	// Progress, when non-nil, receives live progress lines (one per
 	// write, newline-terminated): suite measurements as they finish and
@@ -49,22 +49,9 @@ type Options struct {
 	SweepObserver func(search.Progress)
 	// Context, when non-nil, makes long-running experiments
 	// cancellable: sweep workers stop at the next stage boundary, the
-	// enumeration loop stops between pricing steps (persisting a
-	// checkpoint when CheckpointPath is set), and Run returns the
+	// enumeration loop stops between pricing steps, and Run returns the
 	// context's error. Nil means run to completion.
 	Context context.Context
-	// CheckpointPath, when non-empty, makes the allocation experiments
-	// (table6/table7) persist enumeration state there periodically and
-	// on cancellation; see search.WithCheckpoint.
-	CheckpointPath string
-	// ResumePath, when non-empty, seeds the allocation experiments from
-	// a checkpoint previously written to CheckpointPath (or any
-	// compatible file): completed work is skipped and the final ranking
-	// is identical to an uninterrupted run.
-	ResumePath string
-	// CheckpointObserver, when non-nil, is invoked after every
-	// checkpoint write (the observability server installs itself here).
-	CheckpointObserver func(*search.Checkpoint)
 	// FaultInjector, when non-nil, injects worker panics into the
 	// model-building sweeps (deterministically, per its seed) so the
 	// recovery paths are exercised; see internal/faultinject.
@@ -85,16 +72,10 @@ type Options struct {
 	// worker-pool width. Sharding never changes results, only how the
 	// simulation parallelizes.
 	Shards int
-	// SearchStrategy selects how the allocation experiments (table6,
-	// table7) enumerate the design space: "exhaustive" (or empty, the
-	// default) prices every triple; "pruned" runs the Pareto /
-	// branch-and-bound engine, which returns a byte-identical top-10
-	// while pricing a small fraction of the space. Pruned search does
-	// not compose with CheckpointPath/ResumePath.
-	SearchStrategy string
 	// SpacePreset selects the design space the allocation experiments
-	// search: "table5" (or empty, the default) is the paper's grid;
-	// "big" is the >=1M-triple production space (search.Big()). The
+	// search: "table5" (or empty, the default) is the paper's grid,
+	// enumerated exhaustively; "big" is the >=1M-triple production
+	// space (search.Big()), searched with the pruned strategy. The
 	// simulators still sweep only the Table 5 grid -- off-grid
 	// configurations are priced by the missmodel power-law extension of
 	// the measured model.
@@ -114,17 +95,6 @@ func (o Options) refs(def int) int {
 		return o.Refs
 	}
 	return def
-}
-
-// searchPruned resolves the SearchStrategy field.
-func (o Options) searchPruned() (bool, error) {
-	switch o.SearchStrategy {
-	case "", "exhaustive":
-		return false, nil
-	case "pruned":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown search strategy %q (want exhaustive or pruned)", o.SearchStrategy)
 }
 
 // bigSpace resolves the SpacePreset field.

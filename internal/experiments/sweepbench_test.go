@@ -1,22 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 
-	"onchip/internal/area"
 	"onchip/internal/osmodel"
 	"onchip/internal/search"
-	"onchip/internal/spans"
-	"onchip/internal/tapeworm"
-	"onchip/internal/telemetry"
-	"onchip/internal/tlb"
 	"onchip/internal/trace"
-	"onchip/internal/tracecache"
 	"onchip/internal/workload"
 )
 
@@ -70,228 +59,4 @@ func BenchmarkSweepLegacyDirect(b *testing.B) {
 	stream := recordStream(200_000)
 	direct := newDirectDCacheSweep(search.Table5().CacheConfigs())
 	replay(b, stream, unbatched{direct})
-}
-
-// sweepBenchStats is the schema of BENCH_sweep.json.
-type sweepBenchStats struct {
-	Refs             int     `json:"refs"`
-	Workload         string  `json:"workload"`
-	CacheConfigs     int     `json:"cache_configs"`
-	Workers          int     `json:"workers"`
-	Shards           int     `json:"shards"`
-	LegacySeconds    float64 `json:"legacy_seconds"`
-	EngineSeconds    float64 `json:"engine_seconds"`
-	LegacyRefsPerSec float64 `json:"legacy_refs_per_sec"`
-	EngineRefsPerSec float64 `json:"engine_refs_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	LegacyNsPerRef   float64 `json:"legacy_ns_per_ref"`
-	EngineNsPerRef   float64 `json:"engine_ns_per_ref"`
-
-	// The workers/shards series: the same fused sweep at one worker
-	// (serial engine, no pool) versus the Workers/Shards arrangement
-	// above. ParallelSpeedup is Engine1Seconds/EngineSeconds.
-	Engine1Seconds  float64 `json:"engine_1worker_seconds"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
-
-	// The trace-cache series: the parallel sweep with a cold cache
-	// (generation + recording) and repeated warm (replay, no
-	// generation). WarmSpeedup is Engine1Seconds/WarmCacheSeconds --
-	// the end-to-end win of a warm repeat run over the previous
-	// single-worker engine.
-	ColdCacheSeconds float64 `json:"cold_cache_seconds"`
-	WarmCacheSeconds float64 `json:"warm_cache_seconds"`
-	WarmSpeedup      float64 `json:"warm_speedup"`
-	TraceCacheBytes  int64   `json:"trace_cache_bytes"`
-
-	// Span-tracing overhead: the same fused sweep re-run with a live
-	// tracer (phase lanes, per-job worker spans, telemetry folding), as
-	// -spans wires it. OverheadPct is (spans-on / spans-off - 1) * 100.
-	EngineSpansSeconds float64 `json:"engine_spans_seconds"`
-	SpansRefsPerSec    float64 `json:"spans_refs_per_sec"`
-	SpansOverheadPct   float64 `json:"spans_overhead_pct"`
-	SpansRecorded      int     `json:"spans_recorded"`
-}
-
-// timeFusedSweep runs one workload's fused model-building sweep (the
-// production warm-up/measure plan against the engine + tapeworm tee)
-// and returns the engine and the elapsed seconds. A non-nil par.tr
-// instruments it exactly the way sweepWorkload does: workload-lane
-// phase spans plus the engine's per-job worker-lane spans. A non-nil
-// tc engages the trace cache exactly like the production sweep --
-// replay on a hit, record-and-commit on a miss.
-func timeFusedSweep(t *testing.T, spec osmodel.WorkloadSpec, cacheCfgs []area.CacheConfig, tlbConfigs []tlb.Config, refsEach int, par enginePar, tc *tracecache.Cache) (*sweepEngine, float64) {
-	t.Helper()
-	start := time.Now()
-	lane := par.tr.Lane("workload/" + spec.Name)
-	wl := lane.Start("sweep.workload")
-	engine := newSweepEngine(cacheCfgs, 8, par)
-	hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
-	tw := tapeworm.Attach(hw, tlbConfigs...)
-	tsink := &tlbOnly{hw: hw}
-	both := trace.Sink(trace.Tee{engine, tsink})
-	tail := trace.Sink(tsink)
-	reset := func() {
-		hw.ResetService()
-		tw.ResetServices()
-		tsink.instrs = 0
-	}
-	ctx := context.Background()
-	var err error
-	switch {
-	case tc == nil:
-		_, _, err = generatePhases(ctx, osmodel.NewSystem(osmodel.Mach, spec), refsEach, both, tail, reset, nil, lane)
-	default:
-		key := sweepTraceKey(osmodel.Mach, spec, refsEach)
-		if entry := tc.OpenEntry(key); entry != nil {
-			_, _, err = replayPhases(ctx, entry, both, tail, reset, lane)
-			entry.Close()
-		} else {
-			var rec *tracecache.Writer
-			if rec, err = tc.NewWriter(key); err == nil {
-				_, _, err = generatePhases(ctx, osmodel.NewSystem(osmodel.Mach, spec), refsEach, both, tail, reset, rec, lane)
-				if err == nil {
-					err = rec.Commit()
-				} else {
-					rec.Abort()
-				}
-			}
-		}
-	}
-	if err != nil {
-		t.Fatalf("fused sweep of %s failed: %v", spec.Name, err)
-	}
-	wl.End()
-	return engine, time.Since(start).Seconds()
-}
-
-// TestSweepBenchArtifact times one workload's complete model-building
-// sweep at the default scale -- the original three-generation,
-// direct-D-simulation arrangement against the fused engine -- and
-// writes the measurements to $BENCH_SWEEP_JSON (make bench sets it).
-// It records, not asserts, the speedup: CI machines vary.
-func TestSweepBenchArtifact(t *testing.T) {
-	path := os.Getenv("BENCH_SWEEP_JSON")
-	if path == "" {
-		t.Skip("set BENCH_SWEEP_JSON=<path> to run the sweep benchmark and write the artifact")
-	}
-	const refsEach = defaultSweepRefs
-	spec := workload.VideoPlay()
-	cacheCfgs := search.Table5().CacheConfigs()
-	var tlbConfigs []tlb.Config
-	for _, c := range search.Table5().TLBConfigs() {
-		tlbConfigs = append(tlbConfigs, tlb.Config{TLBConfig: c})
-	}
-
-	// Legacy: three generations, per-reference delivery, direct D-sim.
-	legacyStart := time.Now()
-	isweep := newICacheSweep(cacheCfgs, 8)
-	osmodel.NewSystem(osmodel.Mach, spec).Generate(refsEach, unbatched{isweep})
-	direct := newDirectDCacheSweep(cacheCfgs)
-	osmodel.NewSystem(osmodel.Mach, spec).Generate(refsEach, unbatched{direct})
-	runTapeworm(osmodel.Mach, spec, refsEach, tlbConfigs, nil)
-	legacySec := time.Since(legacyStart).Seconds()
-
-	// mustMatchLegacy pins every timed variant to the legacy counts
-	// before its timing is allowed to mean anything.
-	mustMatchLegacy := func(name string, e *sweepEngine) {
-		t.Helper()
-		for i, c := range cacheCfgs {
-			if e.iMisses(c) != isweep.misses(c) || e.dReadMisses(c) != direct.caches[i].Stats().ReadMisses {
-				t.Fatalf("%s %v: fused and legacy sweeps disagree; timings are meaningless", name, c)
-			}
-		}
-	}
-
-	// Fused, serial: one generation, batched, no pool. The baseline of
-	// the workers/shards series.
-	serial, serialSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{}, nil)
-	serial.close()
-	mustMatchLegacy("serial", serial)
-
-	// Fused, parallel: the group pool at full machine width with
-	// automatic set sharding (the sweep runs one workload here, so the
-	// pool gets the whole machine, as the real sweep's shared pool
-	// would once other workloads drain).
-	workers := sweepWorkers(0)
-	engine, engineSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{workers: workers}, nil)
-	defer engine.close()
-	mustMatchLegacy("parallel", engine)
-
-	// Trace cache, cold then warm: the parallel sweep recording its
-	// stream, then the repeat run replaying it with generation skipped.
-	tc, err := tracecache.Open(filepath.Join(t.TempDir(), "octc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, coldSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{workers: workers}, tc)
-	cold.close()
-	mustMatchLegacy("cold-cache", cold)
-	warm, warmSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{workers: workers}, tc)
-	warm.close()
-	mustMatchLegacy("warm-cache", warm)
-	var cacheBytes int64
-	entries, err := os.ReadDir(tc.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range entries {
-		if filepath.Ext(de.Name()) != ".octc" {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cacheBytes += info.Size()
-	}
-	if cacheBytes == 0 {
-		t.Fatal("cold run committed no trace-cache entry; warm timing is meaningless")
-	}
-
-	// Spans on: the identical fused sweep under a live tracer with
-	// telemetry folding, measuring what -spans costs end to end.
-	tracer := spans.New(0)
-	tracer.SetMetrics(telemetry.NewRegistry())
-	spansEngine, spansSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach,
-		enginePar{workers: workers, tr: tracer, lanePrefix: "sweep/" + spec.Name}, nil)
-	spansEngine.close()
-	mustMatchLegacy("spans", spansEngine)
-
-	stats := sweepBenchStats{
-		Refs:             refsEach,
-		Workload:         spec.Name,
-		CacheConfigs:     len(cacheCfgs),
-		Workers:          workers,
-		Shards:           engine.shards,
-		LegacySeconds:    legacySec,
-		EngineSeconds:    engineSec,
-		LegacyRefsPerSec: float64(refsEach) / legacySec,
-		EngineRefsPerSec: float64(refsEach) / engineSec,
-		Speedup:          legacySec / engineSec,
-		LegacyNsPerRef:   legacySec * 1e9 / float64(refsEach),
-		EngineNsPerRef:   engineSec * 1e9 / float64(refsEach),
-
-		Engine1Seconds:  serialSec,
-		ParallelSpeedup: serialSec / engineSec,
-
-		ColdCacheSeconds: coldSec,
-		WarmCacheSeconds: warmSec,
-		WarmSpeedup:      serialSec / warmSec,
-		TraceCacheBytes:  cacheBytes,
-
-		EngineSpansSeconds: spansSec,
-		SpansRefsPerSec:    float64(refsEach) / spansSec,
-		SpansOverheadPct:   (spansSec/engineSec - 1) * 100,
-		SpansRecorded:      len(tracer.Records()),
-	}
-	data, err := json.MarshalIndent(stats, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("model-building sweep at %d refs: legacy %.2fs, serial %.2fs, fused %.2fs (%.1fx vs legacy, %d workers x %d shards), cold cache %.2fs, warm %.2fs (%.1fx vs serial, %d B), spans on %.2fs (%+.1f%%, %d spans) -> %s",
-		refsEach, legacySec, serialSec, engineSec, stats.Speedup, workers, stats.Shards,
-		coldSec, warmSec, stats.WarmSpeedup, cacheBytes, spansSec, stats.SpansOverheadPct, stats.SpansRecorded, path)
 }

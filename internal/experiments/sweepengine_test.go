@@ -7,6 +7,7 @@ import (
 	"onchip/internal/cache"
 	"onchip/internal/osmodel"
 	"onchip/internal/search"
+	"onchip/internal/spans"
 	"onchip/internal/tapeworm"
 	"onchip/internal/telemetry"
 	"onchip/internal/tlb"
@@ -119,13 +120,17 @@ func TestFusedSweepMatchesLegacyPasses(t *testing.T) {
 
 // TestSweepEngineParallelMatchesSerial pins the determinism claim of
 // the group pool: any worker count, shard count, and pool arrangement
-// (private or shared) produces the counts of the serial engine.
+// (private or shared), traced by a live span tracer or not, produces
+// the counts of the serial engine.
 func TestSweepEngineParallelMatchesSerial(t *testing.T) {
 	cacheCfgs := search.Table5().CacheConfigs()
 	shared := newGroupPool(3, nil, "")
 	defer shared.close()
+	tracer := spans.New(0)
+	tracer.SetMetrics(telemetry.NewRegistry())
 	serial := newSweepEngine(cacheCfgs, 8, enginePar{})
 	variants := map[string]*sweepEngine{
+		"traced-4":           newSweepEngine(cacheCfgs, 8, enginePar{workers: 4, tr: tracer, lanePrefix: "sweep/mab"}),
 		"private-6":          newSweepEngine(cacheCfgs, 8, enginePar{workers: 6}),
 		"private-4-shards-4": newSweepEngine(cacheCfgs, 8, enginePar{workers: 4, shards: 4}),
 		"private-2-shards-8": newSweepEngine(cacheCfgs, 8, enginePar{workers: 2, shards: 8}),

@@ -1,10 +1,9 @@
 // Package lifecycle implements the shutdown contract shared by every
 // binary in this repository: the first SIGINT or SIGTERM cancels the
 // run's context so in-flight work stops at the next safe boundary --
-// sweeps persist a checkpoint, telemetry is flushed, and partial
-// results are written -- and a second signal aborts immediately with
-// the conventional 128+signal exit status. See DESIGN.md "Fault
-// tolerance".
+// telemetry is flushed and partial results are written -- and a second
+// signal aborts immediately with the conventional 128+signal exit
+// status. See DESIGN.md "Fault tolerance".
 package lifecycle
 
 import (
@@ -39,7 +38,7 @@ func Notify(parent context.Context, name string, w io.Writer) (ctx context.Conte
 	go func() {
 		select {
 		case sig := <-sigs:
-			fmt.Fprintf(w, "%s: received %v; shutting down gracefully (checkpoint + partial results; signal again to abort)\n", name, sig)
+			fmt.Fprintf(w, "%s: received %v; shutting down gracefully (partial results; signal again to abort)\n", name, sig)
 			cancel()
 		case <-done:
 			return

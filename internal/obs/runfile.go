@@ -104,12 +104,9 @@ type Delta struct {
 // Wall-clock metrics (per telemetry.IsWallClock: names containing
 // "_seconds" such as sweep.stage_seconds.*, and the span.* duration
 // folds) are machine- and load-dependent by nature, so they are
-// excluded from the comparison entirely, as are the pruned search
-// engine's arrangement counters (per telemetry.IsSearchStrategy:
-// search.pruned_*, search.bound_*), which differ between strategies
-// that produce byte-identical rankings. Everything else the simulators
+// excluded from the comparison entirely. Everything else the simulators
 // publish is a deterministic function of the inputs; the tsdb trend
-// gate applies the same predicates.
+// gate applies the same predicate.
 func Compare(a, b Run, threshold float64) []Delta {
 	am := indexMetrics(a.Metrics)
 	bm := indexMetrics(b.Metrics)
@@ -128,7 +125,7 @@ func Compare(a, b Run, threshold float64) []Delta {
 		}
 	}
 	for name := range names {
-		if telemetry.IsWallClock(name) || telemetry.IsSearchStrategy(name) {
+		if telemetry.IsWallClock(name) {
 			continue
 		}
 		ma, oka := am[name]

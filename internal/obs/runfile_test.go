@@ -183,32 +183,6 @@ func TestCompareSkipsWallClockMetrics(t *testing.T) {
 	}
 }
 
-// TestCompareSkipsSearchStrategyMetrics: the pruned search engine's
-// arrangement gauges (search.pruned_*, search.bound_*) differ between a
-// pruned and an exhaustive run whose rankings are byte-identical, and
-// exist only in pruned runs -- neither a value drift nor one-sided
-// presence may trip a zero-threshold determinism gate.
-func TestCompareSkipsSearchStrategyMetrics(t *testing.T) {
-	a, b := baselineRun(), baselineRun()
-	a.Metrics = append(a.Metrics,
-		telemetry.Metric{Name: "search.pruned_total_triples", Type: "gauge", Value: 240_000, Max: 240_000},
-		telemetry.Metric{Name: "search.bound_cpi_triples", Type: "gauge", Value: 80_000, Max: 80_000},
-	)
-	b.Metrics = append(b.Metrics, // pruned run vs exhaustive run: a-only plus a drifted twin
-		telemetry.Metric{Name: "search.pruned_total_triples", Type: "gauge", Value: 120_000, Max: 120_000},
-	)
-	if d := Compare(a, b, 0); len(d) != 0 {
-		t.Errorf("search-strategy metrics flagged: %+v", d)
-	}
-	// A genuinely deterministic search metric still trips the gate.
-	a.Metrics = append(a.Metrics, telemetry.Metric{Name: "search.configs_kept", Type: "counter", Value: 10})
-	b.Metrics = append(b.Metrics, telemetry.Metric{Name: "search.configs_kept", Type: "counter", Value: 11})
-	d := Compare(a, b, 0)
-	if len(d) != 1 || d[0].Metric != "search.configs_kept" {
-		t.Errorf("deltas = %+v, want search.configs_kept only", d)
-	}
-}
-
 func TestComparePresenceAndFields(t *testing.T) {
 	a, b := baselineRun(), baselineRun()
 	b.Metrics = b.Metrics[:3]                       // drop the histogram

@@ -1,3 +1,17 @@
+// Package obs is the reproduction's live observability plane: an
+// embeddable HTTP server that exposes the telemetry layer of a running
+// simulation (Prometheus metrics, JSON snapshots, a server-sent-events
+// tail of the Monster-style stall-event ring, design-space sweep
+// progress, and -- through a sampler feeding the durable tsdb store --
+// the run's metric time series), and a run-history comparator that
+// diffs persisted end-of-run snapshots so CI can gate on simulator
+// regressions.
+//
+// Where internal/telemetry alone is one-shot and in-process — capture
+// during the run, dump at exit — this package is the serving side: the
+// paper's Monster monitor watched the DECstation's pins live through a
+// logic analyzer, and `-serve` gives every long-running binary the same
+// property over HTTP.
 package obs
 
 import (
@@ -20,7 +34,7 @@ import (
 // Config assembles a Server around a run's telemetry.
 type Config struct {
 	// Registry is the run's metric registry; /metrics, /snapshot and
-	// the /series sampler read it. Required.
+	// the tsdb sampler read it. Required.
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, is the stall-event ring tailed by /events.
 	Tracer *telemetry.Tracer
@@ -30,16 +44,14 @@ type Config struct {
 	// stream (the machine package supplies machine.KindName and
 	// machine.CompName); nil funcs emit raw numbers.
 	KindName, CompName func(uint8) string
-	// SampleEvery is the series sampling period; 0 selects 250 ms.
+	// SampleEvery is the series sampling period (and the /events poll
+	// period); 0 selects 250 ms.
 	SampleEvery time.Duration
-	// SeriesDepth is the per-metric sample window; 0 selects
-	// DefaultSeriesDepth.
-	SeriesDepth int
-	// TSDB, when non-nil, receives every series sample the in-memory
-	// store does, making the run's series durable; /query serves it
-	// live (flush-then-read, so reads observe everything appended).
-	// The server does not close it -- its owner does, via the
-	// lifecycle flush-on-shutdown hook.
+	// TSDB, when non-nil, receives a registry sample every SampleEvery,
+	// making the run's series durable; /query serves it live
+	// (flush-then-read, so reads observe everything appended). Without
+	// it the server samples nothing. The server does not close it --
+	// its owner does, via the lifecycle flush-on-shutdown hook.
 	TSDB *tsdb.Appender
 	// TSDBRoot, when non-empty, is the store root /query serves
 	// historical runs from (usually the directory TSDB writes under).
@@ -110,14 +122,12 @@ func ExtendWriteDeadline(w http.ResponseWriter, d time.Duration) {
 // mount Handler on any mux or call Start to listen-and-serve, feed
 // sweep progress through ObserveSweep, and Close when the run ends.
 type Server struct {
-	cfg   Config
-	store *Store
+	cfg Config
 
 	mu      sync.Mutex
 	sweep   search.Progress
 	sweepOK bool
 	sweepAt time.Time
-	ckpt    checkpointState
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -136,14 +146,10 @@ func New(cfg Config) *Server {
 		cfg.SampleEvery = 250 * time.Millisecond
 	}
 	return &Server{
-		cfg:   cfg,
-		store: NewStore(cfg.SeriesDepth),
-		done:  make(chan struct{}),
+		cfg:  cfg,
+		done: make(chan struct{}),
 	}
 }
-
-// Store exposes the time-series store (for tests and direct sampling).
-func (s *Server) Store() *Store { return s.store }
 
 // ObserveSweep records the latest design-space enumeration progress for
 // /sweep. It matches the experiments.Options.SweepObserver signature.
@@ -153,49 +159,23 @@ func (s *Server) ObserveSweep(p search.Progress) {
 	s.mu.Unlock()
 }
 
-// checkpointState is the /sweep view of the latest persisted sweep
-// checkpoint: enough to see that fault tolerance is live and how much
-// of the enumeration an interrupt would preserve.
-type checkpointState struct {
-	Label     string `json:"label"`
-	SpaceSig  string `json:"space_sig"`
-	PairsDone int    `json:"pairs_done"`
-	Priced    int    `json:"priced"`
-	Kept      int    `json:"kept"`
-	Written   uint64 `json:"written"` // checkpoints persisted this run
-}
-
-// ObserveCheckpoint records the latest persisted sweep checkpoint for
-// /sweep. It matches the experiments.Options.CheckpointObserver
-// signature.
-func (s *Server) ObserveCheckpoint(cp *search.Checkpoint) {
-	s.mu.Lock()
-	s.ckpt = checkpointState{
-		Label:     cp.Label,
-		SpaceSig:  cp.SpaceSig,
-		PairsDone: cp.PairsDone,
-		Priced:    cp.Priced,
-		Kept:      len(cp.Kept),
-		Written:   s.ckpt.Written + 1,
-	}
-	s.mu.Unlock()
-}
-
-// Sample takes one immediate series sample from the registry, outside
-// the ticker cadence (Start samples once up front so /series answers
-// before the first tick). The same scrape feeds the in-memory window
-// and, when configured, the durable tsdb appender; the snapshot buffer
-// is reused across scrapes, so a steady-state sample allocates little.
+// Sample appends one immediate registry sample to the tsdb appender,
+// outside the ticker cadence (the sampler samples once up front so
+// /query answers before the first tick). The snapshot buffer is reused
+// across scrapes, so a steady-state sample allocates little. Without
+// an appender it does nothing.
 func (s *Server) Sample(now time.Time) {
+	if s.cfg.TSDB == nil {
+		return
+	}
 	s.sampleMu.Lock()
 	defer s.sampleMu.Unlock()
 	s.sampleBuf = s.cfg.Registry.SnapshotAppend(s.sampleBuf[:0])
-	s.store.Observe(now, s.sampleBuf)
 	s.cfg.TSDB.Append(now, s.sampleBuf)
 }
 
 // Start listens on addr (":6060", "localhost:0", ...), serves the
-// observability endpoints, and starts the series sampler. It returns
+// observability endpoints, and starts the tsdb sampler. It returns
 // the bound address, which differs from addr when a kernel-assigned
 // port was requested.
 func (s *Server) Start(addr string) (string, error) {
@@ -209,10 +189,14 @@ func (s *Server) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// StartSampler starts the periodic series sampler without serving
-// HTTP: what a run with -tsdb but no -serve uses to persist its series.
-// Safe to call once; Start calls it itself.
+// StartSampler starts the periodic tsdb sampler without serving HTTP:
+// what a run with -tsdb but no -serve uses to persist its series.
+// Without an appender there is nothing to sample into, and it does
+// nothing. Safe to call more than once; Start calls it itself.
 func (s *Server) StartSampler() {
+	if s.cfg.TSDB == nil {
+		return
+	}
 	s.sampleMu.Lock()
 	already := s.sampling
 	s.sampling = true
@@ -225,9 +209,9 @@ func (s *Server) StartSampler() {
 }
 
 // Close stops the sampler and the HTTP server, severing any open event
-// streams. One final sample is taken first, so the series (and the
-// tsdb appender, when attached) capture the end-of-run totals that
-// land after the last tick -- machine.FlushMetrics runs at run end.
+// streams. One final sample is taken first, so the tsdb series capture
+// the end-of-run totals that land after the last tick --
+// machine.FlushMetrics runs at run end.
 // Safe to call more than once. Close does not close the tsdb appender;
 // its owner drains it afterwards via the lifecycle shutdown hook.
 func (s *Server) Close() error {
@@ -265,9 +249,10 @@ func (s *Server) sampleLoop() {
 //	GET /snapshot  manifest + full metric snapshot as JSON
 //	GET /events    server-sent-events tail of the stall-event ring
 //	GET /sweep     latest design-space enumeration progress
-//	GET /series    sampled time series (?metric=NAME&since=MS; bare lists names)
-//	GET /query     durable tsdb series, live and historical
-//	               (?metric=NAME&res=raw|10s|1m&from=MS&to=MS&run=ID)
+//	GET /query     sampled tsdb series, live and historical
+//	               (?metric=NAME&res=raw|10s|1m&from=MS&to=MS&run=ID;
+//	               from and to are inclusive, so a poller passes its
+//	               last timestamp + 1 as from)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
@@ -275,7 +260,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/sweep", s.handleSweep)
-	mux.HandleFunc("/series", s.handleSeries)
 	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/spans", s.handleSpans)
 	return mux
@@ -292,9 +276,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /snapshot  run manifest + metric snapshot (JSON)
   /events    stall-event ring tail (SSE; ?since=SEQ, ?n=MAX)
   /sweep     design-space enumeration progress (JSON)
-  /series    sampled time series (?metric=NAME, ?since=UNIX_MS cursor; bare lists names)
-  /query     durable tsdb series, live + historical runs
-             (?metric=NAME, ?res=raw|10s|1m, ?from=MS, ?to=MS, ?run=ID; bare lists runs)
+  /query     sampled tsdb series, live + historical runs (?metric=NAME,
+             ?res=raw|10s|1m, ?from=MS, ?to=MS inclusive, ?run=ID; bare lists runs)
   /spans     execution-span summary: phase self-time, worker utilization,
              shard imbalance, open spans (?format=chrome downloads the trace)
 `)
@@ -315,52 +298,15 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleSweep(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	p, ok, at := s.sweep, s.sweepOK, s.sweepAt
-	ckpt := s.ckpt
 	s.mu.Unlock()
 	var body struct {
 		Sweep         *search.Progress `json:"sweep"`
 		UpdatedUnixMs int64            `json:"updated_unix_ms,omitempty"`
-		Checkpoint    *checkpointState `json:"checkpoint,omitempty"`
 	}
 	if ok {
 		body.Sweep, body.UpdatedUnixMs = &p, at.UnixMilli()
 	}
-	if ckpt.Written > 0 {
-		body.Checkpoint = &ckpt
-	}
 	writeJSON(w, body)
-}
-
-func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	name := q.Get("metric")
-	if name == "" {
-		writeJSON(w, struct {
-			Metrics []string `json:"metrics"`
-		}{s.store.Names()})
-		return
-	}
-	var since int64
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		since = n
-	}
-	// The since cursor turns polling incremental: a scraper passes the
-	// last Point.UnixMs it saw and receives only newer samples instead
-	// of the full window every time.
-	points, ok := s.store.SeriesSince(name, since)
-	if !ok {
-		http.Error(w, fmt.Sprintf("no samples for metric %q", name), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, struct {
-		Metric string  `json:"metric"`
-		Points []Point `json:"points"`
-	}{name, points})
 }
 
 // handleQuery serves the durable time-series store: any run persisted

@@ -175,63 +175,6 @@ func TestHandleSweep(t *testing.T) {
 	}
 }
 
-func TestHandleSeries(t *testing.T) {
-	srv, reg, _ := testServer(t)
-	reg.Counter("refs", "").Add(3)
-	srv.Sample(time.UnixMilli(5000))
-	h := srv.Handler()
-
-	rec := get(t, h, "/series")
-	var names struct {
-		Metrics []string `json:"metrics"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &names); err != nil {
-		t.Fatal(err)
-	}
-	if len(names.Metrics) != 1 || names.Metrics[0] != "refs" {
-		t.Errorf("names = %+v", names)
-	}
-
-	rec = get(t, h, "/series?metric=refs")
-	var body struct {
-		Metric string  `json:"metric"`
-		Points []Point `json:"points"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Metric != "refs" || len(body.Points) != 1 || body.Points[0] != (Point{UnixMs: 5000, Value: 3}) {
-		t.Errorf("series body = %+v", body)
-	}
-
-	if rec := get(t, h, "/series?metric=unknown"); rec.Code != 404 {
-		t.Errorf("unknown metric: code %d, want 404", rec.Code)
-	}
-}
-
-func TestHandleSeriesSinceCursor(t *testing.T) {
-	srv, reg, _ := testServer(t)
-	c := reg.Counter("refs", "")
-	for i := 0; i < 3; i++ {
-		c.Add(1)
-		srv.Sample(time.UnixMilli(int64(1000 * (i + 1))))
-	}
-	h := srv.Handler()
-	var body struct {
-		Points []Point `json:"points"`
-	}
-	rec := get(t, h, "/series?metric=refs&since=1000")
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Points) != 2 || body.Points[0].UnixMs != 2000 {
-		t.Fatalf("since cursor points = %+v", body.Points)
-	}
-	if rec := get(t, h, "/series?metric=refs&since=bogus"); rec.Code != 400 {
-		t.Errorf("bad since: code %d, want 400", rec.Code)
-	}
-}
-
 // TestHandleQuery exercises the durable /query path end to end: a
 // server with a live tsdb appender serves its own (flushed-on-demand)
 // run and a previously stored historical run from the same root.
@@ -283,6 +226,19 @@ func TestHandleQuery(t *testing.T) {
 	}
 	if len(series.Points) != 1 || series.Points[0].Sum != 3 || series.Kind != "counter" {
 		t.Fatalf("live series = %+v", series)
+	}
+
+	// Incremental polling: from is inclusive, so a poller passes its
+	// last timestamp + 1 and receives only the newer samples.
+	reg.Counter("refs", "").Add(2)
+	srv.Sample(time.UnixMilli(2000))
+	rec = get(t, h, "/query?metric=refs&from=1001")
+	series = tsdb.Series{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &series); err != nil {
+		t.Fatal(err)
+	}
+	if len(series.Points) != 1 || series.Points[0].Sum != 5 {
+		t.Fatalf("points after the from cursor = %+v", series.Points)
 	}
 
 	// Historical run, explicit selector.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"runtime"
 	"strings"
@@ -10,22 +11,36 @@ import (
 
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
+	"onchip/internal/tsdb"
 )
 
 // TestServerStartCloseNoGoroutineLeak pins the server's shutdown
-// contract: repeated Start/Close cycles -- with the sampler ticking, a
-// span tracer attached, and real HTTP requests served -- must return
-// the process to its baseline goroutine count. Run under -race this
-// also exercises the sampler's span recording against concurrent
-// /spans summarization.
+// contract: repeated Start/Close cycles -- with the sampler ticking
+// into a tsdb appender, a span tracer attached, and real HTTP requests
+// served -- must return the process to its baseline goroutine count.
+// Each cycle waits for the sampler to record an obs.sample span while
+// the tracer is summarized, so under -race this also exercises the
+// sampler's span recording against concurrent /spans summarization.
 func TestServerStartCloseNoGoroutineLeak(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := spans.New(0)
 	tr.SetMetrics(reg)
+	samples := func() int {
+		for _, p := range tr.Summarize().Phases {
+			if p.Name == "obs.sample" {
+				return p.Count
+			}
+		}
+		return 0
+	}
 
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		srv := New(Config{Registry: reg, SampleEvery: time.Millisecond, Spans: tr})
+		app, err := tsdb.Create(t.TempDir(), fmt.Sprintf("run%d", i), tsdb.Meta{}, tsdb.Options{FlushEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{Registry: reg, SampleEvery: time.Millisecond, Spans: tr, TSDB: app})
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -38,8 +53,16 @@ func TestServerStartCloseNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("GET /spans: status %d", resp.StatusCode)
 		}
 		resp.Body.Close()
-		time.Sleep(3 * time.Millisecond) // let the sampler record obs.sample spans
+		want := samples() + 1
+		for deadline := time.Now().Add(5 * time.Second); samples() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("cycle %d: the sampler recorded no obs.sample span in 5s", i)
+			}
+		}
 		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := app.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}

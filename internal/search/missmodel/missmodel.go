@@ -203,6 +203,22 @@ func FromMeasured(m *search.Measured) *Extended {
 	return e
 }
 
+// fitSorted fits one class's (x, y) points in ascending x order. The
+// points arrive in map-iteration order, and Fit's floating-point sums
+// depend on summation order, so without the sort the same measured
+// model could fit -- and price off-grid configurations -- differently
+// in the last digits from one run to the next. Within a class every x
+// (capacity or entry count) is distinct, so the order is total.
+func fitSorted(pts [][2]float64) PowerLaw {
+	sort.Slice(pts, func(i, j int) bool { return pts[i][0] < pts[j][0] })
+	xs := make([]float64, len(pts))
+	ys := make([]float64, len(pts))
+	for i, p := range pts {
+		xs[i], ys[i] = p[0], p[1]
+	}
+	return Fit(xs, ys)
+}
+
 func fitCacheFamily(samples map[area.CacheConfig]float64) fitted {
 	byClass := map[class][][2]float64{}
 	for cfg, v := range samples {
@@ -211,12 +227,7 @@ func fitCacheFamily(samples map[area.CacheConfig]float64) fitted {
 	}
 	f := fitted{curves: make(map[class]PowerLaw, len(byClass)), slack: 1}
 	for c, pts := range byClass {
-		xs := make([]float64, len(pts))
-		ys := make([]float64, len(pts))
-		for i, p := range pts {
-			xs[i], ys[i] = p[0], p[1]
-		}
-		f.curves[c] = Fit(xs, ys)
+		f.curves[c] = fitSorted(pts)
 	}
 	// Admissibility slack over every measured point the family covers.
 	for cfg, actual := range samples {
@@ -238,12 +249,7 @@ func fitTLBFamily(samples map[area.TLBConfig]float64) tlbFitted {
 	}
 	f := tlbFitted{curves: make(map[int]PowerLaw, len(byAssoc)), slack: 1}
 	for a, pts := range byAssoc {
-		xs := make([]float64, len(pts))
-		ys := make([]float64, len(pts))
-		for i, p := range pts {
-			xs[i], ys[i] = p[0], p[1]
-		}
-		f.curves[a] = Fit(xs, ys)
+		f.curves[a] = fitSorted(pts)
 	}
 	for cfg, actual := range samples {
 		pred := f.predict(cfg)

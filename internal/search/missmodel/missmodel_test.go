@@ -203,3 +203,29 @@ func TestExtendedDrivesBothStrategiesIdentically(t *testing.T) {
 		}
 	}
 }
+
+// Refitting one measured model must price every configuration of the
+// big space bit-for-bit identically, every time: the fit's
+// floating-point sums may not depend on map iteration order, or a
+// big-space ranking differs between identical runs in its last digits.
+func TestRefitDeterministic(t *testing.T) {
+	m, _ := gridModel(t)
+	ref := FromMeasured(m)
+	big := search.Big()
+	same := func(what string, cfg any, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("refit %s(%v) = %v, first fit gave %v", what, cfg, got, want)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		e := FromMeasured(m)
+		for _, cfg := range big.CacheConfigs() {
+			same("ICacheCPI", cfg, e.ICacheCPI(cfg), ref.ICacheCPI(cfg))
+			same("DCacheCPI", cfg, e.DCacheCPI(cfg), ref.DCacheCPI(cfg))
+		}
+		for _, cfg := range big.TLBConfigs() {
+			same("TLBCPI", cfg, e.TLBCPI(cfg), ref.TLBCPI(cfg))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -292,29 +293,54 @@ func TestPrunedMatchesExhaustiveRandomized(t *testing.T) {
 	}
 }
 
-func TestPrunedRefusesCheckpointAndBadK(t *testing.T) {
-	space := Table5()
-	if _, err := EnumerateE(space, area.Default(), area.BudgetRBE, MachLike(),
-		WithPruning(10), WithCheckpoint(t.TempDir()+"/cp", "x", 0)); err == nil {
-		t.Error("pruning + checkpoint did not error")
-	}
-	if _, err := EnumerateE(space, area.Default(), area.BudgetRBE, MachLike(),
-		WithPruning(10), WithResume(&Checkpoint{})); err == nil {
-		t.Error("pruning + resume did not error")
-	}
-	if _, err := EnumerateE(space, area.Default(), area.BudgetRBE, MachLike(),
+func TestPrunedRefusesBadK(t *testing.T) {
+	if _, err := EnumerateE(Table5(), area.Default(), area.BudgetRBE, MachLike(),
 		WithPruning(-1)); err == nil {
 		t.Error("negative top-K did not error")
 	}
 }
 
-func TestPrunedCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := EnumerateE(Table5(), area.Default(), area.BudgetRBE, MachLike(),
-		WithPruning(10), WithContext(ctx))
-	if err == nil {
-		t.Fatal("cancelled pruned search returned no error")
+// Both strategies stop on cancellation and report context.Canceled:
+// a context cancelled before the call, and -- on the exhaustive path,
+// whose loop runs long enough to interrupt -- one cancelled from a
+// progress callback mid-run.
+func TestEnumerateCancellation(t *testing.T) {
+	full := Enumerate(Table5(), area.Default(), area.BudgetRBE, MachLike())
+	for _, tc := range []struct {
+		name   string
+		pruned bool
+		midRun bool
+	}{
+		{"exhaustive/before", false, false},
+		{"exhaustive/mid-run", false, true},
+		{"pruned/before", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			opts := []Option{WithContext(ctx)}
+			if tc.pruned {
+				opts = append(opts, WithPruning(10))
+			}
+			if tc.midRun {
+				opts = append(opts, WithProgress(10_000, func(p Progress) {
+					if p.Done {
+						t.Error("enumeration ran to completion after cancellation")
+					}
+					cancel()
+				}))
+			} else {
+				cancel()
+			}
+			partial, err := EnumerateE(Table5(), area.Default(), area.BudgetRBE, MachLike(), opts...)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if tc.midRun && (len(partial) == 0 || len(partial) >= len(full)) {
+				t.Errorf("mid-run cancellation kept %d of %d allocations, want a strict non-empty prefix of the work",
+					len(partial), len(full))
+			}
+		})
 	}
 }
 

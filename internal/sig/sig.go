@@ -1,10 +1,10 @@
 // Package sig provides the content-signature idiom shared across the
 // repository: an FNV-64a hash accumulated over a sequence of values,
-// rendered as a fixed-width hex string. The search checkpoint's space
-// signature, and the advisor's request signatures are all instances --
-// two inputs hash equal exactly when every accumulated value formats
-// equal, so a signature binds derived state (a checkpoint, a cached
-// result) to the exact inputs that produced it.
+// rendered as a fixed-width hex string. The advisor's request
+// signatures are instances -- two inputs hash equal exactly when every
+// accumulated value formats equal, so a signature binds derived state
+// (a cached result, a drain checkpoint entry) to the exact inputs that
+// produced it.
 package sig
 
 import (

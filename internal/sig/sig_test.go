@@ -7,9 +7,9 @@ import (
 )
 
 func TestMatchesRawFNV(t *testing.T) {
-	// The signature must be exactly FNV-64a over "%v|" renderings: the
-	// search checkpoint format predates this package and persisted
-	// signatures must keep verifying.
+	// The signature must be exactly FNV-64a over "%v|" renderings:
+	// advisor drain checkpoints persist request signatures, which must
+	// keep matching the requests they name.
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v|%v|%v|", "budget", 250000.0, 42)
 	want := fmt.Sprintf("%016x", h.Sum64())

@@ -380,8 +380,8 @@ func (r *Registry) Snapshot() []Metric {
 }
 
 // SnapshotAppend appends all metrics, sorted by name, to dst and
-// returns the extended slice. Periodic samplers (the obs series
-// sampler, the tsdb write path) pass their previous slice truncated to
+// returns the extended slice. Periodic samplers (the obs sampler
+// feeding the tsdb write path) pass their previous slice truncated to
 // zero length so a steady-state scrape allocates nothing beyond what
 // the histogram bucket slices need.
 func (r *Registry) SnapshotAppend(dst []Metric) []Metric {

@@ -15,14 +15,3 @@ import "strings"
 func IsWallClock(name string) bool {
 	return strings.Contains(name, "_seconds") || strings.HasPrefix(name, "span.")
 }
-
-// IsSearchStrategy reports whether a metric name describes the search
-// strategy's execution arrangement rather than its result: the pruned
-// engine's frontier and branch-and-bound accounting (search.pruned_*,
-// search.bound_*). These counts are deterministic for a given strategy
-// but legitimately differ between a pruned and an exhaustive run of the
-// SAME experiment -- whose rankings are byte-identical -- so the
-// determinism gates exclude them alongside the wall-clock family.
-func IsSearchStrategy(name string) bool {
-	return strings.HasPrefix(name, "search.pruned_") || strings.HasPrefix(name, "search.bound_")
-}

@@ -5,30 +5,12 @@ import "testing"
 func TestIsWallClock(t *testing.T) {
 	for name, want := range map[string]bool{
 		"sweep.stage_seconds.model": true,
-		"span.checkpoint.write_us":  true,
+		"span.search.enumerate_us":  true,
 		"sweep.workloads_done":      false,
 		"search.configs_priced":     false,
 	} {
 		if got := IsWallClock(name); got != want {
 			t.Errorf("IsWallClock(%q) = %v, want %v", name, got, want)
-		}
-	}
-}
-
-func TestIsSearchStrategy(t *testing.T) {
-	for name, want := range map[string]bool{
-		"search.pruned_total_triples":    true,
-		"search.pruned_frontier_triples": true,
-		"search.bound_cpi_triples":       true,
-		"search.bound_budget_triples":    true,
-		// Result metrics stay under the determinism gates.
-		"search.configs_priced":      false,
-		"search.configs_kept":        false,
-		"search.checkpoints_written": false,
-		"sweep.references":           false,
-	} {
-		if got := IsSearchStrategy(name); got != want {
-			t.Errorf("IsSearchStrategy(%q) = %v, want %v", name, got, want)
 		}
 	}
 }

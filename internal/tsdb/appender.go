@@ -13,14 +13,14 @@ import (
 	"onchip/internal/telemetry"
 )
 
-// Clock converts sample instants to run-relative monotonic unix
+// monoClock converts sample instants to run-relative monotonic unix
 // milliseconds: the first instant pins the wall clock, every later one
 // advances by the *monotonic* difference from it, and the result never
 // decreases. Wall-clock steps (NTP slew, manual adjustment) therefore
-// cannot produce out-of-order timestamps within a run. The zero Clock
-// is ready to use; it is not safe for concurrent use (each owner keeps
-// its own behind its own lock).
-type Clock struct {
+// cannot produce out-of-order timestamps within a run. The zero
+// monoClock is ready to use; it is not safe for concurrent use (the
+// Appender keeps it behind its lock).
+type monoClock struct {
 	started bool
 	base    time.Time // first instant, with monotonic reading when the caller's had one
 	baseMs  int64     // wall unix ms of base
@@ -28,7 +28,7 @@ type Clock struct {
 }
 
 // UnixMs returns the run-relative monotonic timestamp for now.
-func (c *Clock) UnixMs(now time.Time) int64 {
+func (c *monoClock) UnixMs(now time.Time) int64 {
 	if !c.started {
 		c.started = true
 		c.base = now
@@ -110,7 +110,7 @@ type Appender struct {
 	opts Options
 
 	mu      sync.Mutex // guards buf, clock, dropped, closed
-	clock   Clock
+	clock   monoClock
 	buf     []sample
 	dropped uint64
 	closed  bool
@@ -178,7 +178,7 @@ func (a *Appender) Dropped() uint64 {
 }
 
 // Append buffers one sample per metric at the given instant. The
-// instant passes through the run-relative monotonic Clock, so stored
+// instant passes through the run-relative monotonic clock, so stored
 // timestamps are strictly non-decreasing regardless of wall-clock
 // steps. Appends after Close are dropped. A nil Appender is a no-op,
 // so callers thread it unconditionally like a telemetry instrument.

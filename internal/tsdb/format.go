@@ -18,9 +18,8 @@
 // min/max/sum/count per window, written as raw windows complete, so old
 // data shrinks instead of disappearing).
 //
-// Shard files follow the checkpoint discipline of
-// internal/search/checkpoint.go scaled to a stream: a one-line header
-// naming the format, then self-delimiting blocks, each carrying its own
+// Shard files are a checksummed stream: a one-line header naming the
+// format, then self-delimiting blocks, each carrying its own
 // length and CRC32. A block is the atomic unit of appending -- a crash
 // mid-write tears at most the final block of the active segment, and
 // the checksum makes the torn tail detectable and discardable on open.

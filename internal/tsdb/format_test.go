@@ -140,7 +140,7 @@ func TestSegmentHeaderRoundTrip(t *testing.T) {
 }
 
 func TestClockMonotonic(t *testing.T) {
-	var c Clock
+	var c monoClock
 	t0 := time.UnixMilli(10_000)
 	if ms := c.UnixMs(t0); ms != 10_000 {
 		t.Fatalf("first sample ms = %d", ms)

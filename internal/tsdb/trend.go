@@ -150,12 +150,6 @@ func (db *DB) TrendAll(opts TrendOptions) ([]Trend, error) {
 		if !opts.IncludeWallClock && telemetry.IsWallClock(name) {
 			continue
 		}
-		if telemetry.IsSearchStrategy(name) {
-			// Pruned-search arrangement counters drift whenever the
-			// stored runs mix strategies; like `memalloc compare`, the
-			// gate only judges result metrics.
-			continue
-		}
 		if opts.Match != "" && !strings.Contains(name, opts.Match) {
 			continue
 		}
