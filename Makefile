@@ -38,6 +38,8 @@ bench-advisor:
 fuzz:
 	$(GO) test -fuzz=FuzzTrace -fuzztime=20s -run=FuzzTrace ./internal/trace/
 	$(GO) test -fuzz=FuzzTraceCacheRoundTrip -fuzztime=20s -run=FuzzTraceCacheRoundTrip ./internal/tracecache/
+	$(GO) test -fuzz=FuzzSegment -fuzztime=20s -run=FuzzSegment ./internal/tsdb/
+	$(GO) test -fuzz=FuzzReadRunFile -fuzztime=20s -run=FuzzReadRunFile ./internal/obs/
 
 # crossval pins the single-pass stack simulators and the fused sweep
 # engine to their direct-simulation oracles, under the race detector:

@@ -120,13 +120,12 @@ func main() {
 		corrupts := cfg.Metrics.Counter("trace.corrupt_records", "corrupt trace records encountered")
 		r.OnCorrupt = func(*trace.CorruptError) { corrupts.Inc() }
 	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "dinero", *spansFile, *profSpan, *profSpanOut, *serveAddr != "")
+	spanTr, drainSpans, err := spans.Setup(ctx, "dinero", *spansFile, *profSpan, *profSpanOut, cfg.Metrics)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer drainSpans()
-	spanTr.SetMetrics(cfg.Metrics)
 	man := &telemetry.Manifest{
 		Command:   "dinero",
 		Args:      os.Args[1:],

@@ -8,13 +8,13 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"time"
 
 	"onchip/internal/experiments"
 	"onchip/internal/lifecycle"
 	"onchip/internal/obs"
+	"onchip/internal/spans"
 	"onchip/internal/telemetry"
 	"onchip/internal/tracecache"
 	"onchip/internal/tsdb"
@@ -42,8 +42,8 @@ regression checks with "memalloc compare". With -tsdb, the sampled
 metric series are also persisted to the durable time-series store, so
 one invocation feeds both "memalloc compare" and "memalloc tsdb trend".
 -trace-cache and -shards speed the sweeps up without changing any
-simulation result (compare warm-vs-cold snapshots with
--ignore 'tracecache\..*').`)
+result-class metric, so "memalloc compare -threshold 0" passes between
+cold and warm, or serial and sharded, snapshots.`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -56,9 +56,22 @@ simulation result (compare warm-vs-cold snapshots with
 	defer stopSignals()
 
 	start := time.Now()
+	man := &telemetry.Manifest{
+		Command:   "memalloc history",
+		Args:      args,
+		Start:     start.Format(time.RFC3339),
+		GoVersion: runtime.Version(),
+		Labels:    map[string]string{"experiments": fmt.Sprint(ids)},
+	}
 	reg := telemetry.NewRegistry()
+	spanTr, drainSpans, err := spans.Setup(ctx, "memalloc history", "", "", "", reg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer drainSpans()
 	opt := experiments.Options{
-		Refs: *refs, Metrics: reg, Context: ctx, Shards: *shards,
+		Refs: *refs, Metrics: reg, Spans: spanTr, Context: ctx, Shards: *shards,
 		SpacePreset: *spacePreset,
 	}
 	if *traceCacheDir != "" {
@@ -73,20 +86,7 @@ simulation result (compare warm-vs-cold snapshots with
 	runID := obs.RunID("memalloc", start)
 	flushTsdb := func() {}
 	if *tsdbDir != "" {
-		man := &telemetry.Manifest{
-			Command:   "memalloc history",
-			Args:      args,
-			Start:     start.Format(time.RFC3339),
-			GoVersion: runtime.Version(),
-			Labels:    map[string]string{"experiments": fmt.Sprint(ids)},
-		}
-		app, err := tsdb.Create(*tsdbDir, runID, tsdb.Meta{
-			Command:   man.Command,
-			Args:      man.Args,
-			Start:     man.Start,
-			GoVersion: man.GoVersion,
-			Labels:    man.Labels,
-		}, tsdb.Options{})
+		app, err := tsdb.Create(*tsdbDir, runID, *man, tsdb.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "memalloc:", err)
 			return 1
@@ -122,17 +122,7 @@ simulation result (compare warm-vs-cold snapshots with
 	if path == "" {
 		path = filepath.Join(*dir, obs.RunFileName(runID))
 	}
-	run := obs.Run{
-		Manifest: &telemetry.Manifest{
-			Command:   "memalloc history",
-			Args:      args,
-			Start:     start.Format(time.RFC3339),
-			GoVersion: runtime.Version(),
-			Labels:    map[string]string{"experiments": fmt.Sprint(ids)},
-		},
-		Metrics: reg.Snapshot(),
-	}
-	if err := obs.WriteRunFile(path, run); err != nil {
+	if err := obs.WriteRunFile(path, obs.Run{Manifest: man, Metrics: reg.Snapshot()}); err != nil {
 		fmt.Fprintln(os.Stderr, "memalloc:", err)
 		return 1
 	}
@@ -146,33 +136,24 @@ simulation result (compare warm-vs-cold snapshots with
 func runCompare(args []string) int {
 	fs := flag.NewFlagSet("memalloc compare", flag.ExitOnError)
 	threshold := fs.Float64("threshold", 0.01, "relative change beyond which a metric is flagged")
-	ignore := fs.String("ignore", "", "regexp of metric names to exclude from the diff (e.g. 'sweep\\.workers|tracecache\\..*' when comparing runs that legitimately differ in execution arrangement)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: memalloc compare [-threshold F] [-ignore REGEX] <a.json> <b.json>
+		fmt.Fprintln(os.Stderr, `usage: memalloc compare [-threshold F] <a.json> <b.json>
 
 Diffs two run snapshots written by "memalloc history" (or -metrics
-converted runs). Exits 0 when every counter, histogram and the derived
-CPI agree within the threshold, 1 when any metric regressed or is
-missing from one run, 2 on usage or read errors (so CI can tell a
-regression from a missing or unreadable run file). -ignore drops
-matching metric names entirely, so execution-arrangement metrics (pool
-width, shard count, trace-cache hit counters) do not fail a
-determinism gate that only the simulation results should gate.`)
+converted runs). Exits 0 when every result-class counter, gauge,
+histogram and the derived CPI agree within the threshold, 1 when any
+regressed or is missing from one run, 2 on usage or read errors (so CI
+can tell a regression from a missing or unreadable run file).
+Arrangement metrics (pool width, shard count, trace-cache and advisor
+traffic) and wall-clock metrics (span timings) carry their class in
+the snapshot and are never compared. Snapshots from before metric
+classes are refused; re-record them.`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		fs.Usage()
 		return 2
-	}
-	var ignoreRE *regexp.Regexp
-	if *ignore != "" {
-		re, err := regexp.Compile(*ignore)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memalloc: -ignore:", err)
-			return 2
-		}
-		ignoreRE = re
 	}
 	a, err := readRunFile(fs.Arg(0))
 	if err != nil {
@@ -185,15 +166,6 @@ determinism gate that only the simulation results should gate.`)
 		return 2
 	}
 	deltas := obs.Compare(a, b, *threshold)
-	if ignoreRE != nil {
-		kept := deltas[:0]
-		for _, d := range deltas {
-			if !ignoreRE.MatchString(d.Metric) {
-				kept = append(kept, d)
-			}
-		}
-		deltas = kept
-	}
 	if len(deltas) == 0 {
 		fmt.Printf("%s and %s agree: no metric moved more than %.3g%%\n",
 			fs.Arg(0), fs.Arg(1), 100**threshold)

@@ -27,7 +27,9 @@
 // byte-identical to an uninstrumented run):
 //
 //	-metrics FILE   write a JSONL run manifest plus every collected
-//	                metric (one JSON object per line) to FILE
+//	                metric (one JSON object per line; arrangement and
+//	                wall-clock metrics, such as the span.*_us timings,
+//	                name their class) to FILE
 //	-trace FILE     capture the machine's stall-event window (a
 //	                Monster-style logic-analyzer ring) and dump it as
 //	                JSONL to FILE
@@ -82,10 +84,9 @@
 //	                persist the end-of-run metric snapshot as
 //	                BENCH_<runid>.json (and, with -tsdb, the sampled
 //	                series)
-//	memalloc compare [-threshold F] [-ignore REGEX] <a.json> <b.json>
-//	                diff two snapshots; non-zero exit on regression
-//	                (-ignore drops execution-arrangement metrics from
-//	                determinism gates)
+//	memalloc compare [-threshold F] <a.json> <b.json>
+//	                diff the result-class metrics of two snapshots;
+//	                non-zero exit on regression
 //	memalloc tsdb ls|export|trend
 //	                inspect the durable time-series store: list stored
 //	                runs and metrics, export one series (json/csv), or
@@ -122,7 +123,7 @@ func main() {
 func run() int {
 	refs := flag.Int("refs", 0, "simulated references per workload run (0 = experiment default)")
 	spacePreset := flag.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid, priced exhaustively) or big (>=1M triples, searched pruned; off-grid configurations priced by the power-law miss model)")
-	metricsFile := flag.String("metrics", "", "write run manifest and metrics as JSONL to this file")
+	metricsFile := flag.String("metrics", "", "write run manifest and metrics (span timings included) as JSONL to this file")
 	traceFile := flag.String("trace", "", "write the machine stall-event window as JSONL to this file")
 	progress := flag.Bool("progress", false, "stream live progress lines to stderr")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -206,14 +207,13 @@ func run() int {
 	if *progress {
 		opt.Progress = os.Stderr
 	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "memalloc", *spansFile, *profSpan, *profSpanOut, *serveAddr != "")
+	spanTr, drainSpans, err := spans.Setup(ctx, "memalloc", *spansFile, *profSpan, *profSpanOut, opt.Metrics)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer drainSpans()
 	opt.Spans = spanTr
-	spanTr.SetMetrics(opt.Metrics) // span durations persist via /metrics and the tsdb
 
 	start := time.Now()
 	man := &telemetry.Manifest{
@@ -225,13 +225,7 @@ func run() int {
 	}
 	var tsdbApp *tsdb.Appender
 	if *tsdbDir != "" {
-		app, err := tsdb.Create(*tsdbDir, obs.RunID("memalloc", start), tsdb.Meta{
-			Command:   man.Command,
-			Args:      man.Args,
-			Start:     man.Start,
-			GoVersion: man.GoVersion,
-			Labels:    man.Labels,
-		}, tsdb.Options{})
+		app, err := tsdb.Create(*tsdbDir, obs.RunID("memalloc", start), *man, tsdb.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "memalloc:", err)
 			return 1
@@ -347,16 +341,17 @@ func writeTrace(path string, tr *telemetry.Tracer) error {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: memalloc [flags] list | all | <experiment>...
        memalloc history [-refs N] [-dir DIR | -o FILE] [-tsdb DIR] <experiment>... | all
-       memalloc compare [-threshold F] [-ignore REGEX] <a.json> <b.json>
+       memalloc compare [-threshold F] <a.json> <b.json>
        memalloc tsdb ls|export|trend [flags]
 
 Reproduces the evaluation of "Optimal Allocation of On-chip Memory for
 Multiple-API Operating Systems" (ISCA 1994). Run "memalloc list" for the
 experiment catalog. "history" persists an end-of-run metric snapshot as
-BENCH_<runid>.json; "compare" diffs two snapshots and exits non-zero on
-regression. "-tsdb DIR" persists sampled metric series to an embedded
-on-disk time-series store; "memalloc tsdb" lists, exports and fits
-longitudinal drift regressions over the stored runs.
+BENCH_<runid>.json; "compare" diffs the result-class metrics of two
+snapshots and exits non-zero on regression. "-tsdb DIR" persists
+sampled metric series to an embedded on-disk time-series store;
+"memalloc tsdb" lists, exports and fits longitudinal drift regressions
+over the stored runs.
 
 Fault tolerance: SIGINT/SIGTERM shuts down gracefully -- telemetry
 flushes and partial results are written (exit status 130 marks an

@@ -54,9 +54,9 @@ Lists the runs stored under the tsdb root (written by running with
 			fmt.Fprintln(os.Stderr, "memalloc:", err)
 			return 2
 		}
-		t := report.NewTable("Stored metrics: "+*run, "Metric", "Kind")
+		t := report.NewTable("Stored metrics: "+*run, "Metric", "Kind", "Class")
 		for _, m := range metrics {
-			t.Row(m.Name, m.Kind)
+			t.Row(m.Name, m.Kind, m.Class)
 		}
 		fmt.Print(t.String())
 		return 0
@@ -153,13 +153,15 @@ func runTsdbTrend(args []string) int {
 	threshold := fs.Float64("threshold", 0.01, "relative per-run slope beyond which a metric counts as drifting")
 	minR2 := fs.Float64("min-r2", 0.5, "minimum R^2 for a drift to count as sustained rather than noise")
 	match := fs.String("match", "", "only fit metrics containing this substring")
-	wallclock := fs.Bool("include-wallclock", false, "also fit *_seconds* wall-clock metrics (excluded by default, like memalloc compare)")
+	wallclock := fs.Bool("include-wallclock", false, "also fit wall-clock-class metrics such as the span.*_us timings (skipped by default, like memalloc compare; arrangement-class metrics are never fitted)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, `usage: memalloc tsdb trend [-dir DIR] [-last N] [-threshold F] [-min-r2 F] [-match SUBSTR] [-include-wallclock]
 
 Fits a least-squares line through each metric's per-run scalar (final
 value for counters, run mean for gauges and histograms) across the
-stored runs, oldest to newest. Exits 0 when no metric shows sustained
+stored runs, oldest to newest. Only result-class metrics are fitted
+(plus wall-clock ones with -include-wallclock); arrangement metrics such
+as tracecache.* never are. Exits 0 when no metric shows sustained
 drift, 1 when any does (relative slope > threshold with R^2 >= min-r2
 over at least 3 runs), 2 on usage or read errors -- the longitudinal
 successor to pairwise "memalloc compare" for CI gating.`)

@@ -49,13 +49,12 @@ func main() {
 		reg = telemetry.NewRegistry()
 		cfg.Metrics = reg
 	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "monster", *spansFile, *profSpan, *profSpanOut, *serveAddr != "")
+	spanTr, drainSpans, err := spans.Setup(ctx, "monster", *spansFile, *profSpan, *profSpanOut, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer drainSpans()
-	spanTr.SetMetrics(reg)
 	man := &telemetry.Manifest{
 		Command:   "monster",
 		Args:      os.Args[1:],

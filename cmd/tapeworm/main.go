@@ -100,13 +100,12 @@ func main() {
 		reg = telemetry.NewRegistry()
 		hw.Describe(reg, "tapeworm.hw_tlb")
 	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "tapeworm", *spansFile, *profSpan, *profSpanOut, *serveAddr != "")
+	spanTr, drainSpans, err := spans.Setup(ctx, "tapeworm", *spansFile, *profSpan, *profSpanOut, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer drainSpans()
-	spanTr.SetMetrics(reg)
 	man := &telemetry.Manifest{
 		Command:   "tapeworm",
 		Args:      os.Args[1:],

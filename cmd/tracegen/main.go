@@ -70,13 +70,12 @@ func main() {
 	if *metricsFile != "" || *serveAddr != "" {
 		reg = telemetry.NewRegistry()
 	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "tracegen", *spansFile, *profSpan, *profSpanOut, *serveAddr != "")
+	spanTr, drainSpans, err := spans.Setup(ctx, "tracegen", *spansFile, *profSpan, *profSpanOut, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	defer drainSpans()
-	spanTr.SetMetrics(reg)
 	man := &telemetry.Manifest{
 		Command:   "tracegen",
 		Args:      os.Args[1:],

@@ -182,7 +182,10 @@ func New(cfg Config) *Server {
 			s.logf("advisor: trace-cache corruption at %s: %v (breaker %s)", addr, err, s.breaker.State())
 		})
 	}
-	r := s.reg
+	// Traffic and state depend on who asked what, and when, not on any
+	// answer: they register as arrangement metrics, and the latency as
+	// wall clock, so no determinism gate compares them.
+	r := s.reg.In(telemetry.Arrangement)
 	s.mRequests = r.Counter("advisor.requests", "advise requests received")
 	s.mOK = r.Counter("advisor.ok", "200 responses delivered")
 	s.mShed = r.Counter("advisor.shed", "requests shed with 429 (admission queue full)")
@@ -193,7 +196,7 @@ func New(cfg Config) *Server {
 	s.mErrors = r.Counter("advisor.errors", "jobs that failed (503)")
 	s.mDrainRejected = r.Counter("advisor.drain_rejected", "requests refused because the server is draining")
 	s.mLiveRegen = r.Counter("advisor.live_regen", "jobs routed around the trace cache by the open breaker")
-	s.mLatency = r.Histogram("advisor.latency_us", "job latency, microseconds")
+	s.mLatency = s.reg.In(telemetry.WallClock).Histogram("advisor.latency_us", "job latency, microseconds")
 	s.mInflight = r.Gauge("advisor.inflight", "admitted jobs not yet finished")
 	r.GaugeFunc("advisor.queue_depth", "admitted-but-unstarted jobs", func() float64 {
 		return float64(s.pool.QueueLen())

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"onchip/internal/area"
 	"onchip/internal/cache"
@@ -71,9 +70,6 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	wlRetried := opt.Metrics.Counter("sweep.workloads_retried", "workload sweep retries after a panic")
 	sweepInstrs := opt.Metrics.Counter("sweep.instructions", "instructions simulated by the I-stream sweeps")
 	refsStreamed := opt.Metrics.Counter("sweep.references", "references generated for the model-building sweeps so far")
-	stageModel := opt.Metrics.Gauge("sweep.stage_seconds.model",
-		"wall-clock seconds generating references and running the fused cache sweeps, summed across workloads")
-	stageTapeworm := tapewormStageGauge(opt)
 
 	ctx := opt.ctx()
 	// One pool serves every workload sweep. Each engine spreads its
@@ -88,9 +84,10 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	if shards <= 0 {
 		shards = autoShards(workers, groups)
 	}
-	opt.Metrics.Gauge("sweep.workers",
+	arrangement := opt.Metrics.In(telemetry.Arrangement)
+	arrangement.Gauge("sweep.workers",
 		"simulation workers in the shared sweep pool").Set(float64(workers))
-	opt.Metrics.Gauge("sweep.shards",
+	arrangement.Gauge("sweep.shards",
 		"set shards per simulator group (each group clamps to its set count)").Set(float64(shards))
 	pool := newGroupPool(workers, opt.Spans, "sweep")
 	defer pool.close()
@@ -118,7 +115,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	// simulators have then seen a partial stream, so the whole attempt
 	// (fresh engine included) falls back to live generation, which also
 	// re-records the entry.
-	sweepWorkload := func(spec osmodel.WorkloadSpec) (engine *sweepEngine, results []tapeworm.Result, modelSec, tailSec float64, err error) {
+	sweepWorkload := func(spec osmodel.WorkloadSpec) (engine *sweepEngine, results []tapeworm.Result, err error) {
 		defer func() {
 			if v := recover(); v != nil {
 				if site, ok := faultinject.IsInjectedPanic(v); ok {
@@ -137,7 +134,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 		wl := lane.Start("sweep.workload")
 		defer wl.End()
 
-		attempt := func(entry *tracecache.Entry, rec *tracecache.Writer) (engine *sweepEngine, results []tapeworm.Result, modelSec, tailSec float64, err error) {
+		attempt := func(entry *tracecache.Entry, rec *tracecache.Writer) (engine *sweepEngine, results []tapeworm.Result, err error) {
 			engine = newSweepEngine(cacheCfgs, 8, enginePar{pool: pool, shards: shards})
 			defer engine.close()
 			hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
@@ -151,19 +148,17 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 				tsink.instrs = 0
 			}
 			if entry != nil {
-				modelSec, tailSec, err = replayPhases(ctx, entry, both, tail, reset, lane)
+				err = replayPhases(ctx, entry, both, tail, reset, lane)
 			} else {
 				sys := osmodel.NewSystem(v, spec)
-				modelSec, tailSec, err = generatePhases(ctx, sys, refsEach, both, tail, reset, rec, lane)
+				err = generatePhases(ctx, sys, refsEach, both, tail, reset, rec, lane)
 			}
 			flushMeter(both)
 			flushMeter(tail)
-			stageModel.Add(modelSec)
-			stageTapeworm.Add(tailSec)
 			if err != nil {
-				return nil, nil, modelSec, tailSec, err
+				return nil, nil, err
 			}
-			return engine, tw.Results(), modelSec, tailSec, nil
+			return engine, tw.Results(), nil
 		}
 
 		if opt.TraceCache == nil {
@@ -171,7 +166,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 		}
 		key := sweepTraceKey(v, spec, refsEach)
 		if entry := opt.TraceCache.OpenEntry(key); entry != nil {
-			engine, results, modelSec, tailSec, err = attempt(entry, nil)
+			engine, results, err = attempt(entry, nil)
 			entry.Close()
 			if err == nil || !errors.Is(err, tracecache.ErrCorrupt) {
 				return
@@ -188,7 +183,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 			return attempt(nil, nil)
 		}
 		defer rec.Abort() // no-op once committed
-		engine, results, modelSec, tailSec, err = attempt(nil, rec)
+		engine, results, err = attempt(nil, rec)
 		if err == nil {
 			if cerr := rec.Commit(); cerr != nil {
 				opt.progressf("sweep: %s trace not cached: %v", spec.Name, cerr)
@@ -209,13 +204,12 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 			defer wg.Done()
 			var engine *sweepEngine
 			var results []tapeworm.Result
-			var modelSec, tailSec float64
 			var err error
 			for attempt := 0; ; attempt++ {
 				if ctx.Err() != nil {
 					return
 				}
-				engine, results, modelSec, tailSec, err = sweepWorkload(spec)
+				engine, results, err = sweepWorkload(spec)
 				if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					break
 				}
@@ -247,8 +241,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 				tlbCycles[c] += s.Cycles[tlb.UserMiss] + s.Cycles[tlb.KernelMiss]
 			}
 			workloadsDone++
-			opt.progressf("sweep: %s done (%d/%d workloads) [model %.2fs, tapeworm tail %.2fs]",
-				spec.Name, workloadsDone, len(specs), modelSec, tailSec)
+			opt.progressf("sweep: %s done (%d/%d workloads)", spec.Name, workloadsDone, len(specs))
 			wlDone.Inc()
 			sweepInstrs.Add(engine.instrs)
 		}(spec)
@@ -299,18 +292,17 @@ func sweepTraceKey(v osmodel.Variant, spec osmodel.WorkloadSpec, refs int) trace
 // tail. reset runs at the warm-up boundary E1. A non-nil rec records
 // the stream with the two phase boundaries as segment marks, so
 // replayPhases can reproduce the exact windows later.
-func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both, tail trace.Sink, reset func(), rec *tracecache.Writer, lane *spans.Lane) (modelSec, tailSec float64, err error) {
+func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both, tail trace.Sink, reset func(), rec *tracecache.Writer, lane *spans.Lane) error {
 	if rec != nil {
 		both = trace.Tee{both, rec}
 		tail = trace.Tee{tail, rec}
 	}
-	start := time.Now()
 	// Phase 1: to the tapeworm warm-up boundary E1.
 	warm := lane.Start("generate.warmup")
 	e1 := sys.Generate(refsEach/3, both)
 	warm.End()
 	if ctx.Err() != nil {
-		return time.Since(start).Seconds(), 0, ctx.Err()
+		return ctx.Err()
 	}
 	if rec != nil {
 		rec.EndSegment()
@@ -326,28 +318,26 @@ func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both
 	}
 	measure.End()
 	if ctx.Err() != nil {
-		return time.Since(start).Seconds(), 0, ctx.Err()
+		return ctx.Err()
 	}
 	if rec != nil {
 		rec.EndSegment()
 	}
-	modelSec = time.Since(start).Seconds()
 
 	// Phase 3: tapeworm-only tail to its measurement boundary E2.
-	start = time.Now()
 	tw3 := lane.Start("tapeworm.tail")
 	if n := e1 + refsEach - total; n > 0 {
 		sys.Generate(n, tail)
 	}
 	tw3.End()
-	return modelSec, time.Since(start).Seconds(), ctx.Err()
+	return ctx.Err()
 }
 
 // replayPhases reproduces the three-phase plan from a cached trace
 // entry: one recorded segment per phase, reset at the first boundary.
 // Any error matching tracecache.ErrCorrupt means the sinks saw a
 // partial stream and the caller must regenerate from scratch.
-func replayPhases(ctx context.Context, entry *tracecache.Entry, both, tail trace.Sink, reset func(), lane *spans.Lane) (modelSec, tailSec float64, err error) {
+func replayPhases(ctx context.Context, entry *tracecache.Entry, both, tail trace.Sink, reset func(), lane *spans.Lane) error {
 	segment := func(name string, sink trace.Sink, wantLast bool) error {
 		span := lane.Start(name)
 		_, last, err := entry.ReplaySegment(ctx, sink)
@@ -360,18 +350,14 @@ func replayPhases(ctx context.Context, entry *tracecache.Entry, both, tail trace
 		}
 		return nil
 	}
-	start := time.Now()
 	if err := segment("replay.warmup", both, false); err != nil {
-		return time.Since(start).Seconds(), 0, err
+		return err
 	}
 	reset()
 	if err := segment("replay.measure", both, false); err != nil {
-		return time.Since(start).Seconds(), 0, err
+		return err
 	}
-	modelSec = time.Since(start).Seconds()
-	start = time.Now()
-	err = segment("replay.tail", tail, true)
-	return modelSec, time.Since(start).Seconds(), err
+	return segment("replay.tail", tail, true)
 }
 
 // meterRefs threads a sweep sink through a batched reference counter:
@@ -491,12 +477,9 @@ func runAllocation(opt Options, grid search.Space, title string, extraNotes []st
 			}
 		}))
 	}
-	searchStart := time.Now()
 	searchSpan := lane.Start("search.enumerate")
 	allocs, err := search.EnumerateE(space, area.Default(), area.BudgetRBE, model, searchOpts...)
 	searchSpan.End()
-	opt.Metrics.Gauge("sweep.stage_seconds.search",
-		"wall-clock seconds enumerating and pricing allocations").Add(time.Since(searchStart).Seconds())
 	if err != nil {
 		return Result{}, fmt.Errorf("enumeration: %w", err)
 	}

@@ -76,7 +76,7 @@ func TestFusedSweepMatchesLegacyPasses(t *testing.T) {
 	osmodel.NewSystem(osmodel.Mach, spec).Generate(refsEach, unbatched{isweep})
 	direct := newDirectDCacheSweep(cacheCfgs)
 	osmodel.NewSystem(osmodel.Mach, spec).Generate(refsEach, unbatched{direct})
-	legacyTW, _ := runTapeworm(osmodel.Mach, spec, refsEach, tlbConfigs, nil)
+	legacyTW, _ := runTapeworm(osmodel.Mach, spec, refsEach, tlbConfigs)
 
 	// Fused: one generation, batched, parallel simulator groups.
 	engine := newSweepEngine(cacheCfgs, 8, enginePar{workers: 4})

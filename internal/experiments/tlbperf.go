@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"onchip/internal/area"
 	"onchip/internal/machine"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
 	"onchip/internal/tapeworm"
-	"onchip/internal/telemetry"
 	"onchip/internal/tlb"
 	"onchip/internal/trace"
 	"onchip/internal/workload"
@@ -46,22 +44,11 @@ func (s *tlbOnly) Refs(refs []trace.Ref) {
 	}
 }
 
-// tapewormStageGauge is the shared wall-clock instrument for tapeworm
-// simulation time; fig7/fig8 and the allocation sweep's tapeworm tail
-// all accumulate into it.
-func tapewormStageGauge(opt Options) *telemetry.Gauge {
-	return opt.Metrics.Gauge("sweep.stage_seconds.tapeworm",
-		"wall-clock seconds in tapeworm TLB simulation, summed across workloads")
-}
-
 // runTapeworm generates refs references of the workload under the OS
 // variant, with the given TLB configurations simulated Tapeworm-style
 // from the hardware (R2000) TLB's miss events. It returns per-config
-// results and the scale factor to the workload's nominal full run; its
-// wall-clock time accumulates into stage (nil-safe).
-func runTapeworm(v osmodel.Variant, spec osmodel.WorkloadSpec, refs int, configs []tlb.Config, stage *telemetry.Gauge) ([]tapeworm.Result, float64) {
-	start := time.Now()
-	defer func() { stage.Add(time.Since(start).Seconds()) }()
+// results and the scale factor to the workload's nominal full run.
+func runTapeworm(v osmodel.Variant, spec osmodel.WorkloadSpec, refs int, configs []tlb.Config) ([]tapeworm.Result, float64) {
 	hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
 	tw := tapeworm.Attach(hw, configs...)
 	sink := &tlbOnly{hw: hw}
@@ -93,9 +80,8 @@ func figure7(opt Options) (Result, error) {
 	user := make([]float64, len(sizes))
 	kernel := make([]float64, len(sizes))
 	other := make([]float64, len(sizes))
-	stage := tapewormStageGauge(opt)
 	for _, spec := range workload.All() {
-		results, scale := runTapeworm(osmodel.Mach, spec, refs, configs, stage)
+		results, scale := runTapeworm(osmodel.Mach, spec, refs, configs)
 		for i, r := range results {
 			user[i] += float64(r.Service.Cycles[tlb.UserMiss]) * scale / machine.ClockHz
 			kernel[i] += float64(r.Service.Cycles[tlb.KernelMiss]) * scale / machine.ClockHz
@@ -137,7 +123,7 @@ func figure8(opt Options) (Result, error) {
 		}
 	}
 
-	results, _ := runTapeworm(osmodel.Mach, workload.VideoPlay(), refs, configs, tapewormStageGauge(opt))
+	results, _ := runTapeworm(osmodel.Mach, workload.VideoPlay(), refs, configs)
 	baseline := float64(results[0].Service.TotalCycles())
 	var series []report.Series
 	idx := 1

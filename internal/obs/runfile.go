@@ -12,10 +12,11 @@ import (
 	"onchip/internal/telemetry"
 )
 
-// RunSchemaVersion is the run-file schema this package writes. Readers
-// accept 0 (legacy files predating the field) through the current
-// version and reject newer files instead of silently misreading them.
-const RunSchemaVersion = 1
+// RunSchemaVersion is the run-file schema this package writes and the
+// only one it reads. Version 2 added each metric's class; older files
+// are refused with a request to re-record them rather than classified
+// by name, and newer ones rather than silently misread.
+const RunSchemaVersion = 2
 
 // Run is a persisted end-of-run snapshot: the manifest identifying the
 // run and every collected metric. `memalloc history` writes one as
@@ -40,31 +41,47 @@ func RunFileName(runID string) string {
 // WriteRunFile persists the run as indented JSON, stamping the current
 // schema version when the caller left it zero.
 func WriteRunFile(path string, r Run) error {
+	data, err := marshalRun(r)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+func marshalRun(r Run) ([]byte, error) {
 	if r.Schema == 0 {
 		r.Schema = RunSchemaVersion
 	}
 	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return append(data, '\n'), err
 }
 
-// ReadRunFile loads a run snapshot written by WriteRunFile. Legacy
-// files without a schema field read as schema 0; files written by a
-// newer binary are rejected.
+// ReadRunFile loads a run snapshot written by WriteRunFile at the
+// current schema.
 func ReadRunFile(path string) (Run, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Run{}, err
 	}
-	var r Run
-	if err := json.Unmarshal(data, &r); err != nil {
+	r, err := parseRun(data)
+	if err != nil {
 		return Run{}, fmt.Errorf("%s: %w", path, err)
 	}
+	return r, nil
+}
+
+func parseRun(data []byte) (Run, error) {
+	var r Run
+	if err := json.Unmarshal(data, &r); err != nil {
+		return Run{}, err
+	}
 	if r.Schema > RunSchemaVersion {
-		return Run{}, fmt.Errorf("%s: run-file schema %d is newer than this binary supports (%d)",
-			path, r.Schema, RunSchemaVersion)
+		return Run{}, fmt.Errorf("run-file schema %d is newer than this binary supports (%d)",
+			r.Schema, RunSchemaVersion)
+	}
+	if r.Schema < RunSchemaVersion {
+		return Run{}, fmt.Errorf("run-file schema %d predates metric classes (schema %d); re-record it with this binary",
+			r.Schema, RunSchemaVersion)
 	}
 	return r, nil
 }
@@ -101,12 +118,11 @@ type Delta struct {
 // "presence"). An empty result means the runs agree to within the
 // threshold — the determinism check CI relies on.
 //
-// Wall-clock metrics (per telemetry.IsWallClock: names containing
-// "_seconds" such as sweep.stage_seconds.*, and the span.* duration
-// folds) are machine- and load-dependent by nature, so they are
-// excluded from the comparison entirely. Everything else the simulators
-// publish is a deterministic function of the inputs; the tsdb trend
-// gate applies the same predicate.
+// Only telemetry.Result metrics are compared. Arrangement metrics (pool
+// width, shard count, trace-cache traffic) and WallClock metrics (span
+// durations, latency) differ between correct runs by nature, so a
+// metric of either class in either run is skipped entirely, presence
+// included. The tsdb trend gate reads the same declared classes.
 func Compare(a, b Run, threshold float64) []Delta {
 	am := indexMetrics(a.Metrics)
 	bm := indexMetrics(b.Metrics)
@@ -125,11 +141,11 @@ func Compare(a, b Run, threshold float64) []Delta {
 		}
 	}
 	for name := range names {
-		if telemetry.IsWallClock(name) {
-			continue
-		}
 		ma, oka := am[name]
 		mb, okb := bm[name]
+		if ma.Class != telemetry.Result || mb.Class != telemetry.Result {
+			continue
+		}
 		if !oka || !okb {
 			var va, vb float64
 			if oka {

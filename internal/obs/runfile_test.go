@@ -54,8 +54,9 @@ func TestRunFileRoundTrip(t *testing.T) {
 }
 
 // TestRunFileSchemaVersions pins the compatibility contract: the
-// current schema round-trips, legacy files without the field still
-// load (as schema 0), and files from a newer binary are refused.
+// current schema round-trips, while files that predate metric classes
+// (no schema field, or schema 1) and files from a newer binary are
+// refused with a message saying why.
 func TestRunFileSchemaVersions(t *testing.T) {
 	dir := t.TempDir()
 
@@ -70,14 +71,15 @@ func TestRunFileSchemaVersions(t *testing.T) {
 		t.Fatalf("explicit schema round trip: %+v, %v", got.Schema, err)
 	}
 
-	legacy := filepath.Join(dir, "legacy.json")
-	body := `{"manifest":{"command":"memalloc history"},"metrics":[{"name":"machine.cycles","type":"counter","value":10}]}`
-	if err := os.WriteFile(legacy, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadRunFile(legacy)
-	if err != nil || got.Schema != 0 || len(got.Metrics) != 1 {
-		t.Fatalf("legacy read: schema=%d metrics=%d err=%v", got.Schema, len(got.Metrics), err)
+	for _, schema := range []string{``, `"schema":1,`} {
+		legacy := filepath.Join(dir, "legacy.json")
+		body := `{` + schema + `"manifest":{"command":"memalloc history"},"metrics":[{"name":"machine.cycles","type":"counter","value":10}]}`
+		if err := os.WriteFile(legacy, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadRunFile(legacy); err == nil || !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("pre-class file %s: err = %v, want a re-record refusal", body, err)
+		}
 	}
 
 	future := filepath.Join(dir, "future.json")
@@ -151,36 +153,91 @@ func TestCompareFlagsCPIRegression(t *testing.T) {
 	}
 }
 
-// TestCompareSkipsWallClockMetrics pins the determinism contract: stage
-// timing gauges (any metric named *_seconds*) vary run to run by nature
-// and must never trip a zero-threshold comparison, in either direction
-// and even when present in only one run.
+// TestCompareSkipsWallClockMetrics pins the determinism contract: the
+// wall-clock span folds and the arrangement metrics (shard count,
+// trace-cache hits) vary between correct runs by nature and must never
+// trip a zero-threshold comparison, in either direction and even when
+// present in only one run. Their class, not their name, decides.
 func TestCompareSkipsWallClockMetrics(t *testing.T) {
 	a, b := baselineRun(), baselineRun()
-	a.Metrics = append(a.Metrics, telemetry.Metric{
-		Name: "sweep.stage_seconds.model", Type: "gauge", Value: 4.31, Max: 4.31,
-	})
-	b.Metrics = append(b.Metrics, telemetry.Metric{
-		Name: "sweep.stage_seconds.model", Type: "gauge", Value: 1.07, Max: 1.07,
-	})
-	a.Metrics = append(a.Metrics, telemetry.Metric{ // present in a only
-		Name: "sweep.stage_seconds.search", Type: "gauge", Value: 0.02, Max: 0.02,
-	})
+	a.Metrics = append(a.Metrics,
+		telemetry.Metric{Name: "span.sweep.model_us", Type: "histogram", Class: telemetry.WallClock, Value: 4310, Count: 1, Sum: 4310},
+		telemetry.Metric{Name: "sweep.shards", Type: "gauge", Class: telemetry.Arrangement, Value: 1, Max: 1},
+		telemetry.Metric{Name: "span.generate.measure_us", Type: "histogram", Class: telemetry.WallClock, Value: 20, Count: 1, Sum: 20},
+	)
+	b.Metrics = append(b.Metrics,
+		telemetry.Metric{Name: "span.sweep.model_us", Type: "histogram", Class: telemetry.WallClock, Value: 1070, Count: 1, Sum: 1070},
+		telemetry.Metric{Name: "sweep.shards", Type: "gauge", Class: telemetry.Arrangement, Value: 8, Max: 8},
+		telemetry.Metric{Name: "tracecache.hit", Type: "counter", Class: telemetry.Arrangement, Value: 7},
+	)
 	if d := Compare(a, b, 0); len(d) != 0 {
-		t.Errorf("wall-clock metrics flagged: %+v", d)
+		t.Errorf("wall-clock or arrangement metrics flagged: %+v", d)
 	}
-	// A non-timing drift alongside them is still caught (as the raw
-	// counter plus the derived CPI), with no timing rows mixed in.
+	// A result drift alongside them is still caught (as the raw counter
+	// plus the derived CPI), with no other rows mixed in.
 	b.Metrics[0].Value++
 	d := Compare(a, b, 0)
 	if len(d) != 2 {
 		t.Fatalf("deltas = %+v, want machine.cycles and derived CPI only", d)
 	}
-	for _, delta := range d {
-		if strings.Contains(delta.Metric, "_seconds") {
-			t.Errorf("wall-clock metric leaked into deltas: %+v", delta)
-		}
+}
+
+// FuzzReadRunFile feeds arbitrary bytes to the run-file decoder: it
+// must either refuse them or yield a Run that writes and reads back
+// equal, so a file `memalloc compare` accepted means what it says.
+func FuzzReadRunFile(f *testing.F) {
+	r := baselineRun()
+	r.Metrics = append(r.Metrics, telemetry.Metric{Name: "sweep.shards", Type: "gauge", Class: telemetry.Arrangement, Value: 8, Max: 8})
+	valid, err := marshalRun(r)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(valid)
+	f.Add([]byte(`{"schema":2,"metrics":[{"name":"x","type":"counter","class":"wallclock","value":1}]}`))
+	f.Add([]byte(`{"schema":1,"metrics":[]}`))
+	f.Add([]byte(`{not json`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := parseRun(data)
+		if err != nil {
+			return
+		}
+		out, err := marshalRun(got)
+		if err != nil {
+			t.Fatalf("accepted run does not write: %v", err)
+		}
+		back, err := parseRun(out)
+		if err != nil {
+			t.Fatalf("written run does not read back: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(normalized(back), normalized(got)) {
+			t.Fatalf("round trip changed the run:\n got %+v\nback %+v", got, back)
+		}
+	})
+}
+
+// normalized maps the empty slices and maps that JSON's omitempty
+// writes back as absent to nil, so equality means the same content.
+func normalized(r Run) Run {
+	if r.Manifest != nil {
+		m := *r.Manifest
+		if len(m.Args) == 0 {
+			m.Args = nil
+		}
+		if len(m.Labels) == 0 {
+			m.Labels = nil
+		}
+		r.Manifest = &m
+	}
+	metrics := make([]telemetry.Metric, len(r.Metrics))
+	for i, m := range r.Metrics {
+		if len(m.Buckets) == 0 {
+			m.Buckets = nil
+		}
+		metrics[i] = m
+	}
+	r.Metrics = metrics
+	return r
 }
 
 func TestComparePresenceAndFields(t *testing.T) {

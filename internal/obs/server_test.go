@@ -181,7 +181,7 @@ func TestHandleSweep(t *testing.T) {
 func TestHandleQuery(t *testing.T) {
 	root := t.TempDir()
 	// A finished historical run.
-	hist, err := tsdb.Create(root, "20260101T000000Z-old", tsdb.Meta{Command: "old"}, tsdb.Options{FlushEvery: -1})
+	hist, err := tsdb.Create(root, "20260101T000000Z-old", telemetry.Manifest{Command: "old"}, tsdb.Options{FlushEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestHandleQuery(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	live, err := tsdb.Create(root, "20260808T000000Z-live", tsdb.Meta{Command: "live"}, tsdb.Options{FlushEvery: -1})
+	live, err := tsdb.Create(root, "20260808T000000Z-live", telemetry.Manifest{Command: "live"}, tsdb.Options{FlushEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

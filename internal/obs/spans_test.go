@@ -36,7 +36,7 @@ func TestServerStartCloseNoGoroutineLeak(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		app, err := tsdb.Create(t.TempDir(), fmt.Sprintf("run%d", i), tsdb.Meta{}, tsdb.Options{FlushEvery: -1})
+		app, err := tsdb.Create(t.TempDir(), fmt.Sprintf("run%d", i), telemetry.Manifest{}, tsdb.Options{FlushEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

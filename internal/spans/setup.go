@@ -6,29 +6,33 @@ import (
 	"os"
 
 	"onchip/internal/lifecycle"
+	"onchip/internal/telemetry"
 )
 
-// Setup is the shared -spans / -prof-span wiring of the binaries: it
-// builds the tracer those flags (or a live -serve plane wanting /spans)
-// ask for and arms a shutdown drain through the lifecycle package, so
-// both a SIGINT and a normal exit stop any bracketed CPU profile and
-// persist the Chrome trace.
+// Setup is the shared span wiring of the binaries: it builds the
+// tracer the -spans / -prof-span flags or the run's metrics ask for and
+// arms a shutdown drain through the lifecycle package, so both a SIGINT
+// and a normal exit stop any bracketed CPU profile and persist the
+// Chrome trace.
 //
 // spansFile, when non-empty, is where the drain writes the trace-event
 // JSON. profSpan, when non-empty, names the span that brackets a CPU
 // profile into profOut (default "span_<name>.pprof"); if the span never
-// runs, the empty profile file is removed at drain time. serve forces a
-// tracer even without the file flags, so /spans has something to show.
+// runs, the empty profile file is removed at drain time. A non-nil reg
+// (the run collects metrics) forces a tracer even without the file
+// flags and folds every span into it (SetMetrics), so span timings
+// reach -metrics, /metrics, the tsdb and /spans by one path.
 //
 // The returned drain is idempotent and must be deferred by the caller;
 // it also runs automatically when ctx is cancelled. With no flag set
-// and serve false, the tracer is nil (recording nothing) and the drain
-// a no-op.
-func Setup(ctx context.Context, name, spansFile, profSpan, profOut string, serve bool) (*Tracer, func(), error) {
-	if spansFile == "" && profSpan == "" && !serve {
+// and a nil reg, the tracer is nil (recording nothing) and the drain a
+// no-op.
+func Setup(ctx context.Context, name, spansFile, profSpan, profOut string, reg *telemetry.Registry) (*Tracer, func(), error) {
+	if spansFile == "" && profSpan == "" && reg == nil {
 		return nil, func() {}, nil
 	}
 	t := New(0)
+	t.SetMetrics(reg)
 	if profSpan != "" {
 		if profOut == "" {
 			profOut = "span_" + SanitizeProfileName(profSpan) + ".pprof"

@@ -16,8 +16,10 @@
 // Chrome trace-event JSON (loadable in Perfetto or chrome://tracing),
 // Summarize computes per-phase self-time and per-worker-lane
 // utilization for the obs server's /spans endpoint, and SetMetrics
-// folds every span's duration into telemetry gauges/histograms so the
-// durable tsdb path persists them alongside the other run series.
+// folds every span's duration into a wall-clock telemetry histogram so
+// the durable tsdb path persists them alongside the other run series.
+// That fold is the one wall-clock path of a run: no stage keeps its own
+// timer.
 package spans
 
 import (
@@ -62,7 +64,7 @@ type Tracer struct {
 	recs    []Record
 	dropped uint64
 	open    map[uint64]*Span
-	metrics map[string]spanInstruments
+	metrics map[string]*telemetry.Histogram
 	reg     *telemetry.Registry
 
 	// CPU-profile bracketing (ProfileSpan): profState moves 0 -> 1 when
@@ -79,14 +81,6 @@ type profileCloser interface {
 	Close() error
 }
 
-// spanInstruments caches the telemetry instruments one span name folds
-// into, so the End path does one map lookup instead of two registry
-// lookups.
-type spanInstruments struct {
-	seconds *telemetry.Gauge
-	us      *telemetry.Histogram
-}
-
 // New returns a tracer holding up to limit completed spans; limit <= 0
 // selects DefaultLimit.
 func New(limit int) *Tracer {
@@ -101,19 +95,19 @@ func New(limit int) *Tracer {
 	}
 }
 
-// SetMetrics folds every completed span into reg: the gauge
-// "span.<name>_seconds" accumulates total wall-clock per span name and
-// the histogram "span.<name>_us" the per-span duration distribution in
-// microseconds. Both names satisfy telemetry.IsWallClock, so the
-// compare/trend determinism gates exclude them like the other
-// wall-clock metrics. Safe to call on a nil tracer.
+// SetMetrics folds every completed span into reg: the histogram
+// "span.<name>_us" holds the per-span durations in microseconds, so its
+// sum is the total time spent in that span name and its count the
+// number of spans. The histograms register as telemetry.WallClock,
+// which the compare/trend determinism gates skip. Safe to call on a nil
+// tracer.
 func (t *Tracer) SetMetrics(reg *telemetry.Registry) {
 	if t == nil || reg == nil {
 		return
 	}
 	t.mu.Lock()
 	t.reg = reg
-	t.metrics = make(map[string]spanInstruments)
+	t.metrics = make(map[string]*telemetry.Histogram)
 	t.mu.Unlock()
 }
 
@@ -278,7 +272,7 @@ func (l *Lane) Start(name string) *Span {
 }
 
 // End closes the span, recording it and folding its duration into the
-// tracer's telemetry instruments when SetMetrics configured them. Ends
+// tracer's telemetry histogram when SetMetrics configured one. Ends
 // must pair with Starts LIFO per lane. Safe on a nil span.
 func (s *Span) End() {
 	if s == nil {
@@ -323,24 +317,18 @@ func (s *Span) End() {
 	} else {
 		t.dropped++
 	}
-	reg, metrics := t.reg, t.metrics
-	var inst spanInstruments
-	if reg != nil {
+	var hist *telemetry.Histogram
+	if t.reg != nil {
 		var ok bool
-		if inst, ok = metrics[s.name]; !ok {
-			inst = spanInstruments{
-				seconds: reg.Gauge("span."+s.name+"_seconds",
-					"total wall-clock seconds spent in "+s.name+" spans"),
-				us: reg.Histogram("span."+s.name+"_us",
-					"per-span duration of "+s.name+" in microseconds"),
-			}
-			metrics[s.name] = inst
+		if hist, ok = t.metrics[s.name]; !ok {
+			hist = t.reg.In(telemetry.WallClock).Histogram("span."+s.name+"_us",
+				"per-span duration of "+s.name+" in microseconds (sum: total)")
+			t.metrics[s.name] = hist
 		}
 	}
 	t.mu.Unlock()
 
-	// The instrument updates are atomic; do them outside the tracer
-	// lock so concurrent lanes do not serialize on the fold.
-	inst.seconds.Add(dur.Seconds())
-	inst.us.Observe(uint64(dur.Microseconds()))
+	// The histogram update is atomic; do it outside the tracer lock so
+	// concurrent lanes do not serialize on the fold.
+	hist.Observe(uint64(dur.Microseconds()))
 }

@@ -3,10 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-
-	"onchip/internal/report"
 )
 
 // Manifest identifies a run: which command produced the metrics, with
@@ -47,26 +44,4 @@ func WriteJSONL(w io.Writer, m *Manifest, metrics []Metric) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// MetricsTable renders a metric snapshot as an aligned plain-text table
-// via the repo's standard renderer, for the human-readable end of the
-// sink pair.
-func MetricsTable(title string, metrics []Metric) string {
-	t := report.NewTable(title, "Metric", "Type", "Value", "Detail")
-	for _, m := range metrics {
-		detail := ""
-		switch m.Type {
-		case "gauge":
-			detail = fmt.Sprintf("max %g", m.Max)
-		case "histogram":
-			detail = fmt.Sprintf("n=%d mean=%.1f", m.Count, m.Value)
-		}
-		value := fmt.Sprintf("%g", m.Value)
-		if m.Type == "histogram" {
-			value = fmt.Sprintf("%d", m.Sum)
-		}
-		t.Row(m.Name, m.Type, value, detail)
-	}
-	return t.String()
 }

@@ -1,8 +1,10 @@
 // Package telemetry is the reproduction's observability layer: typed
 // counters, gauges and log2-bucketed histograms collected in a Registry,
 // a bounded event ring (Tracer) that mirrors Monster's logic-analyzer
-// capture window, and sinks that emit a run manifest plus final metrics
-// as JSONL or a human-readable table.
+// capture window, and a sink that emits a run manifest plus final
+// metrics as JSONL. Every metric carries the Class declared at its
+// registration -- result, arrangement or wall clock -- which is what
+// the determinism gates read.
 //
 // The package is designed so instrumented code pays ~zero cost when
 // telemetry is off: every instrument is nil-safe (methods on a nil
@@ -25,6 +27,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -32,9 +35,7 @@ import (
 // Counter is a monotonically increasing event count. The nil *Counter is
 // a valid no-op instrument.
 type Counter struct {
-	v    uint64
-	name string
-	help string
+	v uint64
 }
 
 // Inc adds one.
@@ -59,10 +60,8 @@ func (c *Counter) Value() uint64 {
 // Gauge is a last-value instrument that also tracks the maximum it has
 // been set to. The nil *Gauge is a valid no-op instrument.
 type Gauge struct {
-	v    uint64 // float64 bits
-	max  uint64 // float64 bits
-	name string
-	help string
+	v   uint64 // float64 bits
+	max uint64 // float64 bits
 }
 
 // Set records the current value.
@@ -85,8 +84,8 @@ func (g *Gauge) Set(v float64) {
 
 // Add accumulates delta into the gauge (and its running maximum). It is
 // what concurrent contributors use for additive quantities published as
-// a gauge -- the per-stage wall-clock seconds of the sweep, summed
-// across workload goroutines.
+// a gauge -- the advisor's in-flight job count, raised and lowered by
+// its workers.
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
@@ -135,8 +134,6 @@ type Histogram struct {
 	count   uint64
 	sum     uint64
 	buckets [nHistBuckets]uint64
-	name    string
-	help    string
 }
 
 // Observe records one value.
@@ -225,11 +222,63 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
+// Class says what a metric measures, and so which gates may compare
+// it. It is declared where the metric is registered (Registry.In) and
+// travels with every snapshot into run files and the tsdb, so the
+// determinism gates read it instead of guessing from names.
+type Class uint8
+
+const (
+	// Result is a deterministic function of the run's inputs: miss
+	// counts, CPI, search tallies. It is the zero value, and every
+	// determinism gate compares it.
+	Result Class = iota
+	// Arrangement describes how a run was executed rather than what it
+	// computed: pool width, shard count, trace-cache and advisor
+	// traffic. No gate compares or fits it.
+	Arrangement
+	// WallClock is elapsed time: span durations, request latency. No
+	// gate compares it; `memalloc tsdb trend -include-wallclock` fits it.
+	WallClock
+)
+
+var classNames = [...]string{Result: "result", Arrangement: "arrangement", WallClock: "wallclock"}
+
+// String returns the class name written in run files and tsdb segment
+// headers.
+func (c Class) String() string {
+	if int(c) < len(classNames) {
+		return classNames[c]
+	}
+	return fmt.Sprintf("class(%d)", uint8(c))
+}
+
+// ParseClass is the inverse of String; unknown names are an error.
+func ParseClass(s string) (Class, error) {
+	for c, name := range classNames {
+		if name == s {
+			return Class(c), nil
+		}
+	}
+	return 0, fmt.Errorf("telemetry: unknown metric class %q", s)
+}
+
+// MarshalText encodes the class by name.
+func (c Class) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText decodes a class name, rejecting unknown ones.
+func (c *Class) UnmarshalText(b []byte) error {
+	v, err := ParseClass(string(b))
+	*c = v
+	return err
+}
+
 // Metric is a point-in-time snapshot of one instrument, shaped for
 // encoding/json.
 type Metric struct {
 	Name    string   `json:"name"`
-	Type    string   `json:"type"` // "counter", "gauge" or "histogram"
+	Type    string   `json:"type"`            // "counter", "gauge" or "histogram"
+	Class   Class    `json:"class,omitempty"` // omitted for Result
 	Help    string   `json:"help,omitempty"`
 	Value   float64  `json:"value"`
 	Max     float64  `json:"max,omitempty"`     // gauges
@@ -241,137 +290,128 @@ type Metric struct {
 // Registry collects instruments by name. The nil *Registry is valid and
 // hands out nil (no-op) instruments, so code can register probes
 // unconditionally. Instruments are get-or-create: asking twice for the
-// same name and type returns the same instrument, so repeated runs
-// accumulate.
+// same name, type and class returns the same instrument, so repeated
+// runs accumulate. The registry's own methods register Result metrics;
+// In hands out the registration scope of the other classes.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	funcs    map[string]*funcMetric
+	mu      sync.Mutex
+	entries map[string]*entry
 }
 
-// funcMetric is a pull-style metric: the callbacks are evaluated at
-// snapshot time and summed, so several owners (one simulator per
-// workload, say) can publish under one name.
-type funcMetric struct {
-	typ  string
-	help string
-	fns  []func() float64
+// entry is one registered name: its kind, class and help, and the
+// instrument behind it -- a *Counter, *Gauge or *Histogram, or, for a
+// pull-style metric, the callbacks summed at snapshot time (so several
+// owners, one simulator per workload say, can publish under one name).
+type entry struct {
+	typ   string // "counter", "gauge", "histogram", "func counter" or "func gauge"
+	class Class
+	help  string
+	inst  any
+	fns   []func() float64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Counter returns the counter registered under name, creating it if
-// needed. A nil registry returns a nil (no-op) counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkType(name, "counter")
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	if r.counters == nil {
-		r.counters = make(map[string]*Counter)
-	}
-	c := &Counter{name: name, help: help}
-	r.counters[name] = c
-	return c
+// Scope registers instruments of one class into a registry. A scope of
+// the nil registry hands out nil instruments.
+type Scope struct {
+	r     *Registry
+	class Class
 }
 
-// Gauge returns the gauge registered under name, creating it if needed.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkType(name, "gauge")
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g := &Gauge{name: name, help: help}
-	r.gauges[name] = g
-	return g
-}
+// In returns the scope registering into r under class c. Registering a
+// name under two classes panics, like registering it as two types.
+func (r *Registry) In(c Class) Scope { return Scope{r, c} }
 
-// Histogram returns the histogram registered under name, creating it if
-// needed.
+// Counter returns the Result counter registered under name, creating
+// it if needed. A nil registry returns a nil (no-op) counter.
+func (r *Registry) Counter(name, help string) *Counter { return r.In(Result).Counter(name, help) }
+
+// Gauge returns the Result gauge registered under name.
+func (r *Registry) Gauge(name, help string) *Gauge { return r.In(Result).Gauge(name, help) }
+
+// Histogram returns the Result histogram registered under name.
 func (r *Registry) Histogram(name, help string) *Histogram {
-	if r == nil {
+	return r.In(Result).Histogram(name, help)
+}
+
+// CounterFunc registers a pull-style Result counter evaluated at
+// snapshot time. Registering several functions under one name sums
+// them, which lets every simulator in a sweep publish its existing
+// Stats under one series. Safe to call on a nil registry.
+func (r *Registry) CounterFunc(name, help string, f func() uint64) {
+	r.In(Result).CounterFunc(name, help, f)
+}
+
+// GaugeFunc registers a pull-style Result gauge evaluated (and summed)
+// at snapshot time. Safe to call on a nil registry.
+func (r *Registry) GaugeFunc(name, help string, f func() float64) {
+	r.In(Result).GaugeFunc(name, help, f)
+}
+
+// Counter returns the scope's counter registered under name.
+func (s Scope) Counter(name, help string) *Counter {
+	return register[Counter](s, name, "counter", help)
+}
+
+// Gauge returns the scope's gauge registered under name.
+func (s Scope) Gauge(name, help string) *Gauge { return register[Gauge](s, name, "gauge", help) }
+
+// Histogram returns the scope's histogram registered under name.
+func (s Scope) Histogram(name, help string) *Histogram {
+	return register[Histogram](s, name, "histogram", help)
+}
+
+// CounterFunc registers a pull-style counter of the scope's class.
+func (s Scope) CounterFunc(name, help string, f func() uint64) {
+	s.addFunc(name, "func counter", help, func() float64 { return float64(f()) })
+}
+
+// GaugeFunc registers a pull-style gauge of the scope's class.
+func (s Scope) GaugeFunc(name, help string, f func() float64) {
+	s.addFunc(name, "func gauge", help, f)
+}
+
+func register[T any](s Scope, name, typ, help string) *T {
+	if s.r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkType(name, "histogram")
-	if h, ok := r.hists[name]; ok {
-		return h
+	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	e := s.r.entry(name, typ, s.class, help)
+	if e.inst == nil {
+		e.inst = new(T)
 	}
-	if r.hists == nil {
-		r.hists = make(map[string]*Histogram)
-	}
-	h := &Histogram{name: name, help: help}
-	r.hists[name] = h
-	return h
+	return e.inst.(*T)
 }
 
-// CounterFunc registers a pull-style counter evaluated at snapshot time.
-// Registering several functions under one name sums them, which lets
-// every simulator in a sweep publish its existing Stats under one
-// series. Safe to call on a nil registry.
-func (r *Registry) CounterFunc(name, help string, f func() uint64) {
-	r.addFunc(name, "counter", help, func() float64 { return float64(f()) })
-}
-
-// GaugeFunc registers a pull-style gauge evaluated (and summed) at
-// snapshot time. Safe to call on a nil registry.
-func (r *Registry) GaugeFunc(name, help string, f func() float64) {
-	r.addFunc(name, "gauge", help, f)
-}
-
-func (r *Registry) addFunc(name, typ, help string, f func() float64) {
-	if r == nil {
+func (s Scope) addFunc(name, typ, help string, f func() float64) {
+	if s.r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.checkType(name, "func "+typ)
-	if r.funcs == nil {
-		r.funcs = make(map[string]*funcMetric)
-	}
-	fm, ok := r.funcs[name]
-	if !ok {
-		fm = &funcMetric{typ: typ, help: help}
-		r.funcs[name] = fm
-	} else if fm.typ != typ {
-		panic(fmt.Sprintf("telemetry: %q registered as both %s and %s", name, fm.typ, typ))
-	}
-	fm.fns = append(fm.fns, f)
+	s.r.mu.Lock()
+	defer s.r.mu.Unlock()
+	e := s.r.entry(name, typ, s.class, help)
+	e.fns = append(e.fns, f)
 }
 
-// checkType panics if name is already registered with a different
-// instrument kind. Callers hold r.mu.
-func (r *Registry) checkType(name, typ string) {
-	have := ""
-	if _, ok := r.counters[name]; ok {
-		have = "counter"
-	} else if _, ok := r.gauges[name]; ok {
-		have = "gauge"
-	} else if _, ok := r.hists[name]; ok {
-		have = "histogram"
-	} else if fm, ok := r.funcs[name]; ok {
-		have = "func " + fm.typ
+// entry returns name's entry, creating it if needed, and panics if name
+// is already registered with a different type or class. Callers hold
+// r.mu.
+func (r *Registry) entry(name, typ string, class Class, help string) *entry {
+	e, ok := r.entries[name]
+	if !ok {
+		if r.entries == nil {
+			r.entries = make(map[string]*entry)
+		}
+		e = &entry{typ: typ, class: class, help: help}
+		r.entries[name] = e
 	}
-	if have != "" && have != typ {
-		panic(fmt.Sprintf("telemetry: %q registered as both %s and %s", name, have, typ))
+	if e.typ != typ || e.class != class {
+		panic(fmt.Sprintf("telemetry: %q registered as both %s %s and %s %s", name, e.class, e.typ, class, typ))
 	}
+	return e
 }
 
 // Snapshot returns all metrics sorted by name, for deterministic output.
@@ -392,24 +432,22 @@ func (r *Registry) SnapshotAppend(dst []Metric) []Metric {
 	defer r.mu.Unlock()
 	start := len(dst)
 	out := dst
-	for name, c := range r.counters {
-		out = append(out, Metric{Name: name, Type: "counter", Help: c.help, Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Type: "gauge", Help: g.help, Value: g.Value(), Max: g.Max()})
-	}
-	for name, h := range r.hists {
-		out = append(out, Metric{
-			Name: name, Type: "histogram", Help: h.help,
-			Value: h.Mean(), Count: h.Count(), Sum: h.Sum(), Buckets: h.Buckets(),
-		})
-	}
-	for name, fm := range r.funcs {
-		var sum float64
-		for _, f := range fm.fns {
-			sum += f()
+	for name, e := range r.entries {
+		m := Metric{Name: name, Type: e.typ, Class: e.class, Help: e.help}
+		switch inst := e.inst.(type) {
+		case *Counter:
+			m.Value = float64(inst.Value())
+		case *Gauge:
+			m.Value, m.Max = inst.Value(), inst.Max()
+		case *Histogram:
+			m.Value, m.Count, m.Sum, m.Buckets = inst.Mean(), inst.Count(), inst.Sum(), inst.Buckets()
+		default: // pull-style
+			m.Type = strings.TrimPrefix(e.typ, "func ")
+			for _, f := range e.fns {
+				m.Value += f()
+			}
 		}
-		out = append(out, Metric{Name: name, Type: fm.typ, Help: fm.help, Value: sum})
+		out = append(out, m)
 	}
 	added := out[start:]
 	sort.Slice(added, func(i, j int) bool { return added[i].Name < added[j].Name })

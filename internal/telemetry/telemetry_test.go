@@ -84,14 +84,21 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestRegistryTypeClash(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x", "")
-	defer func() {
-		if recover() == nil {
-			t.Error("registering x as a gauge after a counter should panic")
-		}
-	}()
-	r.Gauge("x", "")
+	for what, again := range map[string]func(r *Registry){
+		"as a gauge":                func(r *Registry) { r.Gauge("x", "") },
+		"as an arrangement counter": func(r *Registry) { r.In(Arrangement).Counter("x", "") },
+	} {
+		r := NewRegistry()
+		r.Counter("x", "")
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering result counter x again %s should panic", what)
+				}
+			}()
+			again(r)
+		}()
+	}
 }
 
 func TestCounterFuncSumsAcrossOwners(t *testing.T) {
@@ -178,7 +185,7 @@ func TestTracerRingEviction(t *testing.T) {
 func TestWriteJSONLParseable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c", "a counter").Add(2)
-	r.Histogram("h", "").Observe(5)
+	r.In(WallClock).Histogram("h", "").Observe(5)
 	var buf bytes.Buffer
 	man := &Manifest{Command: "test", Args: []string{"x"}, Labels: map[string]string{"os": "Mach"}}
 	if err := WriteJSONL(&buf, man, r.Snapshot()); err != nil {
@@ -196,6 +203,10 @@ func TestWriteJSONLParseable(t *testing.T) {
 		}
 		if obj["type"] != wantTypes[i] {
 			t.Errorf("line %d type = %v, want %s", i, obj["type"], wantTypes[i])
+		}
+		// Results carry no class field; other classes name theirs.
+		if class, ok := obj["class"]; (i == 2) != ok || (ok && class != "wallclock") {
+			t.Errorf("line %d class = %v (present %v), want wallclock on the histogram only", i, class, ok)
 		}
 	}
 }
@@ -217,9 +228,7 @@ func TestTracerWriteJSONLParseable(t *testing.T) {
 }
 
 func TestNopProbe(t *testing.T) {
-	var p Probe = Nop{}
-	p.Event(Event{}) // must not panic
-	p = NewTracer(1)
+	var p Probe = NewTracer(1)
 	p.Event(Event{Cycles: 9})
 	if p.(*Tracer).Total() != 1 {
 		t.Error("tracer should implement Probe")

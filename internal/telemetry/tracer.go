@@ -40,17 +40,10 @@ func (ev Event) AppendJSON(dst []byte, kindName, compName func(uint8) string) []
 }
 
 // Probe receives fine-grained events from instrumented code. *Tracer
-// implements it; Nop is the no-op default for call sites that want an
-// always-valid interface value instead of a nil check.
+// implements it.
 type Probe interface {
 	Event(Event)
 }
-
-// Nop is the no-op Probe.
-type Nop struct{}
-
-// Event implements Probe by discarding the event.
-func (Nop) Event(Event) {}
 
 // Tracer is a bounded event ring: it keeps the most recent events,
 // mirroring the paper's Monster setup, whose logic analyzer captured a

@@ -110,7 +110,6 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 				snap := r.Snapshot()
 				WriteJSONL(io.Discard, man, snap)
 				WritePrometheus(io.Discard, snap)
-				MetricsTable("t", snap)
 			}
 		}()
 	}

@@ -89,10 +89,11 @@ func (c *Cache) Dir() string { return c.dir }
 // Describe registers the cache's telemetry counters, plus the
 // corrupt-event rate: events per second averaged over the last minute,
 // so a scrape distinguishes an ongoing disk problem from stale history.
-func (c *Cache) Describe(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
+// They are telemetry.Arrangement metrics: a warm run hits where a cold
+// one missed, with identical results, so no determinism gate compares
+// them.
+func (c *Cache) Describe(registry *telemetry.Registry) {
+	reg := registry.In(telemetry.Arrangement)
 	c.hits = reg.Counter("tracecache.hit", "trace cache lookups served from disk")
 	c.misses = reg.Counter("tracecache.miss", "trace cache lookups that fell back to generation")
 	c.corrupt = reg.Counter("tracecache.corrupt", "trace cache entries rejected as corrupt")

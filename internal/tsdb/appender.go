@@ -78,6 +78,7 @@ type sample struct {
 	ms    int64
 	name  string
 	kind  string
+	class telemetry.Class
 	value float64
 }
 
@@ -95,6 +96,7 @@ type tierState struct {
 type shard struct {
 	name  string
 	kind  string
+	class telemetry.Class
 	tiers [len(resWindowMs)]tierState
 }
 
@@ -139,9 +141,10 @@ func (a *Appender) SetSpans(lane *spans.Lane) {
 }
 
 // Create opens a new run directory under root and returns its Appender.
-// The run's MANIFEST.json is written immediately, so the run is
-// discoverable (if empty) even before the first flush.
-func Create(root, runID string, meta Meta, opts Options) (*Appender, error) {
+// The run's MANIFEST.json -- the run's telemetry manifest plus its ID --
+// is written immediately, so the run is discoverable (if empty) even
+// before the first flush.
+func Create(root, runID string, man telemetry.Manifest, opts Options) (*Appender, error) {
 	opts.setDefaults()
 	dir := filepath.Join(root, runID)
 	for _, res := range Tiers {
@@ -149,8 +152,7 @@ func Create(root, runID string, meta Meta, opts Options) (*Appender, error) {
 			return nil, fmt.Errorf("tsdb: creating run dir: %w", err)
 		}
 	}
-	meta.Schema = MetaSchemaVersion
-	meta.RunID = runID
+	meta := Meta{Schema: MetaSchemaVersion, RunID: runID, Manifest: man}
 	if err := writeMeta(filepath.Join(dir, metaFileName), meta); err != nil {
 		return nil, err
 	}
@@ -197,7 +199,7 @@ func (a *Appender) Append(now time.Time, metrics []telemetry.Metric) {
 			a.dropped += uint64(len(metrics) - i)
 			break
 		}
-		a.buf = append(a.buf, sample{ms: ms, name: m.Name, kind: m.Type, value: m.Value})
+		a.buf = append(a.buf, sample{ms: ms, name: m.Name, kind: m.Type, class: m.Class, value: m.Value})
 	}
 }
 
@@ -282,7 +284,7 @@ func (a *Appender) writeBatch(batch []sample, final bool) error {
 	for _, s := range batch {
 		sh := a.shards[s.name]
 		if sh == nil {
-			sh = &shard{name: s.name, kind: s.kind}
+			sh = &shard{name: s.name, kind: s.kind, class: s.class}
 			a.shards[s.name] = sh
 		}
 		if _, seen := perMetric[s.name]; !seen {
@@ -374,7 +376,7 @@ func (a *Appender) appendTier(sh *shard, res Res, pts []Point) error {
 		if err != nil {
 			return fmt.Errorf("tsdb: opening segment: %w", err)
 		}
-		hdr := segmentHeader(res, sh.kind, sh.name)
+		hdr := segHeader{res, sh.kind, sh.class, sh.name}.String()
 		if _, err := f.WriteString(hdr); err != nil {
 			f.Close()
 			return fmt.Errorf("tsdb: writing segment header: %w", err)

@@ -17,7 +17,7 @@ func manual(t *testing.T, opts Options) (*Appender, string) {
 	t.Helper()
 	root := t.TempDir()
 	opts.FlushEvery = -1
-	a, err := Create(root, "20260808T000000Z-test", Meta{Command: "test"}, opts)
+	a, err := Create(root, "20260808T000000Z-test", telemetry.Manifest{Command: "test"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func manual(t *testing.T, opts Options) (*Appender, string) {
 func sampleMetrics(v float64) []telemetry.Metric {
 	return []telemetry.Metric{
 		{Name: "machine.cycles", Type: "counter", Value: v * 10},
-		{Name: "sweep.depth", Type: "gauge", Value: v},
+		{Name: "sweep.depth", Type: "gauge", Class: telemetry.Arrangement, Value: v},
 	}
 }
 
@@ -64,7 +64,7 @@ func TestAppendFlushQueryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []MetricInfo{{"machine.cycles", "counter"}, {"sweep.depth", "gauge"}}
+	want := []MetricInfo{{"machine.cycles", "counter", telemetry.Result}, {"sweep.depth", "gauge", telemetry.Arrangement}}
 	if !reflect.DeepEqual(metrics, want) {
 		t.Fatalf("Metrics = %+v", metrics)
 	}
@@ -211,7 +211,7 @@ func TestAppenderNilAndClosed(t *testing.T) {
 // appended while the flusher runs become readable without Close.
 func TestBackgroundFlusher(t *testing.T) {
 	root := t.TempDir()
-	a, err := Create(root, "r", Meta{}, Options{FlushEvery: time.Millisecond})
+	a, err := Create(root, "r", telemetry.Manifest{}, Options{FlushEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

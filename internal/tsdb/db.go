@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"onchip/internal/telemetry"
 )
 
 // ErrNoSeries marks a query for a (run, metric, tier) with no stored
@@ -23,16 +25,12 @@ const MetaSchemaVersion = 1
 
 const metaFileName = "MANIFEST.json"
 
-// Meta identifies one stored run: the mirror of telemetry.Manifest
-// persisted next to the run's shards.
+// Meta identifies one stored run: the run's telemetry manifest,
+// persisted next to its shards with the run ID.
 type Meta struct {
-	Schema    int               `json:"schema"`
-	RunID     string            `json:"run_id"`
-	Command   string            `json:"command,omitempty"`
-	Args      []string          `json:"args,omitempty"`
-	Start     string            `json:"start,omitempty"` // RFC 3339
-	GoVersion string            `json:"go_version,omitempty"`
-	Labels    map[string]string `json:"labels,omitempty"`
+	Schema int    `json:"schema"`
+	RunID  string `json:"run_id"`
+	telemetry.Manifest
 }
 
 func writeMeta(path string, m Meta) error {
@@ -74,9 +72,6 @@ type DB struct {
 // need not exist yet (a store with no runs is empty, not an error).
 func Open(root string) *DB { return &DB{root: root} }
 
-// Root returns the store's root directory.
-func (db *DB) Root() string { return db.root }
-
 // Runs lists the stored runs, oldest first (run IDs sort by their
 // leading UTC timestamp). Directories without a readable manifest are
 // skipped: a concurrent Create may not have written one yet.
@@ -108,12 +103,14 @@ func (db *DB) Runs() ([]Meta, error) {
 
 // MetricInfo names one stored series of a run.
 type MetricInfo struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"` // "counter", "gauge" or "histogram"
+	Name  string          `json:"name"`
+	Kind  string          `json:"kind"`            // "counter", "gauge" or "histogram"
+	Class telemetry.Class `json:"class,omitempty"` // omitted for Result
 }
 
-// Metrics lists the metrics a run stored, sorted by name. Names come
-// from the segment headers, not the (sanitized) file names.
+// Metrics lists the metrics a run stored, sorted by name. Names and
+// classes come from the segment headers, not the (sanitized) file
+// names. A run recorded before the current shard format is an error.
 func (db *DB) Metrics(runID string) ([]MetricInfo, error) {
 	dir := filepath.Join(db.root, runID, Raw.String())
 	entries, err := os.ReadDir(dir)
@@ -130,12 +127,15 @@ func (db *DB) Metrics(runID string) ([]MetricInfo, error) {
 		if err != nil {
 			continue
 		}
-		_, kind, metric, _, err := parseSegmentHeader(data)
-		if err != nil || seen[metric] {
+		h, _, err := parseSegmentHeader(data)
+		if errors.Is(err, errOldFormat) {
+			return nil, fmt.Errorf("tsdb: run %s: %w", runID, err)
+		}
+		if err != nil || seen[h.metric] {
 			continue
 		}
-		seen[metric] = true
-		out = append(out, MetricInfo{Name: metric, Kind: kind})
+		seen[h.metric] = true
+		out = append(out, MetricInfo{Name: h.metric, Kind: h.kind, Class: h.class})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
@@ -175,14 +175,14 @@ func (db *DB) Query(runID, metric string, res Res, fromMs, toMs int64) (Series, 
 		if err != nil {
 			return s, fmt.Errorf("tsdb: query: %w", err)
 		}
-		segRes, kind, name, rest, err := parseSegmentHeader(data)
+		h, rest, err := parseSegmentHeader(data)
 		if err != nil {
 			return s, fmt.Errorf("tsdb: %s: %w", seg, err)
 		}
-		if segRes != res || name != metric {
+		if h.res != res || h.metric != metric {
 			continue // sanitized-name collision with another metric
 		}
-		s.Kind = kind
+		s.Kind = h.kind
 		var torn bool
 		if pts, torn, err = decodeBlocks(pts, res, rest); err != nil {
 			return s, fmt.Errorf("tsdb: %s: %w", seg, err)

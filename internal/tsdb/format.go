@@ -35,21 +35,29 @@
 package tsdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strconv"
+	"strings"
+
+	"onchip/internal/telemetry"
 )
 
 // FormatVersion is the shard-file format version, written in every
-// segment header and checked on open.
-const FormatVersion = 1
+// segment header and checked on open. Version 2 added the metric class;
+// version-1 shards are refused rather than classified by name.
+const FormatVersion = 2
 
 // segMagic opens every segment file: "OTSD <version> <tier> <kind>
-// <metric>\n" followed by blocks. Tier is the resolution name; kind is
-// the metric type ("counter", "gauge", "histogram") so readers can pick
-// a per-run scalar without consulting the registry; the metric name is
-// authoritative (file names are a sanitized rendering of it).
+// <class> <metric>\n" followed by blocks. Tier is the resolution name;
+// kind is the metric type ("counter", "gauge", "histogram") so readers
+// can pick a per-run scalar without consulting the registry; class is
+// the telemetry.Class declared at registration, which trend gating
+// reads; the metric name is authoritative (file names are a sanitized
+// rendering of it) and runs to the end of the line.
 const segMagic = "OTSD"
 
 // Res is a resolution tier of the store.
@@ -120,34 +128,52 @@ func rawPoint(ms int64, v float64) Point {
 	return Point{UnixMs: ms, Count: 1, Min: v, Max: v, Sum: v}
 }
 
-// segmentHeader renders the one-line header opening a segment file.
-func segmentHeader(res Res, kind, metric string) string {
-	return fmt.Sprintf("%s %d %s %s %s\n", segMagic, FormatVersion, res, kind, metric)
+// segHeader is what a segment's header line records about its series.
+type segHeader struct {
+	res    Res
+	kind   string
+	class  telemetry.Class
+	metric string
 }
 
-// parseSegmentHeader consumes the header line from data and returns the
-// tier, the metric kind and name, and the remaining bytes.
-func parseSegmentHeader(data []byte) (res Res, kind, metric string, rest []byte, err error) {
-	i := 0
-	for i < len(data) && data[i] != '\n' {
-		i++
+// String renders the one-line header opening a segment file.
+func (h segHeader) String() string {
+	return fmt.Sprintf("%s %d %s %s %s %s\n", segMagic, FormatVersion, h.res, h.kind, h.class, h.metric)
+}
+
+// errOldFormat marks a shard written before the current format: a
+// reader must refuse it, not skip it as a partial file.
+var errOldFormat = fmt.Errorf("tsdb: shard format predates version %d (metric classes); re-record the run", FormatVersion)
+
+// parseSegmentHeader consumes the header line from data and returns it
+// with the remaining bytes. Only the canonical rendering parses, so a
+// parsed header re-renders to the same bytes.
+func parseSegmentHeader(data []byte) (h segHeader, rest []byte, err error) {
+	end := bytes.IndexByte(data, '\n')
+	if end < 0 {
+		return h, nil, fmt.Errorf("tsdb: not a shard file (no header line)")
 	}
-	if i == len(data) {
-		return 0, "", "", nil, fmt.Errorf("tsdb: not a shard file (no header line)")
+	f := strings.SplitN(string(data[:end]), " ", 6)
+	if len(f) < 2 || f[0] != segMagic {
+		return h, nil, fmt.Errorf("tsdb: not a shard file (bad header)")
 	}
-	var version int
-	var resName string
-	n, err := fmt.Sscanf(string(data[:i]), segMagic+" %d %s %s %s", &version, &resName, &kind, &metric)
-	if err != nil || n != 4 {
-		return 0, "", "", nil, fmt.Errorf("tsdb: not a shard file (bad header)")
+	if v, err := strconv.Atoi(f[1]); err == nil && v >= 1 && v < FormatVersion {
+		return h, nil, errOldFormat
 	}
-	if version != FormatVersion {
-		return 0, "", "", nil, fmt.Errorf("tsdb: unsupported shard format version %d (want %d)", version, FormatVersion)
+	if f[1] != strconv.Itoa(FormatVersion) {
+		return h, nil, fmt.Errorf("tsdb: unsupported shard format version %q (want %d)", f[1], FormatVersion)
 	}
-	if res, err = ParseRes(resName); err != nil {
-		return 0, "", "", nil, err
+	if len(f) != 6 || f[3] == "" || f[5] == "" {
+		return h, nil, fmt.Errorf("tsdb: not a shard file (bad header)")
 	}
-	return res, kind, metric, data[i+1:], nil
+	h.kind, h.metric = f[3], f[5]
+	if h.res, err = ParseRes(f[2]); err != nil {
+		return h, nil, err
+	}
+	if h.class, err = telemetry.ParseClass(f[4]); err != nil {
+		return h, nil, err
+	}
+	return h, data[end+1:], nil
 }
 
 // A block is length-prefixed and checksummed:

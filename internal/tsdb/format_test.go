@@ -1,11 +1,17 @@
 package tsdb
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"onchip/internal/telemetry"
 )
 
 func TestResRoundTrip(t *testing.T) {
@@ -122,20 +128,37 @@ func TestDecodeCorruptBlock(t *testing.T) {
 }
 
 func TestSegmentHeaderRoundTrip(t *testing.T) {
-	hdr := segmentHeader(R1m, "gauge", "sweep.depth")
-	res, kind, metric, rest, err := parseSegmentHeader(append([]byte(hdr), 0xAB))
-	if err != nil || res != R1m || kind != "gauge" || metric != "sweep.depth" ||
-		len(rest) != 1 || rest[0] != 0xAB {
-		t.Fatalf("parse = %v %q %q %v %v", res, kind, metric, rest, err)
+	for _, class := range []telemetry.Class{telemetry.Result, telemetry.Arrangement, telemetry.WallClock} {
+		want := segHeader{R1m, "gauge", class, "sweep.depth"}
+		h, rest, err := parseSegmentHeader(append([]byte(want.String()), 0xAB))
+		if err != nil || h != want || len(rest) != 1 || rest[0] != 0xAB {
+			t.Fatalf("parse %q = %+v %v %v", want, h, rest, err)
+		}
 	}
-	if _, _, _, _, err := parseSegmentHeader([]byte("BOGUS 1 raw counter x\n")); err == nil {
-		t.Error("bad magic must error")
+	for hdr, want := range map[string]string{
+		"BOGUS 2 raw counter result x\n": "bad header",
+		"OTSD 99 raw counter result x\n": "unsupported",
+		"OTSD 2 raw counter bogus x\n":   "unknown metric class",
+		"OTSD 2 raw counter result\n":    "bad header",
+		"no newline":                     "no header line",
+		"OTSD 1 raw counter x\n":         "re-record",
+	} {
+		_, _, err := parseSegmentHeader([]byte(hdr))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("parse %q: err = %v, want one containing %q", hdr, err, want)
+		}
 	}
-	if _, _, _, _, err := parseSegmentHeader([]byte("OTSD 99 raw counter x\n")); err == nil {
-		t.Error("future version must error")
+	// A version-1 run is refused by name, not skipped as unreadable.
+	root := t.TempDir()
+	dir := filepath.Join(root, "old", Raw.String())
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, _, _, err := parseSegmentHeader([]byte("no newline")); err == nil {
-		t.Error("headerless data must error")
+	if err := os.WriteFile(filepath.Join(dir, "x.00000.tsd"), []byte("OTSD 1 raw counter x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(root).Metrics("old"); !errors.Is(err, errOldFormat) {
+		t.Errorf("Metrics over a version-1 run: err = %v, want the re-record refusal", err)
 	}
 }
 

@@ -107,18 +107,19 @@ type TrendOptions struct {
 	LastN int
 	// Match keeps metrics containing the substring; empty keeps all.
 	Match string
-	// IncludeWallClock also fits wall-clock metrics (per
-	// telemetry.IsWallClock: *_seconds* timings and span.* duration
-	// folds), which `memalloc compare` excludes as machine-dependent;
-	// off by default so trend gating inherits the same determinism
-	// contract.
+	// IncludeWallClock also fits telemetry.WallClock metrics (span
+	// durations, request latency), which `memalloc compare` skips as
+	// machine-dependent; off by default so trend gating inherits the
+	// same determinism contract. telemetry.Arrangement metrics are
+	// never fitted.
 	IncludeWallClock bool
 }
 
 // TrendAll fits every metric stored in all of the selected runs (a
 // metric missing from some run is a presence question for `memalloc
-// compare`, not a trend) and returns the fits sorted by descending
-// relative drift. It errors when fewer than 2 selected runs exist.
+// compare`, not a trend), reading each metric's class from the newest
+// run, and returns the fits sorted by descending relative drift. It
+// errors when fewer than 2 selected runs exist.
 func (db *DB) TrendAll(opts TrendOptions) ([]Trend, error) {
 	runs, err := db.Runs()
 	if err != nil {
@@ -132,6 +133,7 @@ func (db *DB) TrendAll(opts TrendOptions) ([]Trend, error) {
 	}
 	ids := make([]string, len(runs))
 	inAll := make(map[string]int)
+	class := make(map[string]telemetry.Class)
 	for i, r := range runs {
 		ids[i] = r.RunID
 		metrics, err := db.Metrics(r.RunID)
@@ -140,6 +142,7 @@ func (db *DB) TrendAll(opts TrendOptions) ([]Trend, error) {
 		}
 		for _, m := range metrics {
 			inAll[m.Name]++
+			class[m.Name] = m.Class
 		}
 	}
 	var names []string
@@ -147,7 +150,7 @@ func (db *DB) TrendAll(opts TrendOptions) ([]Trend, error) {
 		if n != len(runs) {
 			continue
 		}
-		if !opts.IncludeWallClock && telemetry.IsWallClock(name) {
+		if c := class[name]; c == telemetry.Arrangement || (c == telemetry.WallClock && !opts.IncludeWallClock) {
 			continue
 		}
 		if opts.Match != "" && !strings.Contains(name, opts.Match) {

@@ -9,11 +9,12 @@ import (
 )
 
 // writeRun stores one synthetic run: a cumulative counter ending at
-// total, a gauge hovering at level, and a wall-clock gauge that trend
-// gating must ignore.
+// total, a gauge hovering at level, a wall-clock histogram that trend
+// gating skips unless asked, and an arrangement gauge (growing with
+// total, like a cache-hit count) that it never fits.
 func writeRun(t *testing.T, root, runID string, total, level float64) {
 	t.Helper()
-	a, err := Create(root, runID, Meta{Command: "test"}, Options{FlushEvery: -1})
+	a, err := Create(root, runID, telemetry.Manifest{Command: "test"}, Options{FlushEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,8 @@ func writeRun(t *testing.T, root, runID string, total, level float64) {
 		a.Append(t0.Add(time.Duration(i)*time.Second), []telemetry.Metric{
 			{Name: "machine.cycles", Type: "counter", Value: total * frac},
 			{Name: "sweep.depth", Type: "gauge", Value: level},
-			{Name: "sweep.stage_seconds.model", Type: "gauge", Value: level * 100},
+			{Name: "span.sweep.model_us", Type: "histogram", Class: telemetry.WallClock, Value: level * 100},
+			{Name: "tracecache.hit", Type: "counter", Class: telemetry.Arrangement, Value: total},
 		})
 	}
 	if err := a.Close(); err != nil {
@@ -59,7 +61,7 @@ func TestTrendDetectsInjectedDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(trends) != 2 {
-		t.Fatalf("trends = %+v, want cycles and depth only (no *_seconds*)", trends)
+		t.Fatalf("trends = %+v, want cycles and depth only (no wall-clock or arrangement metric)", trends)
 	}
 	byName := map[string]Trend{}
 	for _, tr := range trends {
@@ -105,12 +107,15 @@ func TestTrendOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var saw bool
+	var sawWall bool
 	for _, tr := range wall {
-		saw = saw || tr.Metric == "sweep.stage_seconds.model"
+		sawWall = sawWall || tr.Metric == "span.sweep.model_us"
+		if tr.Metric == "tracecache.hit" {
+			t.Errorf("arrangement metric fitted: %+v", tr)
+		}
 	}
-	if !saw {
-		t.Error("IncludeWallClock must surface *_seconds* metrics")
+	if !sawWall {
+		t.Error("IncludeWallClock must surface wall-clock metrics")
 	}
 	if _, err := Open(t.TempDir()).TrendAll(TrendOptions{}); err == nil {
 		t.Error("trend over an empty store must error")
