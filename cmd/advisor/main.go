@@ -5,7 +5,7 @@
 // -- as deterministic JSON.
 //
 // The daemon hardens the request lifecycle end to end (DESIGN.md
-// section 14):
+// section 13):
 //
 //   - every computation runs under -timeout via context cancellation
 //     threaded through the sweep and search layers (504 on expiry)

@@ -17,7 +17,6 @@ import (
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
 	"onchip/internal/tracecache"
-	"onchip/internal/tsdb"
 )
 
 // runHistory implements `memalloc history`: run experiments with
@@ -29,21 +28,18 @@ func runHistory(args []string, globalRefs int) int {
 	refs := fs.Int("refs", globalRefs, "simulated references per workload run (0 = experiment default)")
 	dir := fs.String("dir", ".", "directory for the snapshot file")
 	out := fs.String("o", "", "exact output path (overrides -dir and the BENCH_<runid>.json name)")
-	tsdbDir := fs.String("tsdb", "", "also persist sampled metric series to this time-series store root")
 	traceCacheDir := fs.String("trace-cache", "", "cache generated workload reference streams under this directory (warm runs replay instead of regenerating)")
 	shards := fs.Int("shards", 0, "set shards per sweep simulator group (power of two; 0 = automatic; never changes results)")
 	spacePreset := fs.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid, priced exhaustively) or big (>=1M triples, searched pruned; power-law miss model off-grid)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: memalloc history [-refs N] [-dir DIR | -o FILE] [-tsdb DIR] [-trace-cache DIR] [-shards N] [-space P] <experiment>... | all
+		fmt.Fprintln(os.Stderr, `usage: memalloc history [-refs N] [-dir DIR | -o FILE] [-trace-cache DIR] [-shards N] [-space P] <experiment>... | all
 
 Runs the experiments with metrics collection on and persists the
 end-of-run telemetry snapshot as BENCH_<runid>.json, for later
-regression checks with "memalloc compare". With -tsdb, the sampled
-metric series are also persisted to the durable time-series store, so
-one invocation feeds both "memalloc compare" and "memalloc tsdb trend".
--trace-cache and -shards speed the sweeps up without changing any
-result-class metric, so "memalloc compare -threshold 0" passes between
-cold and warm, or serial and sharded, snapshots.`)
+regression checks with "memalloc compare". -trace-cache and -shards
+speed the sweeps up without changing any result-class metric, so
+"memalloc compare -threshold 0" passes between cold and warm, or
+serial and sharded, snapshots.`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -83,25 +79,6 @@ cold and warm, or serial and sharded, snapshots.`)
 		tc.Describe(reg)
 		opt.TraceCache = tc
 	}
-	runID := obs.RunID("memalloc", start)
-	flushTsdb := func() {}
-	if *tsdbDir != "" {
-		app, err := tsdb.Create(*tsdbDir, runID, *man, tsdb.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memalloc:", err)
-			return 1
-		}
-		srv := obs.New(obs.Config{Registry: reg, Manifest: man, TSDB: app, TSDBRoot: *tsdbDir})
-		srv.StartSampler()
-		// Stop the sampler, then drain the appender. Triggered explicitly
-		// before the snapshot is written (so CI archives a consistent
-		// BENCH+shard pair), by a signal, or -- at the latest -- on return.
-		flushTsdb = lifecycle.OnShutdown(ctx, "memalloc history: tsdb", nil, func() error {
-			srv.Close()
-			return app.Close()
-		})
-		defer flushTsdb()
-	}
 	for _, id := range ids {
 		t0 := time.Now()
 		res, err := experiments.Run(id, opt)
@@ -117,10 +94,9 @@ cold and warm, or serial and sharded, snapshots.`)
 		fmt.Fprintf(os.Stderr, "memalloc: history: %s done (%.1fs)\n", res.ID, time.Since(t0).Seconds())
 	}
 
-	flushTsdb()
 	path := *out
 	if path == "" {
-		path = filepath.Join(*dir, obs.RunFileName(runID))
+		path = filepath.Join(*dir, obs.RunFileName(obs.RunID("memalloc", start)))
 	}
 	if err := obs.WriteRunFile(path, obs.Run{Manifest: man, Metrics: reg.Snapshot()}); err != nil {
 		fmt.Fprintln(os.Stderr, "memalloc:", err)

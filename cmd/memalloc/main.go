@@ -40,20 +40,14 @@
 //	-serve ADDR     serve the live observability plane on ADDR for the
 //	                duration of the run: GET /metrics (Prometheus),
 //	                /snapshot (JSON), /events (SSE tail of the stall-
-//	                event ring), /sweep (enumeration progress) and,
-//	                with -tsdb, /query (the sampled metric series, live
-//	                and historical runs)
-//	-tsdb DIR       persist the sampled metric series to an embedded
-//	                on-disk time-series store under DIR (checksummed
-//	                append-only shards, raw + 10s + 1m rollup tiers);
-//	                query later with "memalloc tsdb" or a fresh
-//	                process's /query endpoint
+//	                event ring), /sweep (enumeration progress) and
+//	                /spans (execution-span summary)
 //	-spans FILE     record hierarchical execution spans (per-workload
-//	                generation phases, per-worker sweep jobs, search
-//	                and tsdb writes) and write them as Chrome
-//	                trace-event JSON to FILE on exit; load the file in
-//	                Perfetto (ui.perfetto.dev) or chrome://tracing. With
-//	                -serve, GET /spans reports the live summary.
+//	                generation phases, per-worker sweep jobs and search)
+//	                and write them as Chrome trace-event JSON to FILE on
+//	                exit; load the file in Perfetto (ui.perfetto.dev)
+//	                or chrome://tracing. With -serve, GET /spans reports
+//	                the live summary.
 //	-prof-span NAME capture a CPU profile bracketed exactly by the first
 //	                span named NAME (-prof-span-out sets the .pprof path)
 //
@@ -80,18 +74,12 @@
 //
 // Run history (see EXPERIMENTS.md "Live monitoring"):
 //
-//	memalloc history [-refs N] [-o FILE] [-tsdb DIR] <experiment>...
+//	memalloc history [-refs N] [-o FILE] <experiment>...
 //	                persist the end-of-run metric snapshot as
-//	                BENCH_<runid>.json (and, with -tsdb, the sampled
-//	                series)
+//	                BENCH_<runid>.json
 //	memalloc compare [-threshold F] <a.json> <b.json>
 //	                diff the result-class metrics of two snapshots;
 //	                non-zero exit on regression
-//	memalloc tsdb ls|export|trend
-//	                inspect the durable time-series store: list stored
-//	                runs and metrics, export one series (json/csv), or
-//	                fit per-metric regressions across N runs and exit
-//	                non-zero on sustained drift
 package main
 
 import (
@@ -113,7 +101,6 @@ import (
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
 	"onchip/internal/tracecache"
-	"onchip/internal/tsdb"
 )
 
 func main() {
@@ -128,7 +115,6 @@ func run() int {
 	progress := flag.Bool("progress", false, "stream live progress lines to stderr")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	serveAddr := flag.String("serve", "", "serve live observability endpoints on this address (e.g. :6060)")
-	tsdbDir := flag.String("tsdb", "", "persist sampled metric series to this durable time-series store root (query with /query or \"memalloc tsdb\")")
 	spansFile := flag.String("spans", "", "write the run's execution spans as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
 	profSpan := flag.String("prof-span", "", "capture a CPU profile bracketed by the first span with this name (e.g. sweep.model, search.enumerate)")
 	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
@@ -159,8 +145,6 @@ func run() int {
 		return runHistory(args[1:], *refs)
 	case "compare":
 		return runCompare(args[1:])
-	case "tsdb":
-		return runTsdb(args[1:])
 	}
 	ids, code := resolveExperiments(args)
 	if code >= 0 {
@@ -187,7 +171,7 @@ func run() int {
 	opt.FaultInjector = faultinject.New(faultinject.Config{Seed: *faultSeed, PanicProb: *faultPanicProb})
 	opt.FaultRetries = *faultRetries
 	opt.Shards = *shards
-	if *metricsFile != "" || *serveAddr != "" || *tsdbDir != "" {
+	if *metricsFile != "" || *serveAddr != "" {
 		opt.Metrics = telemetry.NewRegistry()
 		opt.FaultInjector.Describe(opt.Metrics, "faults")
 	}
@@ -223,45 +207,21 @@ func run() int {
 		GoVersion: runtime.Version(),
 		Labels:    map[string]string{"experiments": fmt.Sprint(ids)},
 	}
-	var tsdbApp *tsdb.Appender
-	if *tsdbDir != "" {
-		app, err := tsdb.Create(*tsdbDir, obs.RunID("memalloc", start), *man, tsdb.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memalloc:", err)
-			return 1
-		}
-		tsdbApp = app
-		app.SetSpans(spanTr.Lane("tsdb"))
-		// Flush-on-shutdown: a signal drains the appender's buffer and
-		// finalizes rollup windows the moment the context cancels, and
-		// the deferred trigger covers the normal exit (after the obs
-		// sampler below has stopped, so nothing appends past the drain).
-		flushTsdb := lifecycle.OnShutdown(ctx, "memalloc: tsdb", nil, app.Close)
-		defer flushTsdb()
-	}
-	if *serveAddr != "" || tsdbApp != nil {
+	if *serveAddr != "" {
 		srv := obs.New(obs.Config{
 			Registry: opt.Metrics,
 			Tracer:   opt.Tracer,
 			Manifest: man,
 			KindName: machine.KindName,
 			CompName: machine.CompName,
-			TSDB:     tsdbApp,
-			TSDBRoot: *tsdbDir,
 			Spans:    spanTr,
 		})
-		if *serveAddr != "" {
-			bound, err := srv.Start(*serveAddr)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memalloc: serve:", err)
-				return 1
-			}
-			fmt.Fprintf(os.Stderr, "memalloc: observability plane on http://%s/\n", bound)
-		} else {
-			// -tsdb without -serve still samples: the series persists
-			// even when nothing is watching live.
-			srv.StartSampler()
+		bound, err := srv.Start(*serveAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "memalloc: serve:", err)
+			return 1
 		}
+		fmt.Fprintf(os.Stderr, "memalloc: observability plane on http://%s/\n", bound)
 		defer srv.Close()
 		opt.SweepObserver = srv.ObserveSweep
 	}
@@ -340,18 +300,14 @@ func writeTrace(path string, tr *telemetry.Tracer) error {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: memalloc [flags] list | all | <experiment>...
-       memalloc history [-refs N] [-dir DIR | -o FILE] [-tsdb DIR] <experiment>... | all
+       memalloc history [-refs N] [-dir DIR | -o FILE] <experiment>... | all
        memalloc compare [-threshold F] <a.json> <b.json>
-       memalloc tsdb ls|export|trend [flags]
 
 Reproduces the evaluation of "Optimal Allocation of On-chip Memory for
 Multiple-API Operating Systems" (ISCA 1994). Run "memalloc list" for the
 experiment catalog. "history" persists an end-of-run metric snapshot as
 BENCH_<runid>.json; "compare" diffs the result-class metrics of two
-snapshots and exits non-zero on regression. "-tsdb DIR" persists
-sampled metric series to an embedded on-disk time-series store;
-"memalloc tsdb" lists, exports and fits longitudinal drift regressions
-over the stored runs.
+snapshots and exits non-zero on regression.
 
 Fault tolerance: SIGINT/SIGTERM shuts down gracefully -- telemetry
 flushes and partial results are written (exit status 130 marks an

@@ -5,7 +5,7 @@
 // experiments pipeline.
 //
 // The package is the repository's request-lifecycle hardening layer
-// (DESIGN.md section 14). Every request runs under a deadline; a
+// (DESIGN.md section 13). Every request runs under a deadline; a
 // bounded worker pool with a bounded admission queue sheds overload
 // with 429 + Retry-After instead of queueing without bound;
 // identical concurrent requests collapse onto one computation
@@ -28,7 +28,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"onchip/internal/experiments"
@@ -103,10 +102,19 @@ type Server struct {
 	breaker    *Breaker
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	draining   atomic.Bool
-	inflight   sync.WaitGroup
 	drainOnce  sync.Once
 	drainErr   error
+
+	// The drain gate. gateMu makes the draining check and the inflight
+	// count one step, and drain flips draining under it too: once the
+	// flag is set, every request either was counted before the flip or
+	// is refused. A counted request hands its count to the job it
+	// admits, or gives it back.
+	gateMu        sync.Mutex
+	draining      bool
+	inflight      int           // counted requests and jobs drain waits for
+	idle          chan struct{} // closed when draining and inflight is 0
+	hookAfterGate func()        // test seam: runs right after a request is counted
 
 	pendMu  sync.Mutex
 	pending map[string]experiments.AdviseRequest
@@ -170,6 +178,7 @@ func New(cfg Config) *Server {
 		cache:   newLRU(cfg.CacheEntries),
 		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		pending: make(map[string]experiments.AdviseRequest),
+		idle:    make(chan struct{}),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(cfg.BaseContext)
 	s.run = cfg.Run
@@ -251,7 +260,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if s.draining.Load() {
+	if s.Draining() {
 		w.Header().Set("Retry-After", fmt.Sprint(drainRetryAfter))
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "{\"ready\":false,\"reason\":\"draining\"}\n")
@@ -285,29 +294,34 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	key := req.Signature()
 
-	if s.draining.Load() {
+	if !s.enter() {
 		s.mDrainRejected.Inc()
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining", drainRetryAfter)
 		return
 	}
+	if s.hookAfterGate != nil {
+		s.hookAfterGate()
+	}
 	if cached, ok := s.cache.Get(key); ok {
+		s.leave()
 		s.mCacheHits.Inc()
 		s.writeResult(w, flightResult{status: http.StatusOK, body: cached}, key, "cache")
 		return
 	}
 
 	admit := func(c *flightCall) bool {
-		s.inflight.Add(1)
 		s.addPending(key, req)
 		if !s.pool.TrySubmit(func() { s.runJob(key, req, c) }) {
 			s.removePending(key)
-			s.inflight.Done()
 			return false
 		}
 		s.mInflight.Add(1)
 		return true
 	}
 	c, joined, admitted := s.flights.Join(key, admit)
+	if joined || !admitted {
+		s.leave() // only a job this request admitted keeps its count
+	}
 	if !admitted {
 		s.mShed.Inc()
 		s.writeError(w, http.StatusTooManyRequests, "admission queue full", shedRetryAfter)
@@ -347,7 +361,7 @@ func (s *Server) runJob(key string, req experiments.AdviseRequest, c *flightCall
 		s.flights.finish(key, c, res)
 		s.mLatency.Observe(uint64(time.Since(start).Microseconds()))
 		s.mInflight.Add(-1)
-		s.inflight.Done()
+		s.leave()
 	}()
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
@@ -453,7 +467,35 @@ type DrainCheckpoint struct {
 }
 
 // Draining reports whether admission has stopped.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	return s.draining
+}
+
+// enter counts a request in inflight, or reports false once drain has
+// flipped the flag. The check and the count are one step under gateMu,
+// so drain never misses a request that got past the check.
+func (s *Server) enter() bool {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	if s.draining {
+		return false
+	}
+	s.inflight++
+	return true
+}
+
+// leave gives back one count taken by enter, and wakes drain when it
+// was the last.
+func (s *Server) leave() {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	s.inflight--
+	if s.draining && s.inflight == 0 {
+		close(s.idle)
+	}
+}
 
 // Drain performs the graceful-shutdown contract: stop admitting new
 // requests, wait for in-flight work up to DrainTimeout, then abort
@@ -466,23 +508,24 @@ func (s *Server) Drain() error {
 }
 
 func (s *Server) drain() error {
-	s.draining.Store(true)
+	s.gateMu.Lock()
+	s.draining = true
+	inflight := s.inflight
+	if inflight == 0 {
+		close(s.idle)
+	}
+	s.gateMu.Unlock()
 	s.logf("advisor: draining (in-flight %d, queue %d, deadline %v)",
-		int(s.mInflight.Value()), s.pool.QueueLen(), s.cfg.DrainTimeout)
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
+		inflight, s.pool.QueueLen(), s.cfg.DrainTimeout)
 	timer := time.NewTimer(s.cfg.DrainTimeout)
 	defer timer.Stop()
 	select {
-	case <-done:
+	case <-s.idle:
 		s.logf("advisor: drain complete; all in-flight work finished")
 	case <-timer.C:
 		s.logf("advisor: drain deadline exceeded; aborting in-flight work")
 		s.baseCancel()
-		<-done
+		<-s.idle
 	}
 	s.pool.Close()
 	s.baseCancel()

@@ -415,6 +415,75 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 	}
 }
 
+// logLines is a Logw that hands each log line to a channel.
+type logLines chan string
+
+func (l logLines) Write(p []byte) (int, error) {
+	l <- string(p)
+	return len(p), nil
+}
+
+// TestDrainWaitsForRequestPastTheCheck pins the drain gate. The
+// hookAfterGate seam parks a request after it passed the draining
+// check and before it was admitted, and drain flips the flag while it
+// is parked. The parked request must already be counted in what drain
+// waits for: once released it is admitted and answered 200, and Drain
+// waits for its job. A request that arrives after the flip answers 503.
+func TestDrainWaitsForRequestPastTheCheck(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	logs := make(logLines, 2) // drain logs two lines
+	srv := New(Config{
+		Workers:      1,
+		DrainTimeout: time.Hour,
+		Logw:         logs,
+		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+			return fakeResponse(req), nil
+		},
+	})
+	var once sync.Once
+	srv.hookAfterGate = func() {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/advise", strings.NewReader(body)))
+		return rec
+	}
+
+	first := make(chan *httptest.ResponseRecorder, 1)
+	go func() { first <- post(`{"workloads":["mab"],"refs":2000}`) }()
+	<-parked
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain() }()
+
+	// Drain's first log line comes right after the flip and reports how
+	// many requests and jobs it waits for.
+	line := <-logs
+	var waiting int
+	if _, err := fmt.Sscanf(line, "advisor: draining (in-flight %d", &waiting); err != nil {
+		t.Fatalf("drain log %q: %v", line, err)
+	}
+	if waiting != 1 {
+		t.Errorf("drain flipped with %d request(s) counted, want the parked one", waiting)
+	}
+	if rec := post(`{"workloads":["mab"],"refs":3000}`); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("request after the flip: status %d, want 503", rec.Code)
+	}
+	close(release)
+	if rec := <-first; rec.Code != http.StatusOK {
+		t.Errorf("parked request: status %d %s, want 200", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got := srv.mDrainRejected.Value(); got != 1 {
+		t.Errorf("drain_rejected = %d, want 1", got)
+	}
+}
+
 func TestDrainDeadlineAbortsAndCheckpoints(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "drain.json")
 	srv := New(Config{

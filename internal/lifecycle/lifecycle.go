@@ -64,7 +64,7 @@ func Notify(parent context.Context, name string, w io.Writer) (ctx context.Conte
 // Notify context) is cancelled, and returns a trigger that runs it
 // immediately if it has not run yet. It is the flush-on-shutdown hook
 // durable state needs: the goroutine fires the moment a signal cancels
-// the run -- so buffered data (a tsdb appender, say) hits disk even if
+// the run -- so buffered data (a span trace, say) hits disk even if
 // the main path takes a while to unwind -- while the returned trigger,
 // deferred in main, covers the normal exit path. Errors from fn are
 // reported to w (stderr when nil) prefixed with name.

@@ -122,7 +122,7 @@ type Delta struct {
 // width, shard count, trace-cache traffic) and WallClock metrics (span
 // durations, latency) differ between correct runs by nature, so a
 // metric of either class in either run is skipped entirely, presence
-// included. The tsdb trend gate reads the same declared classes.
+// included.
 func Compare(a, b Run, threshold float64) []Delta {
 	am := indexMetrics(a.Metrics)
 	bm := indexMetrics(b.Metrics)

@@ -2,10 +2,9 @@
 // embeddable HTTP server that exposes the telemetry layer of a running
 // simulation (Prometheus metrics, JSON snapshots, a server-sent-events
 // tail of the Monster-style stall-event ring, design-space sweep
-// progress, and -- through a sampler feeding the durable tsdb store --
-// the run's metric time series), and a run-history comparator that
-// diffs persisted end-of-run snapshots so CI can gate on simulator
-// regressions.
+// progress and the execution-span summary), and a run-history
+// comparator that diffs persisted end-of-run snapshots so CI can gate
+// on simulator regressions.
 //
 // Where internal/telemetry alone is one-shot and in-process — capture
 // during the run, dump at exit — this package is the serving side: the
@@ -16,11 +15,9 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -28,13 +25,12 @@ import (
 	"onchip/internal/search"
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
-	"onchip/internal/tsdb"
 )
 
 // Config assembles a Server around a run's telemetry.
 type Config struct {
-	// Registry is the run's metric registry; /metrics, /snapshot and
-	// the tsdb sampler read it. Required.
+	// Registry is the run's metric registry; /metrics and /snapshot
+	// read it. Required.
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, is the stall-event ring tailed by /events.
 	Tracer *telemetry.Tracer
@@ -44,25 +40,16 @@ type Config struct {
 	// stream (the machine package supplies machine.KindName and
 	// machine.CompName); nil funcs emit raw numbers.
 	KindName, CompName func(uint8) string
-	// SampleEvery is the series sampling period (and the /events poll
-	// period); 0 selects 250 ms.
-	SampleEvery time.Duration
-	// TSDB, when non-nil, receives a registry sample every SampleEvery,
-	// making the run's series durable; /query serves it live
-	// (flush-then-read, so reads observe everything appended). Without
-	// it the server samples nothing. The server does not close it --
-	// its owner does, via the lifecycle flush-on-shutdown hook.
-	TSDB *tsdb.Appender
-	// TSDBRoot, when non-empty, is the store root /query serves
-	// historical runs from (usually the directory TSDB writes under).
-	TSDBRoot string
 	// Spans, when non-nil, is the run's execution-span tracer: /spans
 	// serves its live summary (per-phase self-time, per-worker
 	// utilization, shard imbalance, open spans) or, with ?format=chrome,
-	// the full Chrome trace-event JSON. The sampler also records each of
-	// its own scrapes as an "obs.sample" span on the "obs" lane.
+	// the full Chrome trace-event JSON.
 	Spans *spans.Tracer
 }
+
+// eventPoll is how often an /events tail checks the ring for new
+// events.
+const eventPoll = 250 * time.Millisecond
 
 // HTTP hardening limits shared by every embedded server in the
 // repository (the observability plane here, and the advisor daemon).
@@ -132,19 +119,12 @@ type Server struct {
 	closeOnce sync.Once
 	done      chan struct{}
 	httpSrv   *http.Server
-
-	sampleMu  sync.Mutex
-	sampleBuf []telemetry.Metric // reused across scrapes (SnapshotAppend)
-	sampling  bool               // a sampler goroutine is running
 }
 
 // New returns a server over the given telemetry. It does not listen
 // until Start is called; Handler can instead be mounted on an existing
 // mux (the tests do, via httptest).
 func New(cfg Config) *Server {
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 250 * time.Millisecond
-	}
 	return &Server{
 		cfg:  cfg,
 		done: make(chan struct{}),
@@ -159,25 +139,9 @@ func (s *Server) ObserveSweep(p search.Progress) {
 	s.mu.Unlock()
 }
 
-// Sample appends one immediate registry sample to the tsdb appender,
-// outside the ticker cadence (the sampler samples once up front so
-// /query answers before the first tick). The snapshot buffer is reused
-// across scrapes, so a steady-state sample allocates little. Without
-// an appender it does nothing.
-func (s *Server) Sample(now time.Time) {
-	if s.cfg.TSDB == nil {
-		return
-	}
-	s.sampleMu.Lock()
-	defer s.sampleMu.Unlock()
-	s.sampleBuf = s.cfg.Registry.SnapshotAppend(s.sampleBuf[:0])
-	s.cfg.TSDB.Append(now, s.sampleBuf)
-}
-
-// Start listens on addr (":6060", "localhost:0", ...), serves the
-// observability endpoints, and starts the tsdb sampler. It returns
-// the bound address, which differs from addr when a kernel-assigned
-// port was requested.
+// Start listens on addr (":6060", "localhost:0", ...) and serves the
+// observability endpoints. It returns the bound address, which differs
+// from addr when a kernel-assigned port was requested.
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -185,61 +149,20 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	s.httpSrv = NewHTTPServer(s.Handler())
 	go s.httpSrv.Serve(ln)
-	s.StartSampler()
 	return ln.Addr().String(), nil
 }
 
-// StartSampler starts the periodic tsdb sampler without serving HTTP:
-// what a run with -tsdb but no -serve uses to persist its series.
-// Without an appender there is nothing to sample into, and it does
-// nothing. Safe to call more than once; Start calls it itself.
-func (s *Server) StartSampler() {
-	if s.cfg.TSDB == nil {
-		return
-	}
-	s.sampleMu.Lock()
-	already := s.sampling
-	s.sampling = true
-	s.sampleMu.Unlock()
-	if already {
-		return
-	}
-	s.Sample(time.Now())
-	go s.sampleLoop()
-}
-
-// Close stops the sampler and the HTTP server, severing any open event
-// streams. One final sample is taken first, so the tsdb series capture
-// the end-of-run totals that land after the last tick --
-// machine.FlushMetrics runs at run end.
-// Safe to call more than once. Close does not close the tsdb appender;
-// its owner drains it afterwards via the lifecycle shutdown hook.
+// Close stops the HTTP server, severing any open event streams. Safe to
+// call more than once.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
-		s.Sample(time.Now())
 		close(s.done)
 		if s.httpSrv != nil {
 			err = s.httpSrv.Close()
 		}
 	})
 	return err
-}
-
-func (s *Server) sampleLoop() {
-	lane := s.cfg.Spans.Lane("obs")
-	tick := time.NewTicker(s.cfg.SampleEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case now := <-tick.C:
-			span := lane.Start("obs.sample")
-			s.Sample(now)
-			span.End()
-		}
-	}
 }
 
 // Handler returns the observability mux:
@@ -249,10 +172,7 @@ func (s *Server) sampleLoop() {
 //	GET /snapshot  manifest + full metric snapshot as JSON
 //	GET /events    server-sent-events tail of the stall-event ring
 //	GET /sweep     latest design-space enumeration progress
-//	GET /query     sampled tsdb series, live and historical
-//	               (?metric=NAME&res=raw|10s|1m&from=MS&to=MS&run=ID;
-//	               from and to are inclusive, so a poller passes its
-//	               last timestamp + 1 as from)
+//	GET /spans     execution-span summary or Chrome trace
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
@@ -260,7 +180,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/events", s.handleEvents)
 	mux.HandleFunc("/sweep", s.handleSweep)
-	mux.HandleFunc("/query", s.handleQuery)
 	mux.HandleFunc("/spans", s.handleSpans)
 	return mux
 }
@@ -276,8 +195,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /snapshot  run manifest + metric snapshot (JSON)
   /events    stall-event ring tail (SSE; ?since=SEQ, ?n=MAX)
   /sweep     design-space enumeration progress (JSON)
-  /query     sampled tsdb series, live + historical runs (?metric=NAME,
-             ?res=raw|10s|1m, ?from=MS, ?to=MS inclusive, ?run=ID; bare lists runs)
   /spans     execution-span summary: phase self-time, worker utilization,
              shard imbalance, open spans (?format=chrome downloads the trace)
 `)
@@ -309,88 +226,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, body)
 }
 
-// handleQuery serves the durable time-series store: any run persisted
-// under the tsdb root, including the live one (whose buffered samples
-// are flushed first so the response is current to the last scrape).
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.TSDB == nil && s.cfg.TSDBRoot == "" {
-		http.Error(w, "no tsdb attached to this run (start with -tsdb DIR)", http.StatusNotFound)
-		return
-	}
-	root := s.cfg.TSDBRoot
-	liveRun := ""
-	if s.cfg.TSDB != nil {
-		liveRun = filepath.Base(s.cfg.TSDB.Dir())
-		if root == "" {
-			root = filepath.Dir(s.cfg.TSDB.Dir())
-		}
-	}
-	db := tsdb.Open(root)
-	q := r.URL.Query()
-	metric := q.Get("metric")
-	runID := q.Get("run")
-	if runID == "" {
-		runID = liveRun
-	}
-	if metric == "" {
-		// Bare /query lists what is queryable: every stored run, plus
-		// the selected run's metrics when one is resolvable.
-		runs, err := db.Runs()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		var metrics []tsdb.MetricInfo
-		if runID != "" {
-			s.flushLive(runID, liveRun)
-			metrics, _ = db.Metrics(runID)
-		}
-		writeJSON(w, struct {
-			LiveRun string            `json:"live_run,omitempty"`
-			Runs    []tsdb.Meta       `json:"runs"`
-			Metrics []tsdb.MetricInfo `json:"metrics,omitempty"`
-		}{liveRun, runs, metrics})
-		return
-	}
-	if runID == "" {
-		http.Error(w, "no run selected and no live tsdb run (pass ?run=ID)", http.StatusBadRequest)
-		return
-	}
-	res := tsdb.Raw
-	if v := q.Get("res"); v != "" {
-		var err error
-		if res, err = tsdb.ParseRes(v); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
-	var fromMs, toMs int64
-	for _, p := range []struct {
-		key string
-		dst *int64
-	}{{"from", &fromMs}, {"to", &toMs}} {
-		if v := q.Get(p.key); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				http.Error(w, "bad "+p.key+": "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			*p.dst = n
-		}
-	}
-	s.flushLive(runID, liveRun)
-	series, err := db.Query(runID, metric, res, fromMs, toMs)
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, tsdb.ErrNoSeries) {
-			code = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	writeJSON(w, series)
-}
-
 // handleSpans serves the execution-span tracer: the default JSON body
 // is the live Summary (per-phase total/self time, per-lane utilization
 // with the group pool's worker lanes, shard-imbalance ratio, and the
@@ -410,14 +245,6 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		s.cfg.Spans.WriteChromeTrace(w)
 	default:
 		http.Error(w, fmt.Sprintf("unknown format %q (want summary or chrome)", format), http.StatusBadRequest)
-	}
-}
-
-// flushLive pushes the live appender's buffer to disk before a read of
-// the live run, so /query reflects everything sampled so far.
-func (s *Server) flushLive(runID, liveRun string) {
-	if s.cfg.TSDB != nil && runID == liveRun {
-		s.cfg.TSDB.Flush()
 	}
 }
 
@@ -465,7 +292,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	poll := time.NewTicker(s.cfg.SampleEvery)
+	poll := time.NewTicker(eventPoll)
 	defer poll.Stop()
 	var line []byte
 	sent := 0

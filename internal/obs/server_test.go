@@ -12,7 +12,6 @@ import (
 
 	"onchip/internal/search"
 	"onchip/internal/telemetry"
-	"onchip/internal/tsdb"
 )
 
 func testServer(t *testing.T) (*Server, *telemetry.Registry, *telemetry.Tracer) {
@@ -20,12 +19,11 @@ func testServer(t *testing.T) (*Server, *telemetry.Registry, *telemetry.Tracer) 
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(8)
 	srv := New(Config{
-		Registry:    reg,
-		Tracer:      tr,
-		Manifest:    &telemetry.Manifest{Command: "test", Labels: map[string]string{"suite": "obs"}},
-		KindName:    func(k uint8) string { return "kind" },
-		CompName:    func(c uint8) string { return "comp" },
-		SampleEvery: time.Millisecond,
+		Registry: reg,
+		Tracer:   tr,
+		Manifest: &telemetry.Manifest{Command: "test", Labels: map[string]string{"suite": "obs"}},
+		KindName: func(k uint8) string { return "kind" },
+		CompName: func(c uint8) string { return "comp" },
 	})
 	t.Cleanup(func() { srv.Close() })
 	return srv, reg, tr
@@ -172,100 +170,6 @@ func TestHandleSweep(t *testing.T) {
 	if body.Sweep == nil || body.Sweep.Priced != 10 || body.Sweep.Total != 100 ||
 		body.Sweep.Kept != 4 || body.Sweep.ElapsedSeconds != 2 || body.UpdatedUnixMs == 0 {
 		t.Errorf("sweep body = %+v", body)
-	}
-}
-
-// TestHandleQuery exercises the durable /query path end to end: a
-// server with a live tsdb appender serves its own (flushed-on-demand)
-// run and a previously stored historical run from the same root.
-func TestHandleQuery(t *testing.T) {
-	root := t.TempDir()
-	// A finished historical run.
-	hist, err := tsdb.Create(root, "20260101T000000Z-old", telemetry.Manifest{Command: "old"}, tsdb.Options{FlushEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist.Append(time.UnixMilli(500), []telemetry.Metric{{Name: "refs", Type: "counter", Value: 7}})
-	if err := hist.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := telemetry.NewRegistry()
-	live, err := tsdb.Create(root, "20260808T000000Z-live", telemetry.Manifest{Command: "live"}, tsdb.Options{FlushEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
-	srv := New(Config{Registry: reg, TSDB: live, TSDBRoot: root})
-	defer srv.Close()
-	h := srv.Handler()
-
-	reg.Counter("refs", "").Add(3)
-	srv.Sample(time.UnixMilli(1000)) // buffered in the appender, not yet flushed
-
-	// Bare /query lists runs and the live run's metrics.
-	var listing struct {
-		LiveRun string            `json:"live_run"`
-		Runs    []tsdb.Meta       `json:"runs"`
-		Metrics []tsdb.MetricInfo `json:"metrics"`
-	}
-	rec := get(t, h, "/query")
-	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
-		t.Fatal(err)
-	}
-	if listing.LiveRun != "20260808T000000Z-live" || len(listing.Runs) != 2 ||
-		len(listing.Metrics) != 1 || listing.Metrics[0].Name != "refs" {
-		t.Fatalf("listing = %+v", listing)
-	}
-
-	// Live run: flush-on-read makes the buffered sample visible.
-	var series tsdb.Series
-	rec = get(t, h, "/query?metric=refs")
-	if err := json.Unmarshal(rec.Body.Bytes(), &series); err != nil {
-		t.Fatal(err)
-	}
-	if len(series.Points) != 1 || series.Points[0].Sum != 3 || series.Kind != "counter" {
-		t.Fatalf("live series = %+v", series)
-	}
-
-	// Incremental polling: from is inclusive, so a poller passes its
-	// last timestamp + 1 and receives only the newer samples.
-	reg.Counter("refs", "").Add(2)
-	srv.Sample(time.UnixMilli(2000))
-	rec = get(t, h, "/query?metric=refs&from=1001")
-	series = tsdb.Series{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &series); err != nil {
-		t.Fatal(err)
-	}
-	if len(series.Points) != 1 || series.Points[0].Sum != 5 {
-		t.Fatalf("points after the from cursor = %+v", series.Points)
-	}
-
-	// Historical run, explicit selector.
-	rec = get(t, h, "/query?metric=refs&run=20260101T000000Z-old")
-	series = tsdb.Series{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &series); err != nil {
-		t.Fatal(err)
-	}
-	if len(series.Points) != 1 || series.Points[0].Sum != 7 || series.RunID != "20260101T000000Z-old" {
-		t.Fatalf("historical series = %+v", series)
-	}
-
-	if rec := get(t, h, "/query?metric=nope"); rec.Code != 404 {
-		t.Errorf("unknown metric: code %d, want 404", rec.Code)
-	}
-	if rec := get(t, h, "/query?metric=refs&res=5s"); rec.Code != 400 {
-		t.Errorf("bad res: code %d, want 400", rec.Code)
-	}
-	if rec := get(t, h, "/query?metric=refs&from=x"); rec.Code != 400 {
-		t.Errorf("bad from: code %d, want 400", rec.Code)
-	}
-}
-
-func TestHandleQueryNoTSDB(t *testing.T) {
-	srv, _, _ := testServer(t)
-	if rec := get(t, srv.Handler(), "/query"); rec.Code != 404 {
-		t.Errorf("no tsdb attached: code %d, want 404", rec.Code)
 	}
 }
 

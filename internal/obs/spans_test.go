@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
-	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -11,36 +12,20 @@ import (
 
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
-	"onchip/internal/tsdb"
 )
 
 // TestServerStartCloseNoGoroutineLeak pins the server's shutdown
-// contract: repeated Start/Close cycles -- with the sampler ticking
-// into a tsdb appender, a span tracer attached, and real HTTP requests
-// served -- must return the process to its baseline goroutine count.
-// Each cycle waits for the sampler to record an obs.sample span while
-// the tracer is summarized, so under -race this also exercises the
-// sampler's span recording against concurrent /spans summarization.
+// contract: repeated Start/Close cycles -- with a span tracer and a
+// stall-event ring attached, real HTTP requests served, and an /events
+// tail still open when Close runs -- must end every stream and return
+// the process to its baseline goroutine count.
 func TestServerStartCloseNoGoroutineLeak(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := spans.New(0)
-	tr.SetMetrics(reg)
-	samples := func() int {
-		for _, p := range tr.Summarize().Phases {
-			if p.Name == "obs.sample" {
-				return p.Count
-			}
-		}
-		return 0
-	}
-
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		app, err := tsdb.Create(t.TempDir(), fmt.Sprintf("run%d", i), telemetry.Manifest{}, tsdb.Options{FlushEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := New(Config{Registry: reg, SampleEvery: time.Millisecond, Spans: tr, TSDB: app})
+		ring := telemetry.NewTracer(8)
+		srv := New(Config{Registry: reg, Tracer: ring, Spans: tr})
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -53,18 +38,38 @@ func TestServerStartCloseNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("GET /spans: status %d", resp.StatusCode)
 		}
 		resp.Body.Close()
-		want := samples() + 1
-		for deadline := time.Now().Add(5 * time.Second); samples() < want; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("cycle %d: the sampler recorded no obs.sample span in 5s", i)
+
+		// Open an unbounded tail and read its first event, so the handler
+		// is inside its poll loop when Close runs.
+		ring.Record(telemetry.Event{Addr: uint32(i), Cycles: 1})
+		tail, err := http.Get("http://" + addr + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := bufio.NewReader(tail.Body)
+		for {
+			line, err := body.ReadString('\n')
+			if err != nil {
+				t.Fatalf("cycle %d: /events ended before its first event: %v", i, err)
+			}
+			if strings.HasPrefix(line, "data: ") {
+				break
 			}
 		}
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := app.Close(); err != nil {
-			t.Fatal(err)
+		ended := make(chan struct{})
+		go func() {
+			io.Copy(io.Discard, body)
+			close(ended)
+		}()
+		select {
+		case <-ended:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cycle %d: the /events tail was still open 5s after Close", i)
 		}
+		tail.Body.Close()
 	}
 	http.DefaultClient.CloseIdleConnections()
 

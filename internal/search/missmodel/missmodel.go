@@ -23,7 +23,7 @@
 //     prices subtrees with Bound and only discards those whose
 //     optimistic CPI cannot beat the incumbent therefore never prunes a
 //     configuration that exact simulation would have ranked -- the
-//     admissibility argument DESIGN.md section 15 spells out.
+//     admissibility argument DESIGN.md section 14 spells out.
 package missmodel
 
 import (

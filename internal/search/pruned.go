@@ -7,7 +7,7 @@ import (
 
 // Pruned search: price million-point design spaces without touching
 // most of them. Three mechanisms compose, each provably unable to
-// change the top-K ranking (DESIGN.md section 15 carries the full
+// change the top-K ranking (DESIGN.md section 14 carries the full
 // argument):
 //
 //  1. K-level Pareto frontier reduction per component axis. A TLB

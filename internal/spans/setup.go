@@ -21,7 +21,7 @@ import (
 // runs, the empty profile file is removed at drain time. A non-nil reg
 // (the run collects metrics) forces a tracer even without the file
 // flags and folds every span into it (SetMetrics), so span timings
-// reach -metrics, /metrics, the tsdb and /spans by one path.
+// reach -metrics, run files, /metrics and /spans by one path.
 //
 // The returned drain is idempotent and must be deferred by the caller;
 // it also runs automatically when ctx is cancelled. With no flag set

@@ -17,7 +17,7 @@
 // Summarize computes per-phase self-time and per-worker-lane
 // utilization for the obs server's /spans endpoint, and SetMetrics
 // folds every span's duration into a wall-clock telemetry histogram so
-// the durable tsdb path persists them alongside the other run series.
+// run files and -metrics output carry them alongside the other metrics.
 // That fold is the one wall-clock path of a run: no stage keeps its own
 // timer.
 package spans

@@ -224,8 +224,8 @@ func (h *Histogram) Buckets() []Bucket {
 
 // Class says what a metric measures, and so which gates may compare
 // it. It is declared where the metric is registered (Registry.In) and
-// travels with every snapshot into run files and the tsdb, so the
-// determinism gates read it instead of guessing from names.
+// travels with every snapshot into run files and -metrics output, so
+// the determinism gates read it instead of guessing from names.
 type Class uint8
 
 const (
@@ -235,17 +235,18 @@ const (
 	Result Class = iota
 	// Arrangement describes how a run was executed rather than what it
 	// computed: pool width, shard count, trace-cache and advisor
-	// traffic. No gate compares or fits it.
+	// traffic. No gate compares it.
 	Arrangement
 	// WallClock is elapsed time: span durations, request latency. No
-	// gate compares it; `memalloc tsdb trend -include-wallclock` fits it.
+	// gate compares it; host-time trends are the repository benchmark's
+	// job.
 	WallClock
 )
 
 var classNames = [...]string{Result: "result", Arrangement: "arrangement", WallClock: "wallclock"}
 
-// String returns the class name written in run files and tsdb segment
-// headers.
+// String returns the class name written in run files and -metrics
+// output.
 func (c Class) String() string {
 	if int(c) < len(classNames) {
 		return classNames[c]
@@ -416,22 +417,12 @@ func (r *Registry) entry(name, typ string, class Class, help string) *entry {
 
 // Snapshot returns all metrics sorted by name, for deterministic output.
 func (r *Registry) Snapshot() []Metric {
-	return r.SnapshotAppend(nil)
-}
-
-// SnapshotAppend appends all metrics, sorted by name, to dst and
-// returns the extended slice. Periodic samplers (the obs sampler
-// feeding the tsdb write path) pass their previous slice truncated to
-// zero length so a steady-state scrape allocates nothing beyond what
-// the histogram bucket slices need.
-func (r *Registry) SnapshotAppend(dst []Metric) []Metric {
 	if r == nil {
-		return dst
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	start := len(dst)
-	out := dst
+	var out []Metric
 	for name, e := range r.entries {
 		m := Metric{Name: name, Type: e.typ, Class: e.class, Help: e.help}
 		switch inst := e.inst.(type) {
@@ -449,7 +440,6 @@ func (r *Registry) SnapshotAppend(dst []Metric) []Metric {
 		}
 		out = append(out, m)
 	}
-	added := out[start:]
-	sort.Slice(added, func(i, j int) bool { return added[i].Name < added[j].Name })
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

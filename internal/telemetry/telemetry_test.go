@@ -134,38 +134,6 @@ func TestSnapshotSortedAndConcurrentSafe(t *testing.T) {
 	}
 }
 
-// TestSnapshotAppendReusesCapacity pins the sampler contract: passing
-// the previous slice back truncated keeps its backing array, and the
-// appended metrics match a fresh Snapshot.
-func TestSnapshotAppendReusesCapacity(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c", "").Add(3)
-	r.Gauge("g", "").Set(1.5)
-	var nilReg *Registry
-	if got := nilReg.SnapshotAppend(nil); got != nil {
-		t.Errorf("nil registry SnapshotAppend = %v", got)
-	}
-	buf := r.SnapshotAppend(nil)
-	if len(buf) != 2 || buf[0].Name != "c" || buf[1].Name != "g" {
-		t.Fatalf("first append = %+v", buf)
-	}
-	first := &buf[0]
-	r.Counter("c", "").Add(4)
-	buf = r.SnapshotAppend(buf[:0])
-	if len(buf) != 2 || buf[0].Value != 7 {
-		t.Fatalf("second append = %+v", buf)
-	}
-	if &buf[0] != first {
-		t.Error("SnapshotAppend reallocated despite sufficient capacity")
-	}
-	// Appending after existing elements sorts only the added tail.
-	buf = append(buf[:0], Metric{Name: "zzz"})
-	buf = r.SnapshotAppend(buf)
-	if len(buf) != 3 || buf[0].Name != "zzz" || buf[1].Name != "c" || buf[2].Name != "g" {
-		t.Fatalf("prefix preserved append = %+v", buf)
-	}
-}
-
 func TestTracerRingEviction(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 7; i++ {

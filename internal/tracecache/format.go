@@ -11,9 +11,9 @@
 // deltas against two per-block chains (one for instruction fetches,
 // one for data accesses), a packed kind/mode flag byte, and an ASID
 // byte only when the address space changes. Payloads are framed in
-// length-prefixed CRC32 blocks like internal/tsdb, so truncation and
-// bit rot are detected per block; a corrupt entry is reported as
-// ErrCorrupt and the caller falls back to live generation.
+// length-prefixed CRC32 blocks, so truncation and bit rot are detected
+// per block; a corrupt entry is reported as ErrCorrupt and the caller
+// falls back to live generation.
 package tracecache
 
 import (
