@@ -49,14 +49,15 @@ crossval:
 		-run 'CrossValidat|AgreesWithDirect|MatchesLegacy|MatchesSerial|TestTee|TestBatched|TestRefMeter' \
 		./internal/cheetah/ ./internal/experiments/ ./internal/trace/
 
-# crossval-search pins the pruned branch-and-bound search to the
-# exhaustive oracle, under the race detector: byte-identical top-K on
-# the paper's Table 5 grid (Table 6 and Table 7 settings, measured
-# models) and on ~200 randomized small spaces. Any divergence between
-# the pruned and exhaustive rankings fails here.
+# crossval-search pins search.Rank and the pruned branch-and-bound
+# search to the exhaustive oracle, under the race detector: identical
+# top-K, feasible count and deep ranks on the paper's Table 5 grid
+# (Table 6 and Table 7 settings, analytic and measured models) and on
+# ~200 randomized small spaces. Any divergence from the fully sorted
+# ranking fails here.
 crossval-search:
 	$(GO) test -race -count=1 \
-		-run 'TestPrunedMatchesExhaustive|TestSearchCrossValidation|TestTieBreakDeterministic|TestPrunedAccountingInvariant' \
+		-run 'TestPrunedMatchesExhaustive|TestSearchCrossValidation|TestTieBreakDeterministic|TestPrunedAccountingInvariant|TestRankMatchesOracle' \
 		./internal/search/ ./internal/experiments/
 
 check: vet build race crossval crossval-search bench

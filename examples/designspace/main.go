@@ -7,31 +7,47 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 
 	"onchip/internal/area"
 	"onchip/internal/search"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	space := search.Table5()
 	model := search.MachLike()
 	am := area.Default()
 
 	for _, budget := range []float64{125_000, 250_000, 500_000} {
-		allocs := search.Enumerate(space, am, budget, model)
-		if len(allocs) == 0 {
-			fmt.Printf("budget %.0f rbe: no feasible configuration\n", budget)
+		r, err := search.Rank(space, am, budget, model, 1)
+		if err != nil {
+			return err
+		}
+		if len(r.Top) == 0 {
+			fmt.Fprintf(w, "budget %.0f rbe: no feasible configuration\n", budget)
 			continue
 		}
-		best := allocs[0]
-		fmt.Printf("budget %7.0f rbe (%6d feasible): best CPI %.3f\n  %v\n",
-			budget, len(allocs), best.CPI, best)
+		best := r.Top[0]
+		fmt.Fprintf(w, "budget %7.0f rbe (%6d feasible): best CPI %.3f\n  %v\n",
+			budget, r.Feasible, best.CPI, best)
 	}
 
-	// The same search under a single-API (Ultrix-like) model shows the
-	// paper's conclusion in reverse: with services in the kernel, less
-	// of the budget needs to go to the TLB and I-cache.
-	fmt.Println("\nsame budget, single-API (Ultrix-like) performance model:")
-	allocs := search.Enumerate(space, am, area.BudgetRBE, search.UltrixLike())
-	fmt.Printf("  %v\n", allocs[0])
+	// The same search under a single-API (Ultrix-like) performance model
+	// shows the paper's conclusion in reverse: with services in the
+	// kernel, less of the budget needs to go to the TLB and I-cache.
+	fmt.Fprintln(w, "\nsame budget, single-API (Ultrix-like) performance model:")
+	r, err := search.Rank(space, am, area.BudgetRBE, search.UltrixLike(), 1)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  %v\n", r.Top[0])
+	return nil
 }

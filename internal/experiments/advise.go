@@ -152,10 +152,10 @@ type AdviseResponse struct {
 	Signature string `json:"signature"`
 	// Request echoes the normalized parameters the answer is for.
 	Request AdviseRequest `json:"request"`
-	// Feasible is the number of allocations within the budget. Under
-	// the big-space pruned search it is the number of allocations
-	// returned (at most Top): the engine only materializes the top of
-	// the ranking, never the full feasible set.
+	// Feasible is the number of allocations within the budget
+	// (search.Ranking.Feasible). Under the big-space pruned search it is
+	// the number of allocations returned (at most Top): that engine
+	// never sees the full feasible set.
 	Feasible int `json:"feasible"`
 	// Allocations holds the Top best allocations by ascending CPI.
 	Allocations []RankedAllocation `json:"allocations"`
@@ -198,16 +198,16 @@ func Advise(req AdviseRequest, opt Options) (*AdviseResponse, error) {
 	}
 	space, model, searchOpts := searchPlan(req.Space == "big", grid, measured, req.Top)
 	searchOpts = append(searchOpts, search.WithContext(opt.ctx()))
-	allocs, err := search.EnumerateE(space, area.Default(), req.BudgetRBE, model, searchOpts...)
+	ranking, err := search.Rank(space, area.Default(), req.BudgetRBE, model, req.Top, searchOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("advise: enumeration: %w", err)
 	}
 	resp := &AdviseResponse{
 		Signature: req.Signature(),
 		Request:   req,
-		Feasible:  len(allocs),
+		Feasible:  ranking.Feasible,
 	}
-	for i, a := range search.Top(allocs, req.Top) {
+	for i, a := range ranking.Top {
 		resp.Allocations = append(resp.Allocations, RankedAllocation{
 			Rank:    i + 1,
 			TLB:     a.TLB.String(),

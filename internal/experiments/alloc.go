@@ -421,15 +421,14 @@ func flushMeter(s trace.Sink) {
 }
 
 // allocTableDepth is how many ranked rows the allocation tables report
-// (the paper's Table 6/7 depth). It is also the pruned strategy's
-// top-K: the engine only guarantees byte-identity for the first K rows,
-// so K and the table depth must agree.
+// (the paper's Table 6/7 depth): search.Rank's k, and with it the
+// pruned strategy's top-K.
 const allocTableDepth = 10
 
 // searchPlan is the one rule for how a space is searched, shared by
 // the experiments and the advisor. The measured grid (Table 5 shaped)
-// is enumerated exhaustively over the measured model, which also yields
-// the full ranking's tail and feasible count. When big is set, the
+// is ranked exhaustively over the measured model, which also yields
+// the feasible count and any row of the full ranking. When big is set, the
 // search widens to the big preset, searched pruned to the top k with
 // off-grid configurations priced by the power-law extension of the
 // measured model: an exhaustive scan of its millions of triples costs
@@ -478,7 +477,16 @@ func runAllocation(opt Options, grid search.Space, title string, extraNotes []st
 		}))
 	}
 	searchSpan := lane.Start("search.enumerate")
-	allocs, err := search.EnumerateE(space, area.Default(), area.BudgetRBE, model, searchOpts...)
+	ranking, err := search.Rank(space, area.Default(), area.BudgetRBE, model, allocTableDepth, searchOpts...)
+	// Like the paper's Table 7, show how far behind a poorly chosen
+	// configuration falls (its example was rank 1529 of the restricted
+	// space). The big preset's pruned search ranks only the top, so it
+	// has no tail row.
+	tailRank, tail := 0, search.Allocation{}
+	if err == nil && ranking.Feasible > 100 {
+		tailRank = ranking.Feasible*3/4 + 1
+		tail, err = ranking.At(tailRank - 1)
+	}
 	searchSpan.End()
 	if err != nil {
 		return Result{}, fmt.Errorf("enumeration: %w", err)
@@ -497,26 +505,21 @@ func runAllocation(opt Options, grid search.Space, title string, extraNotes []st
 	} else {
 		priced.Add(uint64(space.Triples()))
 	}
-	opt.Metrics.Counter("search.configs_kept", "allocations within the area budget").Add(uint64(len(allocs)))
+	opt.Metrics.Counter("search.configs_kept", "allocations within the area budget").Add(uint64(ranking.Feasible))
 	t := report.NewTable(title,
 		"Rank", "TLB", "I-cache", "D-cache", "Total rbe", "Total CPI")
-	top := search.Top(allocs, allocTableDepth)
+	top := ranking.Top
 	for i, a := range top {
 		allocRow(t, i+1, a)
 	}
-	// Like the paper's Table 7, show how far behind a poorly chosen
-	// configuration falls (its example was rank 1529 of the restricted
-	// space). The big preset's pruned search materializes only the top
-	// of the ranking, so it has no tail row.
-	if len(allocs) > 100 {
-		tail := len(allocs) * 3 / 4
-		allocRow(t, tail+1, allocs[tail])
+	if tailRank > 0 {
+		allocRow(t, tailRank, tail)
 	}
 	var notes []string
 	if big {
 		notes = append(notes, fmt.Sprintf(
 			"pruned search: top %d of %d composed triples; %d priced, %d pruned (%d frontier, %d budget, %d CPI bound)",
-			len(allocs), pstats.Composed, pstats.Priced,
+			len(top), pstats.Composed, pstats.Priced,
 			pstats.Pruned(), pstats.PrunedFrontier, pstats.PrunedBudget, pstats.PrunedBound))
 		extended := model.(*missmodel.Extended)
 		onGrid := 0
@@ -530,7 +533,7 @@ func runAllocation(opt Options, grid search.Space, title string, extraNotes []st
 			onGrid, len(top)))
 	} else {
 		notes = append(notes, fmt.Sprintf(
-			"%d feasible allocations under the %d-rbe budget", len(allocs), area.BudgetRBE))
+			"%d feasible allocations under the %d-rbe budget", ranking.Feasible, area.BudgetRBE))
 	}
 	notes = append(notes, extraNotes...)
 	if len(failedWorkloads) > 0 {

@@ -51,21 +51,21 @@ func extATime(opt Options) (Result, error) {
 	t := report.NewTable("Best allocation under 250,000 rbe and a cycle-time ceiling",
 		"Cycle (ns)", "TLB", "I-cache", "D-cache", "Access (ns)", "CPI")
 	for _, cycle := range []float64{0, 15, 12, 10} {
-		var best []search.Allocation
-		if cycle == 0 {
-			best = search.Enumerate(space, am, area.BudgetRBE, model)
-		} else {
-			c := cycle
-			best = search.EnumerateFiltered(space, am, area.BudgetRBE, model,
-				func(tlbCfg area.TLBConfig, ic, dc area.CacheConfig) bool {
-					return tm.FitsCycle(c, tlbCfg, ic, dc)
-				})
+		var opts []search.Option
+		if cycle > 0 {
+			opts = append(opts, search.WithFilter(func(tlbCfg area.TLBConfig, ic, dc area.CacheConfig) bool {
+				return tm.FitsCycle(cycle, tlbCfg, ic, dc)
+			}))
 		}
-		if len(best) == 0 {
+		best, err := search.Rank(space, am, area.BudgetRBE, model, 1, opts...)
+		if err != nil {
+			return Result{}, fmt.Errorf("search at %.0f ns: %w", cycle, err)
+		}
+		if len(best.Top) == 0 {
 			t.Row(fmt.Sprintf("%.0f", cycle), "-", "-", "-", "-", "infeasible")
 			continue
 		}
-		a := best[0]
+		a := best.Top[0]
 		worst := tm.CacheAccessNS(a.ICache)
 		if d := tm.CacheAccessNS(a.DCache); d > worst {
 			worst = d

@@ -10,11 +10,13 @@ import (
 	"onchip/internal/workload"
 )
 
-// TestSearchCrossValidation is the gating oracle of the pruned search
-// (make crossval-search, run in CI): on the paper's Table 5 grid with a
-// MEASURED model -- real stack-simulation sweeps, both the Table 6
-// (unrestricted) and Table 7 (assoc <= 2) settings -- the pruned
-// strategy's top-10 must be byte-identical to the exhaustive ranking.
+// TestSearchCrossValidation is the gating oracle of the production
+// search (make crossval-search, run in CI): on the paper's Table 5 grid
+// with a MEASURED model -- real stack-simulation sweeps, both the Table
+// 6 (unrestricted) and Table 7 (assoc <= 2) settings -- the pruned
+// strategy's top-10 must be byte-identical to the exhaustive ranking,
+// and search.Rank's top-10, feasible count and 3/4 n tail row must
+// equal the materialized ranking's.
 func TestSearchCrossValidation(t *testing.T) {
 	const refs = 150_000
 	for _, tc := range []struct {
@@ -52,6 +54,22 @@ func TestSearchCrossValidation(t *testing.T) {
 				if pr[i] != want[i] {
 					t.Errorf("rank %d differs:\npruned:     %v\nexhaustive: %v", i+1, pr[i], want[i])
 				}
+			}
+			r, err := search.Rank(space, area.Default(), area.BudgetRBE, model, allocTableDepth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Feasible != len(ex) {
+				t.Errorf("Rank feasible = %d, exhaustive has %d", r.Feasible, len(ex))
+			}
+			for i := range want {
+				if i >= len(r.Top) || r.Top[i] != want[i] {
+					t.Fatalf("Rank top rank %d differs from exhaustive %v", i+1, want[i])
+				}
+			}
+			tail := len(ex) * 3 / 4
+			if got, err := r.At(tail); err != nil || got != ex[tail] {
+				t.Errorf("Rank row %d = %v (err %v), exhaustive %v", tail+1, got, err, ex[tail])
 			}
 			t.Logf("%s: %d composed triples, %d priced (%.2f%%), frontier %dx%dx%d",
 				tc.name, st.Composed, st.Priced, 100*float64(st.Priced)/float64(st.Composed),

@@ -1,7 +1,8 @@
 package search
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"onchip/internal/area"
 )
@@ -20,27 +21,30 @@ import (
 // would rank them by discovery order, which differs between strategies.
 
 // lessAlloc is the canonical ranking order.
-func lessAlloc(a, b Allocation) bool {
-	if a.CPI != b.CPI {
-		return a.CPI < b.CPI
+func lessAlloc(a, b Allocation) bool { return cmpAlloc(a, b) < 0 }
+
+// cmpAlloc is lessAlloc as a three-way comparison.
+func cmpAlloc(a, b Allocation) int {
+	if c := cmp.Compare(a.CPI, b.CPI); c != 0 {
+		return c
 	}
-	if a.AreaRBE != b.AreaRBE {
-		return a.AreaRBE < b.AreaRBE
+	if c := cmp.Compare(a.AreaRBE, b.AreaRBE); c != 0 {
+		return c
 	}
 	if c := cmpTLBConfig(a.TLB, b.TLB); c != 0 {
-		return c < 0
+		return c
 	}
 	if c := cmpCacheConfig(a.ICache, b.ICache); c != 0 {
-		return c < 0
+		return c
 	}
-	return cmpCacheConfig(a.DCache, b.DCache) < 0
+	return cmpCacheConfig(a.DCache, b.DCache)
 }
 
-// sortAllocations sorts into the canonical ranking order. The sort is
-// stable on top of a strict total order over distinct configurations,
-// so equal-CPI equal-area allocations still rank deterministically.
+// sortAllocations sorts into the canonical ranking order. The order is
+// strict over distinct allocations and duplicates are equal values, so
+// an unstable sort yields the same slice a stable one would.
 func sortAllocations(out []Allocation) {
-	sort.SliceStable(out, func(i, j int) bool { return lessAlloc(out[i], out[j]) })
+	slices.SortFunc(out, cmpAlloc)
 }
 
 // cmpTLBConfig orders TLB configurations by every field that

@@ -114,8 +114,9 @@ func (h allocHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *allocHeap) Push(x any)        { *h = append(*h, x.(Allocation)) }
 func (h *allocHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// enumeratePruned is EnumerateE's pruned strategy. tlbs and caches are
-// the priced component lists in canonical construction order.
+// enumeratePruned is the pruned strategy of Rank and EnumerateE. tlbs
+// and caches are the priced component lists in canonical construction
+// order.
 func enumeratePruned(tlbs []pricedTLB, caches []pricedCache, base, budget float64, o *options) ([]Allocation, error) {
 	k := o.pruneTopK
 	st := PruneStats{

@@ -153,26 +153,10 @@ func TestPrunedProgress(t *testing.T) {
 // keys (same component areas, symmetric CPI contributions), which is
 // the case an unstable discovery-order sort would break.
 func TestTieBreakDeterministic(t *testing.T) {
-	space := Space{
-		TLBEntries:  []int{64},
-		TLBAssocs:   []int{2},
-		CacheSizes:  []int{4 << 10, 8 << 10},
-		CacheAssocs: []int{1},
-		CacheLines:  []int{4},
+	space, m := tieSpace()
+	if n := len(space.CacheConfigs()); n != 2 {
+		t.Fatalf("want exactly 2 cache configs, got %d", n)
 	}
-	m := NewMeasured(1)
-	for _, tc := range space.TLBConfigs() {
-		m.TLB[tc] = 0.0625
-	}
-	ccs := space.CacheConfigs()
-	if len(ccs) != 2 {
-		t.Fatalf("want exactly 2 cache configs, got %d", len(ccs))
-	}
-	// Symmetric contributions -- ic(a)+dc(b) == ic(b)+dc(a) -- chosen
-	// dyadic so the float sums tie EXACTLY, not just to a printed digit.
-	m.IC[ccs[0]], m.DC[ccs[0]] = 0.125, 0.375
-	m.IC[ccs[1]], m.DC[ccs[1]] = 0.25, 0.5
-
 	ex := Enumerate(space, area.Default(), area.BudgetRBE, m)
 	if len(ex) != 4 {
 		t.Fatalf("feasible = %d, want all 4 triples", len(ex))
@@ -202,14 +186,36 @@ func TestTieBreakDeterministic(t *testing.T) {
 		}
 		assertSameRanking(t, pr, ex, k)
 	}
-	// Repeated runs are bit-stable (sort.SliceStable over a strict
-	// total order leaves no room for discovery-order leakage).
+	// Repeated runs are bit-stable: over a strict total order even an
+	// unstable sort leaves no room for discovery-order leakage.
 	again := Enumerate(space, area.Default(), area.BudgetRBE, m)
 	for i := range ex {
 		if ex[i] != again[i] {
 			t.Fatalf("exhaustive ranking not stable at %d: %v vs %v", i, ex[i], again[i])
 		}
 	}
+}
+
+// tieSpace is a one-TLB, two-cache space whose model makes (IC=c1,
+// DC=c2) and (IC=c2, DC=c1) tie exactly on CPI and area.
+func tieSpace() (Space, *Measured) {
+	space := Space{
+		TLBEntries:  []int{64},
+		TLBAssocs:   []int{2},
+		CacheSizes:  []int{4 << 10, 8 << 10},
+		CacheAssocs: []int{1},
+		CacheLines:  []int{4},
+	}
+	m := NewMeasured(1)
+	for _, tc := range space.TLBConfigs() {
+		m.TLB[tc] = 0.0625
+	}
+	// Symmetric contributions -- ic(a)+dc(b) == ic(b)+dc(a) -- chosen
+	// dyadic so the float sums tie EXACTLY, not just to a printed digit.
+	ccs := space.CacheConfigs()
+	m.IC[ccs[0]], m.DC[ccs[0]] = 0.125, 0.375
+	m.IC[ccs[1]], m.DC[ccs[1]] = 0.25, 0.5
+	return space, m
 }
 
 // randomSpace draws a small design space: a few TLB and cache points,
@@ -300,20 +306,23 @@ func TestPrunedRefusesBadK(t *testing.T) {
 	}
 }
 
-// Both strategies stop on cancellation and report context.Canceled:
-// a context cancelled before the call, and -- on the exhaustive path,
-// whose loop runs long enough to interrupt -- one cancelled from a
-// progress callback mid-run.
+// Both strategies, and Rank, stop on cancellation and report
+// context.Canceled: a context cancelled before the call, and -- on the
+// exhaustive path, whose loop runs long enough to interrupt -- one
+// cancelled from a progress callback mid-run.
 func TestEnumerateCancellation(t *testing.T) {
 	full := Enumerate(Table5(), area.Default(), area.BudgetRBE, MachLike())
 	for _, tc := range []struct {
 		name   string
 		pruned bool
 		midRun bool
+		rank   bool
 	}{
-		{"exhaustive/before", false, false},
-		{"exhaustive/mid-run", false, true},
-		{"pruned/before", true, false},
+		{"exhaustive/before", false, false, false},
+		{"exhaustive/mid-run", false, true, false},
+		{"pruned/before", true, false, false},
+		{"rank/before", false, false, true},
+		{"rank/mid-run", false, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -331,6 +340,25 @@ func TestEnumerateCancellation(t *testing.T) {
 				}))
 			} else {
 				cancel()
+			}
+			if tc.rank {
+				r, err := Rank(Table5(), area.Default(), area.BudgetRBE, MachLike(), 10, opts...)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if r == nil {
+					t.Fatal("cancelled Rank returned no partial ranking")
+				}
+				if tc.midRun && (len(r.Top) != 10 || r.Feasible == 0 || r.Feasible >= len(full)) {
+					t.Errorf("mid-run cancellation: top %d, feasible %d of %d; want a full top-10 of a strict non-empty prefix",
+						len(r.Top), r.Feasible, len(full))
+				}
+				for i := 1; i < len(r.Top); i++ {
+					if !lessAlloc(r.Top[i-1], r.Top[i]) {
+						t.Errorf("partial top-K out of order at rank %d", i+1)
+					}
+				}
+				return
 			}
 			partial, err := EnumerateE(Table5(), area.Default(), area.BudgetRBE, MachLike(), opts...)
 			if !errors.Is(err, context.Canceled) {

@@ -1,13 +1,22 @@
 // Package search implements the paper's Section 5.4 cost/benefit
-// analysis: enumerate every TLB / I-cache / D-cache configuration in the
-// Table 5 design space, price each with the MQF area model, keep the
-// combinations that fit the 250,000-rbe on-chip memory budget, attach
-// the CPI contribution of each component from measured performance data,
-// and rank by total CPI -- producing Tables 6 and 7.
+// analysis: price every TLB / I-cache / D-cache configuration in the
+// Table 5 design space with the MQF area model, keep the combinations
+// that fit the 250,000-rbe on-chip memory budget, attach the CPI
+// contribution of each component from measured performance data, and
+// rank by total CPI -- producing Tables 6 and 7.
+//
+// Rank is the one production entry point. It returns the best K
+// allocations, the feasible count and any single row of the full
+// ranking without materializing the feasible set: the tables print ten
+// rows and one row far down the ranking, not 195,916 sorted
+// allocations. Enumerate and EnumerateE materialize and sort the whole
+// ranking; they are the oracle the tests and the benchmark's ledger
+// check Rank and the pruned strategy against.
 package search
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -146,8 +155,9 @@ type Progress struct {
 	// converges on Total, so progress views stay live even when almost
 	// nothing is individually priced.
 	Pruned int
-	// Kept is the number of combinations within the area budget so far
-	// (under pruning, the current top-K candidate count).
+	// Kept is the number of feasible combinations so far -- within the
+	// area budget and accepted by any WithFilter predicate (under
+	// pruning, the current top-K candidate count).
 	Kept int
 	// Elapsed is the wall time since enumeration began; ETA the
 	// estimated remaining time, extrapolated from the coverage rate
@@ -197,6 +207,25 @@ type options struct {
 	ctx           context.Context
 	pruneTopK     int
 	pruneStats    *PruneStats
+	keep          func(tlb area.TLBConfig, icache, dcache area.CacheConfig) bool
+}
+
+// newOptions applies opts and refuses the combinations no strategy can
+// honor.
+func newOptions(opts []Option) (options, error) {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.pruneTopK < 0 {
+		return o, fmt.Errorf("search: WithPruning top-K %d is negative", o.pruneTopK)
+	}
+	if o.pruneTopK > 0 && o.keep != nil {
+		// A frontier drops a configuration because K substitutes beat
+		// it; a filter could reject every one of those substitutes.
+		return o, errors.New("search: WithFilter cannot be combined with WithPruning")
+	}
+	return o, nil
 }
 
 // WithPruning switches the enumeration to the pruned strategy: each
@@ -208,7 +237,8 @@ type options struct {
 // reduction only drops a component configuration when at least topK
 // provably better substitutes exist for every composition it appears
 // in, and a bound only cuts a subtree when its best possible CPI is
-// strictly worse than the current K-th best. topK must be positive.
+// strictly worse than the current K-th best. topK must be positive,
+// and under Rank it must equal Rank's k.
 func WithPruning(topK int) Option {
 	return func(o *options) { o.pruneTopK = topK }
 }
@@ -238,6 +268,16 @@ func WithContext(ctx context.Context) Option {
 	return func(o *options) { o.ctx = ctx }
 }
 
+// WithFilter adds a feasibility predicate to the area budget: a triple
+// within the budget is feasible only when keep accepts it. It imposes
+// the access-time (cycle-time) constraint of the paper's proposed
+// extension, or any other designer rule, inside the pricing loop. The
+// pruned strategy refuses it: its frontier argument assumes every
+// dominating substitute is feasible.
+func WithFilter(keep func(tlb area.TLBConfig, icache, dcache area.CacheConfig) bool) Option {
+	return func(o *options) { o.keep = keep }
+}
+
 // pricedTLB and pricedCache carry a configuration with its
 // once-computed area and CPI contributions through the enumeration.
 type pricedTLB struct {
@@ -252,66 +292,60 @@ type pricedCache struct {
 	dcpi float64
 }
 
-// Enumerate prices every combination in the space, filters to the area
-// budget, computes total CPI with the performance model, and returns the
-// allocations in ranking order (ascending CPI, then ascending area, then
-// a deterministic configuration tie-break; see lessAlloc). Component
-// areas and CPIs are computed once per distinct configuration, so the
-// pricing loop is cheap: over the 244,800-triple Table 5 space it takes
-// about 0.15 s on a 2-vCPU Xeon VM, and sorting the 195,916 kept
-// allocations takes most of the rest of EnumerateE's 0.7-0.9 s there
-// (perfbench's search.table5_ms).
-//
-// Enumerate cannot fail without WithContext or a negative WithPruning;
-// callers using those should call EnumerateE for the error.
-func Enumerate(space Space, am area.Model, budget float64, pm PerfModel, opts ...Option) []Allocation {
-	out, _ := EnumerateE(space, am, budget, pm, opts...)
-	return out
+// pricedSpace is a space with every configuration priced once: the
+// input of both strategies.
+type pricedSpace struct {
+	tlbs   []pricedTLB
+	caches []pricedCache
+	base   float64
 }
 
-// EnumerateE is Enumerate with an error return for the fallible paths:
-// cancellation via WithContext (the partial, sorted ranking is returned
-// alongside ctx's error) and a negative WithPruning top-K.
-func EnumerateE(space Space, am area.Model, budget float64, pm PerfModel, opts ...Option) ([]Allocation, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	var tlbs []pricedTLB
+func price(space Space, am area.Model, pm PerfModel) pricedSpace {
+	var ps pricedSpace
 	for _, t := range space.TLBConfigs() {
-		tlbs = append(tlbs, pricedTLB{t, am.TLBArea(t), pm.TLBCPI(t)})
+		ps.tlbs = append(ps.tlbs, pricedTLB{t, am.TLBArea(t), pm.TLBCPI(t)})
 	}
-	var caches []pricedCache
 	for _, c := range space.CacheConfigs() {
-		caches = append(caches, pricedCache{c, am.CacheArea(c), pm.ICacheCPI(c), pm.DCacheCPI(c)})
+		ps.caches = append(ps.caches, pricedCache{c, am.CacheArea(c), pm.ICacheCPI(c), pm.DCacheCPI(c)})
 	}
+	ps.base = pm.BaseCPI()
+	return ps
+}
 
-	base := pm.BaseCPI()
+// within counts the triples within budget, ignoring any filter: the
+// exact feasible count when there is none, and an upper bound that
+// sizes the exhaustive consumers' slices once.
+func (ps *pricedSpace) within(budget float64) int {
+	n := 0
+	// Without a context the scan cannot fail.
+	_ = ps.scan(budget, &options{}, func(int, int, int, float64, float64) { n++ })
+	return n
+}
 
-	if o.pruneTopK < 0 {
-		return nil, fmt.Errorf("search: WithPruning top-K %d is negative", o.pruneTopK)
-	}
-	if o.pruneTopK > 0 {
-		return enumeratePruned(tlbs, caches, base, budget, &o)
-	}
-
-	var out []Allocation
-
+// scan is the exhaustive strategy's pricing loop. It calls visit for
+// every feasible triple -- within budget and accepted by any filter --
+// looping over TLBs, then I-caches, then D-caches, each in construction
+// order, and passes the component indexes into ps with the triple's
+// total area and CPI. The float expressions are part of the contract:
+// a different addition order changes last bits, and with them ranks.
+// scan reports progress and polls the context between (TLB, I-cache)
+// pairs; once cancelled it stops and returns ctx's error.
+func (ps *pricedSpace) scan(budget float64, o *options, visit func(t, ic, dc int, total, cpi float64)) error {
 	// Progress accounting: a (TLB, I-cache) pair over budget prunes all
 	// |caches| D-cache combinations at once; count them as priced so
 	// Priced converges on Total.
-	spaceSize := len(tlbs) * len(caches) * len(caches)
+	spaceSize := len(ps.tlbs) * len(ps.caches) * len(ps.caches)
 	every := o.progressEvery
 	if every <= 0 {
 		every = 1 << 16
 	}
-	priced, nextReport := 0, every
+	priced, kept, nextReport := 0, 0, every
 	start := time.Now()
 	report := func(done bool) {
 		if o.progress == nil {
 			return
 		}
-		p := Progress{Priced: priced, Total: spaceSize, Kept: len(out), Elapsed: time.Since(start), Done: done}
+		p := Progress{Priced: priced, Total: spaceSize, Kept: kept, Elapsed: time.Since(start), Done: done}
 		if !done && priced > 0 {
 			p.ETA = time.Duration(float64(p.Elapsed) * float64(spaceSize-priced) / float64(priced))
 		}
@@ -322,34 +356,27 @@ func EnumerateE(space Space, am area.Model, budget float64, pm PerfModel, opts .
 	if o.ctx != nil {
 		done = o.ctx.Done()
 	}
-	for _, t := range tlbs {
-		for _, ic := range caches {
+	for ti, t := range ps.tlbs {
+		for ici, ic := range ps.caches {
 			if done != nil {
 				select {
 				case <-done:
-					// Cancelled: hand back the partial ranking with the
-					// cause.
-					sortAllocations(out)
-					return out, o.ctx.Err()
+					return o.ctx.Err()
 				default:
 				}
 			}
 			at := t.area + ic.area
 			if at <= budget {
-				for _, dc := range caches {
+				for dci, dc := range ps.caches {
 					total := at + dc.area
-					if total <= budget {
-						out = append(out, Allocation{
-							TLB:     t.cfg,
-							ICache:  ic.cfg,
-							DCache:  dc.cfg,
-							AreaRBE: total,
-							CPI:     base + t.cpi + ic.icpi + dc.dcpi,
-						})
+					if total > budget || o.keep != nil && !o.keep(t.cfg, ic.cfg, dc.cfg) {
+						continue
 					}
+					kept++
+					visit(ti, ici, dci, total, ps.base+t.cpi+ic.icpi+dc.dcpi)
 				}
 			}
-			priced += len(caches)
+			priced += len(ps.caches)
 			if priced >= nextReport {
 				report(false)
 				nextReport = priced + every
@@ -357,23 +384,52 @@ func EnumerateE(space Space, am area.Model, budget float64, pm PerfModel, opts .
 		}
 	}
 	report(true)
-	sortAllocations(out)
-	return out, nil
+	return nil
 }
 
-// EnumerateFiltered is Enumerate with an extra feasibility predicate --
-// used to impose the access-time (cycle-time) constraint of the paper's
-// proposed extension, or any other designer rule.
-func EnumerateFiltered(space Space, am area.Model, budget float64, pm PerfModel,
-	keep func(tlb area.TLBConfig, icache, dcache area.CacheConfig) bool, opts ...Option) []Allocation {
-	all := Enumerate(space, am, budget, pm, opts...)
-	out := all[:0]
-	for _, a := range all {
-		if keep(a.TLB, a.ICache, a.DCache) {
-			out = append(out, a)
-		}
-	}
+// Enumerate prices every combination in the space, filters to the area
+// budget, computes total CPI with the performance model, and returns
+// every feasible allocation in ranking order (ascending CPI, then
+// ascending area, then a deterministic configuration tie-break; see
+// lessAlloc). It is the oracle: production code calls Rank, which
+// answers the same questions without building this slice.
+//
+// Enumerate cannot fail without WithContext or an invalid option;
+// callers using those should call EnumerateE for the error.
+func Enumerate(space Space, am area.Model, budget float64, pm PerfModel, opts ...Option) []Allocation {
+	out, _ := EnumerateE(space, am, budget, pm, opts...)
 	return out
+}
+
+// EnumerateE is Enumerate with an error return for the fallible paths:
+// cancellation via WithContext (the partial, sorted ranking is returned
+// alongside ctx's error), a negative WithPruning top-K, and WithFilter
+// combined with WithPruning.
+func EnumerateE(space Space, am area.Model, budget float64, pm PerfModel, opts ...Option) ([]Allocation, error) {
+	o, err := newOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	ps := price(space, am, pm)
+	if o.pruneTopK > 0 {
+		return enumeratePruned(ps.tlbs, ps.caches, ps.base, budget, &o)
+	}
+	out := make([]Allocation, 0, ps.within(budget))
+	err = ps.scan(budget, &o, func(t, ic, dc int, total, cpi float64) {
+		out = append(out, ps.alloc(t, ic, dc, total, cpi))
+	})
+	sortAllocations(out)
+	return out, err
+}
+
+func (ps *pricedSpace) alloc(t, ic, dc int, total, cpi float64) Allocation {
+	return Allocation{
+		TLB:     ps.tlbs[t].cfg,
+		ICache:  ps.caches[ic].cfg,
+		DCache:  ps.caches[dc].cfg,
+		AreaRBE: total,
+		CPI:     cpi,
+	}
 }
 
 // Top returns the first n allocations (or fewer).

@@ -198,6 +198,21 @@ func TestEnumerateProgress(t *testing.T) {
 			t.Error("empty progress string")
 		}
 	}
+
+	// Rank reports the same way: Kept counts feasible triples, so the
+	// final report's Kept is the ranking's Feasible.
+	var last Progress
+	r, err := Rank(Table5(), area.Default(), area.BudgetRBE, MachLike(), 10,
+		WithProgress(50_000, func(p Progress) { last = p }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !last.Done || last.Priced != last.Total {
+		t.Errorf("Rank's final report %+v: want Done with Priced == Total", last)
+	}
+	if last.Kept != r.Feasible {
+		t.Errorf("Rank's final Kept = %d, want Feasible = %d", last.Kept, r.Feasible)
+	}
 }
 
 // Progress instrumentation must not perturb enumeration results.
