@@ -14,9 +14,9 @@
 //   - identical concurrent requests collapse onto one computation
 //     (singleflight on the FNV-64a request signature) and a bounded
 //     LRU (-cache-entries) answers repeats byte-identically
-//   - a circuit breaker around the -trace-cache store trips to live
-//     regeneration after repeated corruption, probing again after
-//     -breaker-cooldown
+//   - a failed computation answers 503 with an error naming the
+//     workload; a corrupt -trace-cache entry is evicted and its stream
+//     regenerated, so it costs time, not the answer
 //   - worker panics answer 500 without taking the daemon down
 //   - GET /healthz reports liveness, GET /readyz readiness (503 while
 //     draining); GET /obs/metrics etc. expose the telemetry plane
@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"onchip/internal/advisor"
-	"onchip/internal/faultinject"
 	"onchip/internal/lifecycle"
 	"onchip/internal/obs"
 	"onchip/internal/telemetry"
@@ -60,11 +59,6 @@ func run() int {
 	cacheEntries := flag.Int("cache-entries", 64, "bounded LRU of rendered responses (byte-identical repeats)")
 	maxRefs := flag.Int("max-refs", 50_000_000, "largest per-workload reference count one request may demand")
 	traceCacheDir := flag.String("trace-cache", "", "trace-cache directory (warm runs replay recorded reference streams; corrupt entries fall back to regeneration)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive trace-cache corruptions that open the breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "open-breaker period before a probe request")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed (deterministic schedule)")
-	faultPanicProb := flag.Float64("fault-panic-prob", 0, "probability a sweep worker panics, per workload attempt (chaos testing)")
-	faultRetries := flag.Int("fault-retries", 2, "times a failed workload sweep is retried before the request errors")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "advisor: unexpected arguments %q\n", flag.Args())
@@ -78,22 +72,15 @@ func run() int {
 
 	reg := telemetry.NewRegistry()
 	cfg := advisor.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		RequestTimeout:   *timeout,
-		DrainTimeout:     *drainTimeout,
-		CheckpointPath:   *drainCheckpoint,
-		CacheEntries:     *cacheEntries,
-		MaxRefs:          *maxRefs,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		Metrics:          reg,
-		Logw:             os.Stderr,
-	}
-	if *faultPanicProb > 0 {
-		cfg.FaultInjector = faultinject.New(faultinject.Config{Seed: *faultSeed, PanicProb: *faultPanicProb})
-		cfg.FaultInjector.Describe(reg, "faults")
-		cfg.FaultRetries = *faultRetries
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		RequestTimeout: *timeout,
+		DrainTimeout:   *drainTimeout,
+		CheckpointPath: *drainCheckpoint,
+		CacheEntries:   *cacheEntries,
+		MaxRefs:        *maxRefs,
+		Metrics:        reg,
+		Logw:           os.Stderr,
 	}
 	if *traceCacheDir != "" {
 		tc, err := tracecache.Open(*traceCacheDir)

@@ -13,11 +13,10 @@
 // caches into one (sized by the -i flags).
 //
 // Robustness: -skip-corrupt steps over malformed trace records
-// (counted and reported) instead of aborting; -retries N retries
-// transient read errors with exponential backoff; the -fault-* flags
-// deterministically inject read faults to exercise those paths; and
-// SIGINT/SIGTERM stops the replay at the next record boundary, with
-// statistics and metrics covering the replayed prefix (exit 130).
+// (counted and reported) instead of aborting; a read error ends the run
+// with exit status 1; and SIGINT/SIGTERM stops the replay at the next
+// record boundary, with statistics and metrics covering the replayed
+// prefix (exit 130).
 package main
 
 import (
@@ -25,14 +24,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"time"
 
 	"onchip/internal/area"
 	"onchip/internal/cache"
-	"onchip/internal/faultinject"
 	"onchip/internal/lifecycle"
 	"onchip/internal/machine"
 	"onchip/internal/obs"
@@ -62,11 +59,6 @@ func main() {
 	profSpan := flag.String("prof-span", "", "capture a CPU profile bracketed by the first span with this name (e.g. trace.replay)")
 	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
 	skipCorrupt := flag.Bool("skip-corrupt", false, "skip corrupt trace records (counted and reported) instead of aborting")
-	retries := flag.Int("retries", 0, "retry transient read errors up to N times with exponential backoff")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed (deterministic schedule)")
-	faultIOProb := flag.Float64("fault-io-prob", 0, "probability a read fails with a transient I/O error")
-	faultCorruptProb := flag.Float64("fault-corrupt-prob", 0, "probability a read corrupts one byte of the stream")
-	faultTruncProb := flag.Float64("fault-trunc-prob", 0, "probability a read truncates the stream")
 	flag.Parse()
 
 	if *in == "" {
@@ -91,22 +83,7 @@ func main() {
 	}
 	defer f.Close()
 
-	// The read path composes: file -> fault injector (when enabled) ->
-	// transient-error retrier (when -retries > 0) -> trace decoder.
-	inj := faultinject.New(faultinject.Config{
-		Seed:         *faultSeed,
-		IOErrProb:    *faultIOProb,
-		CorruptProb:  *faultCorruptProb,
-		TruncateProb: *faultTruncProb,
-	})
-	var stream io.Reader = f
-	stream = inj.Reader(stream)
-	if *retries > 0 {
-		p := faultinject.DefaultRetryPolicy()
-		p.Attempts = *retries + 1
-		stream = faultinject.RetryReader(stream, p)
-	}
-	r, err := trace.NewReader(stream)
+	r, err := trace.NewReader(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dinero:", err)
 		os.Exit(1)
@@ -116,7 +93,6 @@ func main() {
 	start := time.Now()
 	if *metricsFile != "" || *serveAddr != "" {
 		cfg.Metrics = telemetry.NewRegistry()
-		inj.Describe(cfg.Metrics, "faults")
 		corrupts := cfg.Metrics.Counter("trace.corrupt_records", "corrupt trace records encountered")
 		r.OnCorrupt = func(*trace.CorruptError) { corrupts.Inc() }
 	}

@@ -61,16 +61,12 @@
 //	-shards N         set shards per sweep simulator group (power of
 //	                  two, 0 = automatic from the worker count)
 //
-// Fault tolerance (see DESIGN.md "Fault tolerance"):
-//
-//	-fault-seed N, -fault-panic-prob P, -fault-retries N
-//	                  deterministically inject sweep-worker panics and
-//	                  control how often a failed workload sweep is
-//	                  retried before being excluded from the model
-//
-// SIGINT/SIGTERM cancels the run gracefully: telemetry flushes, partial
-// results are written, and the process exits with status 130. A second
-// signal aborts immediately.
+// Failures (see DESIGN.md "Failure policy"): a workload sweep that
+// fails -- an error, or a panic recovered on its goroutine -- fails its
+// experiment with an error naming the workload, and memalloc exits 1
+// after running the rest. SIGINT/SIGTERM cancels the run gracefully:
+// telemetry flushes, partial results are written, and the process
+// exits with status 130. A second signal aborts immediately.
 //
 // Run history (see EXPERIMENTS.md "Live monitoring"):
 //
@@ -94,7 +90,6 @@ import (
 	"time"
 
 	"onchip/internal/experiments"
-	"onchip/internal/faultinject"
 	"onchip/internal/lifecycle"
 	"onchip/internal/machine"
 	"onchip/internal/obs"
@@ -120,9 +115,6 @@ func run() int {
 	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
 	traceCacheDir := flag.String("trace-cache", "", "cache generated workload reference streams (compressed, content-addressed) under this directory; warm runs replay instead of regenerating")
 	shards := flag.Int("shards", 0, "set shards per sweep simulator group (power of two; 0 = automatic from the worker count; never changes results)")
-	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed (deterministic schedule)")
-	faultPanicProb := flag.Float64("fault-panic-prob", 0, "probability a sweep worker panics, per workload attempt (testing the recovery path)")
-	faultRetries := flag.Int("fault-retries", 2, "times a failed workload sweep is retried before being excluded from the model")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -168,12 +160,9 @@ func run() int {
 
 	opt := experiments.Options{Refs: *refs, Context: ctx}
 	opt.SpacePreset = *spacePreset
-	opt.FaultInjector = faultinject.New(faultinject.Config{Seed: *faultSeed, PanicProb: *faultPanicProb})
-	opt.FaultRetries = *faultRetries
 	opt.Shards = *shards
 	if *metricsFile != "" || *serveAddr != "" {
 		opt.Metrics = telemetry.NewRegistry()
-		opt.FaultInjector.Describe(opt.Metrics, "faults")
 	}
 	if *traceCacheDir != "" {
 		tc, err := tracecache.Open(*traceCacheDir)
@@ -309,10 +298,10 @@ experiment catalog. "history" persists an end-of-run metric snapshot as
 BENCH_<runid>.json; "compare" diffs the result-class metrics of two
 snapshots and exits non-zero on regression.
 
-Fault tolerance: SIGINT/SIGTERM shuts down gracefully -- telemetry
-flushes and partial results are written (exit status 130 marks an
-interrupted run). The -fault-* flags deterministically inject
-sweep-worker faults to exercise the recovery paths.
+Failures: a failed workload sweep fails its experiment with an error
+naming the workload (exit status 1). SIGINT/SIGTERM shuts down
+gracefully -- telemetry flushes and partial results are written (exit
+status 130 marks an interrupted run).
 `)
 	flag.PrintDefaults()
 }

@@ -10,11 +10,10 @@
 // with 429 + Retry-After instead of queueing without bound;
 // identical concurrent requests collapse onto one computation
 // (singleflight keyed by the FNV-64a request signature) and a bounded
-// LRU serves repeats byte-identically; a circuit breaker around the
-// trace-cache store trips to live regeneration when the disk
-// misbehaves; panicking workers answer 500 without taking the daemon
-// down; and graceful drain stops admission, finishes in-flight work
-// up to a deadline, and checkpoints whatever had to be aborted.
+// LRU serves repeats byte-identically; a failed computation answers
+// 503 and a panicking one 500, without taking the daemon down; and
+// graceful drain stops admission, finishes in-flight work up to a
+// deadline, and checkpoints whatever had to be aborted.
 package advisor
 
 import (
@@ -31,17 +30,15 @@ import (
 	"time"
 
 	"onchip/internal/experiments"
-	"onchip/internal/faultinject"
 	"onchip/internal/obs"
 	"onchip/internal/telemetry"
 	"onchip/internal/tracecache"
 )
 
-// RunFunc computes the answer for one normalized request. useCache
-// reports whether the trace-cache store may be consulted (false while
-// the circuit breaker is open). The default implementation runs
-// experiments.Advise; tests substitute deterministic fakes.
-type RunFunc func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error)
+// RunFunc computes the answer for one normalized request. The default
+// implementation runs experiments.Advise; tests substitute
+// deterministic fakes.
+type RunFunc func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error)
 
 // Config assembles a Server. The zero value of every field selects a
 // production default.
@@ -63,19 +60,9 @@ type Config struct {
 	// MaxRefs caps the per-workload reference count one request may
 	// demand; 0 selects 50,000,000.
 	MaxRefs int
-	// BreakerThreshold is the consecutive trace-cache failures that
-	// open the breaker; 0 selects 3.
-	BreakerThreshold int
-	// BreakerCooldown is the open period before a probe; 0 selects 30s.
-	BreakerCooldown time.Duration
 	// TraceCache, when non-nil, short-circuits reference generation on
-	// warm runs. The server installs itself as the cache's corrupt-event
-	// hook to drive the breaker.
+	// warm runs; a corrupt entry falls back to regeneration.
 	TraceCache *tracecache.Cache
-	// FaultInjector and FaultRetries thread through to the experiments
-	// pipeline (chaos testing).
-	FaultInjector *faultinject.Injector
-	FaultRetries  int
 	// CheckpointPath, when non-empty, receives a JSON checkpoint of the
 	// requests that were admitted but aborted by the drain deadline.
 	CheckpointPath string
@@ -99,7 +86,6 @@ type Server struct {
 	pool       *pool
 	flights    *flightGroup
 	cache      *lruCache
-	breaker    *Breaker
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	drainOnce  sync.Once
@@ -121,7 +107,6 @@ type Server struct {
 
 	mRequests, mOK, mShed, mCacheHits, mDedup   *telemetry.Counter
 	mPanics, mTimeouts, mErrors, mDrainRejected *telemetry.Counter
-	mLiveRegen                                  *telemetry.Counter
 	mLatency                                    *telemetry.Histogram
 	mInflight                                   *telemetry.Gauge
 }
@@ -155,12 +140,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxRefs == 0 {
 		cfg.MaxRefs = 50_000_000
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown == 0 {
-		cfg.BreakerCooldown = 30 * time.Second
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
 	}
@@ -176,7 +155,6 @@ func New(cfg Config) *Server {
 		pool:    newPool(cfg.Workers, cfg.QueueDepth),
 		flights: newFlightGroup(),
 		cache:   newLRU(cfg.CacheEntries),
-		breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		pending: make(map[string]experiments.AdviseRequest),
 		idle:    make(chan struct{}),
 	}
@@ -184,12 +162,6 @@ func New(cfg Config) *Server {
 	s.run = cfg.Run
 	if s.run == nil {
 		s.run = s.defaultRun
-	}
-	if cfg.TraceCache != nil {
-		cfg.TraceCache.OnCorrupt(func(addr string, err error) {
-			s.breaker.Failure()
-			s.logf("advisor: trace-cache corruption at %s: %v (breaker %s)", addr, err, s.breaker.State())
-		})
 	}
 	// Traffic and state depend on who asked what, and when, not on any
 	// answer: they register as arrangement metrics, and the latency as
@@ -204,14 +176,10 @@ func New(cfg Config) *Server {
 	s.mTimeouts = r.Counter("advisor.timeouts", "jobs that hit the per-request deadline (504)")
 	s.mErrors = r.Counter("advisor.errors", "jobs that failed (503)")
 	s.mDrainRejected = r.Counter("advisor.drain_rejected", "requests refused because the server is draining")
-	s.mLiveRegen = r.Counter("advisor.live_regen", "jobs routed around the trace cache by the open breaker")
 	s.mLatency = s.reg.In(telemetry.WallClock).Histogram("advisor.latency_us", "job latency, microseconds")
 	s.mInflight = r.Gauge("advisor.inflight", "admitted jobs not yet finished")
 	r.GaugeFunc("advisor.queue_depth", "admitted-but-unstarted jobs", func() float64 {
 		return float64(s.pool.QueueLen())
-	})
-	r.GaugeFunc("advisor.breaker_state", "trace-cache breaker: 0 closed, 1 open, 2 half-open", func() float64 {
-		return float64(s.breaker.State())
 	})
 	r.GaugeFunc("advisor.flights", "in-flight deduplicated computations", func() float64 {
 		return float64(s.flights.Len())
@@ -222,24 +190,13 @@ func New(cfg Config) *Server {
 // Metrics returns the registry the server's counters live in.
 func (s *Server) Metrics() *telemetry.Registry { return s.reg }
 
-// Breaker returns the trace-cache circuit breaker (tests, readyz).
-func (s *Server) Breaker() *Breaker { return s.breaker }
-
 func (s *Server) logf(format string, args ...any) {
 	fmt.Fprintf(s.cfg.Logw, format+"\n", args...)
 }
 
 // defaultRun is the experiments-backed runner.
-func (s *Server) defaultRun(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
-	opt := experiments.Options{
-		Context:       ctx,
-		FaultInjector: s.cfg.FaultInjector,
-		FaultRetries:  s.cfg.FaultRetries,
-	}
-	if useCache {
-		opt.TraceCache = s.cfg.TraceCache
-	}
-	return experiments.Advise(req, opt)
+func (s *Server) defaultRun(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
+	return experiments.Advise(req, experiments.Options{Context: ctx, TraceCache: s.cfg.TraceCache})
 }
 
 // Handler returns the advisor's routes: POST /advise, GET /healthz,
@@ -266,8 +223,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "{\"ready\":false,\"reason\":\"draining\"}\n")
 		return
 	}
-	fmt.Fprintf(w, "{\"ready\":true,\"queue\":%d,\"breaker\":%q}\n",
-		s.pool.QueueLen(), s.breaker.State())
+	fmt.Fprintf(w, "{\"ready\":true,\"queue\":%d}\n", s.pool.QueueLen())
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
@@ -332,8 +288,14 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		s.mDedup.Inc()
 		source = "dedup"
 	}
+	// net/http armed the write deadline at WriteTimeout when it read the
+	// request header, but the job may queue and then run for up to
+	// RequestTimeout: clear the deadline while waiting, and re-arm it
+	// for the write.
+	obs.ExtendWriteDeadline(w, 0)
 	select {
 	case <-c.done:
+		obs.ExtendWriteDeadline(w, obs.WriteTimeout)
 		s.writeResult(w, c.res, key, source)
 	case <-r.Context().Done():
 		// Client gone; the job keeps running for other waiters and the
@@ -366,11 +328,7 @@ func (s *Server) runJob(key string, req experiments.AdviseRequest, c *flightCall
 
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
 	defer cancel()
-	useCache := s.cfg.TraceCache != nil && s.breaker.Allow()
-	if s.cfg.TraceCache != nil && !useCache {
-		s.mLiveRegen.Inc()
-	}
-	resp, err := s.run(ctx, req, useCache)
+	resp, err := s.run(ctx, req)
 	switch {
 	case err == nil:
 		b, merr := json.Marshal(resp)
@@ -382,9 +340,6 @@ func (s *Server) runJob(key string, req experiments.AdviseRequest, c *flightCall
 		b = append(b, '\n')
 		s.cache.Add(key, b)
 		res = flightResult{status: http.StatusOK, body: b}
-		if useCache {
-			s.breaker.Success()
-		}
 	case s.baseCtx.Err() != nil:
 		// Drain (or final shutdown) aborted the job: answer retryable
 		// and leave the request in the pending set for the checkpoint.

@@ -16,17 +16,7 @@ import (
 	"time"
 
 	"onchip/internal/experiments"
-	"onchip/internal/tracecache"
 )
-
-func openTestCache(t *testing.T, dir string) *tracecache.Cache {
-	t.Helper()
-	tc, err := tracecache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tc
-}
 
 func postAdvise(t *testing.T, url string, body string) (*http.Response, []byte) {
 	t.Helper()
@@ -52,60 +42,6 @@ func fakeResponse(req experiments.AdviseRequest) *experiments.AdviseResponse {
 		Allocations: []experiments.RankedAllocation{
 			{Rank: 1, TLB: "fake", ICache: "fake", DCache: "fake", AreaRBE: req.BudgetRBE, CPI: 2.0},
 		},
-	}
-}
-
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(3, 10*time.Second)
-	b.setClock(func() time.Time { return now })
-
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("new breaker should be closed and allowing")
-	}
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatalf("2 failures below threshold should stay closed, got %v", b.State())
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("3rd consecutive failure should open, got %v", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker within cooldown should refuse")
-	}
-	now = now.Add(11 * time.Second)
-	if !b.Allow() {
-		t.Fatal("after cooldown one probe should be admitted")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("probe should move to half-open, got %v", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("second caller during a probe should be refused")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("failed probe should reopen, got %v", b.State())
-	}
-	now = now.Add(11 * time.Second)
-	if !b.Allow() {
-		t.Fatal("second probe after second cooldown")
-	}
-	b.Success()
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("successful probe should close the breaker")
-	}
-	// Success resets the failure streak: two failures, a success, two
-	// more failures must not trip a threshold-3 breaker.
-	b.Failure()
-	b.Failure()
-	b.Success()
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatal("success should reset the consecutive-failure count")
 	}
 }
 
@@ -137,7 +73,7 @@ func TestSingleflightIdenticalBytes(t *testing.T) {
 	gate := make(chan struct{})
 	srv := New(Config{
 		Workers: 4,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			mu.Lock()
 			runs++
 			mu.Unlock()
@@ -191,7 +127,7 @@ func TestSingleflightIdenticalBytes(t *testing.T) {
 func TestCacheHitIsByteIdentical(t *testing.T) {
 	srv := New(Config{
 		Workers: 1,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			return fakeResponse(req), nil
 		},
 	})
@@ -217,7 +153,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 	srv := New(Config{
 		Workers:    1,
 		QueueDepth: 1,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			<-gate
 			return fakeResponse(req), nil
 		},
@@ -261,7 +197,7 @@ func TestRequestDeadlineAnswers504(t *testing.T) {
 	srv := New(Config{
 		Workers:        1,
 		RequestTimeout: 30 * time.Millisecond,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		},
@@ -279,12 +215,46 @@ func TestRequestDeadlineAnswers504(t *testing.T) {
 	}
 }
 
+// A job may outlive the server's WriteTimeout -- it can queue and then
+// run for up to RequestTimeout -- and its answer must still reach the
+// client, not an EOF.
+func TestLongJobOutlivesWriteTimeout(t *testing.T) {
+	srv := New(Config{
+		Workers: 1,
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
+			time.Sleep(600 * time.Millisecond)
+			return fakeResponse(req), nil
+		},
+	})
+	defer srv.Drain()
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.WriteTimeout = 300 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+
+	resp, body := postAdvise(t, ts.URL, `{"workloads":["mab"],"refs":2000}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d body %s, want 200", resp.StatusCode, body)
+	}
+	req := experiments.AdviseRequest{Workloads: []string{"mab"}, Refs: 2000}
+	if err := req.Normalize(0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(fakeResponse(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, append(want, '\n')) {
+		t.Fatalf("body = %s, want %s", body, want)
+	}
+}
+
 func TestWorkerPanicIsIsolated(t *testing.T) {
 	calls := 0
 	var mu sync.Mutex
 	srv := New(Config{
 		Workers: 1,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			mu.Lock()
 			calls++
 			first := calls == 1
@@ -317,7 +287,7 @@ func TestWorkerPanicIsIsolated(t *testing.T) {
 }
 
 func TestBadRequestsAnswer400(t *testing.T) {
-	srv := New(Config{Workers: 1, MaxRefs: 10_000, Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+	srv := New(Config{Workers: 1, MaxRefs: 10_000, Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 		return fakeResponse(req), nil
 	}})
 	defer srv.Drain()
@@ -351,7 +321,7 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 		Workers:        2,
 		DrainTimeout:   5 * time.Second,
 		CheckpointPath: ckpt,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			<-release
 			return fakeResponse(req), nil
 		},
@@ -436,7 +406,7 @@ func TestDrainWaitsForRequestPastTheCheck(t *testing.T) {
 		Workers:      1,
 		DrainTimeout: time.Hour,
 		Logw:         logs,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			return fakeResponse(req), nil
 		},
 	})
@@ -490,7 +460,7 @@ func TestDrainDeadlineAbortsAndCheckpoints(t *testing.T) {
 		Workers:        1,
 		DrainTimeout:   50 * time.Millisecond,
 		CheckpointPath: ckpt,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			<-ctx.Done() // only the drain abort ends this job
 			return nil, ctx.Err()
 		},
@@ -541,49 +511,8 @@ func TestDrainDeadlineAbortsAndCheckpoints(t *testing.T) {
 	}
 }
 
-func TestBreakerRoutesAroundTraceCache(t *testing.T) {
-	dir := t.TempDir()
-	tc := openTestCache(t, dir)
-	var sawUseCache []bool
-	var mu sync.Mutex
-	srv := New(Config{
-		Workers:          1,
-		TraceCache:       tc,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
-			mu.Lock()
-			sawUseCache = append(sawUseCache, useCache)
-			mu.Unlock()
-			return fakeResponse(req), nil
-		},
-	})
-	defer srv.Drain()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	postAdvise(t, ts.URL, `{"workloads":["mab"],"refs":2000}`)
-	// Trip the breaker the way production does: corrupt-entry events
-	// from the trace cache fire the OnCorrupt hook New installed.
-	srv.Breaker().Failure()
-	srv.Breaker().Failure()
-	if srv.Breaker().State() != BreakerOpen {
-		t.Fatalf("breaker = %v, want open", srv.Breaker().State())
-	}
-	postAdvise(t, ts.URL, `{"workloads":["mab"],"refs":3000}`)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sawUseCache) != 2 || sawUseCache[0] != true || sawUseCache[1] != false {
-		t.Fatalf("useCache sequence = %v, want [true false]", sawUseCache)
-	}
-	if srv.mLiveRegen.Value() != 1 {
-		t.Fatalf("live_regen = %d, want 1", srv.mLiveRegen.Value())
-	}
-}
-
 func TestHealthEndpoints(t *testing.T) {
-	srv := New(Config{Workers: 1, Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+	srv := New(Config{Workers: 1, Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 		return fakeResponse(req), nil
 	}})
 	defer srv.Drain()

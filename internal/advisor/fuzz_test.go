@@ -41,7 +41,7 @@ func FuzzAdviseRequest(f *testing.F) {
 	srv := New(Config{
 		Workers: 1,
 		MaxRefs: 1_000_000,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			runs.Add(1)
 			return fakeResponse(req), nil
 		},

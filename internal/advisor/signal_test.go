@@ -51,7 +51,7 @@ func signalChildMain() int {
 		Workers:      1,
 		DrainTimeout: 20 * time.Second,
 		Logw:         os.Stderr,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			select {
 			case <-time.After(sleep):
 				return fakeResponse(req), nil

@@ -1,12 +1,11 @@
-// Package chaos is the advisor's deterministic load-and-fault
-// harness: seeded concurrent clients fire request storms at a running
-// advisor while (optionally) the fault-injection layer corrupts the
-// trace cache and panics sweep workers underneath it, and the harness
-// checks the hardening contract from the outside:
+// Package chaos is the advisor's deterministic load harness: seeded
+// concurrent clients fire request storms at a running advisor (in the
+// tests, also over a trace cache whose entries were corrupted on disk),
+// and the harness checks the hardening contract from the outside:
 //
-//   - correctness: every 2xx body must be byte-identical to a direct,
-//     fault-free run of the same request (the oracle) -- degraded or
-//     stale answers are violations, not noise
+//   - correctness: every 2xx body must be byte-identical to a direct
+//     run of the same request (the oracle) -- stale or partial answers
+//     are violations, not noise
 //   - bounded behavior: overload resolves as clean 429/503 sheds with
 //     Retry-After, never as hung connections or transport errors
 //   - lifecycle: a drain in the middle of a storm must not drop

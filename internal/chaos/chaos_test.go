@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"onchip/internal/advisor"
 	"onchip/internal/experiments"
-	"onchip/internal/faultinject"
+	"onchip/internal/telemetry"
 	"onchip/internal/tracecache"
 )
 
@@ -20,7 +21,7 @@ import (
 // on the request, and the latency only on the signature and a seed, so
 // storms against it are reproducible.
 func fakeRun(delayPerRun time.Duration) advisor.RunFunc {
-	return func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+	return func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 		select {
 		case <-time.After(delayPerRun):
 		case <-ctx.Done():
@@ -41,7 +42,7 @@ func fakeRun(delayPerRun time.Duration) advisor.RunFunc {
 // runner, making the oracle independent of the HTTP path.
 func directFor(run advisor.RunFunc) func(experiments.AdviseRequest) ([]byte, error) {
 	return func(req experiments.AdviseRequest) ([]byte, error) {
-		resp, err := run(context.Background(), req, false)
+		resp, err := run(context.Background(), req)
 		if err != nil {
 			return nil, err
 		}
@@ -179,30 +180,51 @@ func realDirect(req experiments.AdviseRequest) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// TestRealPipelineWithFaultsIsByteIdentical is the end-to-end
-// correctness gate: the advisor runs the real experiments pipeline
-// over a trace cache whose reads are fault-injected (transient errors
-// and bit flips), and every 200 must still be byte-identical to a
-// clean, cache-less direct run -- corruption may cost time (fallback
-// regeneration, breaker trips), never answers.
-func TestRealPipelineWithFaultsIsByteIdentical(t *testing.T) {
+// TestRealPipelineWithCorruptCacheIsByteIdentical is the end-to-end
+// correctness gate: the advisor runs the real experiments pipeline over
+// a trace cache whose every entry has a flipped byte on disk, and every
+// 200 must still be byte-identical to a clean, cache-less direct run --
+// corruption may cost time (a partial replay, then regeneration), never
+// answers.
+func TestRealPipelineWithCorruptCacheIsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sweep pipeline")
 	}
-	tc, err := tracecache.Open(t.TempDir())
+	dir := t.TempDir()
+	tc, err := tracecache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(faultinject.Config{Seed: 11, IOErrProb: 0.02, CorruptProb: 0.02})
-	tc.SetReadWrapper(inj.Reader)
+	reg := telemetry.NewRegistry()
+	tc.Describe(reg)
+	pool := realPipelinePool()
+	for _, req := range pool {
+		if err := req.Normalize(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := experiments.Advise(req, experiments.Options{TraceCache: tc}); err != nil {
+			t.Fatalf("warming the trace cache: %v", err)
+		}
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*.octc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(pool) {
+		t.Fatalf("warm-up recorded %d cache entries, want %d", len(entries), len(pool))
+	}
+	for _, path := range entries {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-10] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	srv := advisor.New(advisor.Config{
-		Workers:          2,
-		QueueDepth:       8,
-		TraceCache:       tc,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
+	srv := advisor.New(advisor.Config{Workers: 2, QueueDepth: 8, TraceCache: tc, Metrics: reg})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -212,20 +234,25 @@ func TestRealPipelineWithFaultsIsByteIdentical(t *testing.T) {
 		Clients:           4,
 		RequestsPerClient: 4,
 		Seed:              1,
-		Requests:          realPipelinePool(),
+		Requests:          pool,
 		Direct:            realDirect,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := rep.Violations(); len(v) != 0 {
-		t.Fatalf("violations with fault-injected trace cache: %v", v)
+		t.Fatalf("violations with a corrupt trace cache: %v", v)
 	}
 	if rep.OK != rep.Total {
-		t.Fatalf("ok = %d of %d; injected read faults must degrade to regeneration, not errors", rep.OK, rep.Total)
+		t.Fatalf("ok = %d of %d; corrupt entries must fall back to regeneration, not errors", rep.OK, rep.Total)
 	}
-	if rep.CacheHits+rep.Dedups == 0 {
-		t.Fatal("storm of 16 requests over 3 signatures should hit the result cache or dedup")
+	counts := map[string]float64{}
+	for _, m := range reg.Snapshot() {
+		counts[m.Name] = m.Value
+	}
+	want := float64(len(pool))
+	if hit, corrupt := counts["tracecache.hit"], counts["tracecache.corrupt"]; hit != want || corrupt != want {
+		t.Fatalf("tracecache.hit = %v, tracecache.corrupt = %v; want each of the %v corrupt entries read once", hit, corrupt, want)
 	}
 }
 

@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"runtime"
 	"sync"
 
 	"onchip/internal/area"
 	"onchip/internal/cache"
 	"onchip/internal/cheetah"
-	"onchip/internal/faultinject"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
 	"onchip/internal/search"
@@ -43,7 +41,12 @@ func init() {
 // only the work to produce them shrank. Tables 6/7 pass Mach and the
 // full Table 2 suite; the advisor service passes whatever (OS,
 // workload-mix) a request names.
-func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Space, refsEach int, opt Options) (*search.Measured, []string, error) {
+//
+// Any workload sweep that fails -- a returned error, or a panic
+// recovered on that workload's goroutine -- fails the whole model: the
+// error names the first failed workload in spec order, so the message
+// does not depend on which sweep finished first.
+func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Space, refsEach int, opt Options) (*search.Measured, error) {
 	cacheCfgs := space.CacheConfigs()
 	tlbCfgs := space.TLBConfigs()
 	var tlbConfigs []tlb.Config
@@ -58,7 +61,6 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	tlbCycles := make(map[area.TLBConfig]uint64)
 	var instrs uint64
 	var workloadsDone int
-	var failed []string
 
 	// Register the sweep's instruments up front so a live /metrics
 	// scrape sees the series (at zero) from the first second of the
@@ -66,10 +68,14 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	opt.Metrics.GaugeFunc("sweep.workloads_total", "workloads in the model-building sweep",
 		func() float64 { return float64(len(specs)) })
 	wlDone := opt.Metrics.Counter("sweep.workloads_done", "workload sweeps completed")
-	wlFailed := opt.Metrics.Counter("sweep.workloads_failed", "workload sweeps abandoned after panics")
-	wlRetried := opt.Metrics.Counter("sweep.workloads_retried", "workload sweep retries after a panic")
 	sweepInstrs := opt.Metrics.Counter("sweep.instructions", "instructions simulated by the I-stream sweeps")
-	refsStreamed := opt.Metrics.Counter("sweep.references", "references generated for the model-building sweeps so far")
+	// The live-progress counter is an arrangement metric: a corrupt
+	// cache entry's partial replay streams into it before the
+	// regeneration does, so it can exceed the stream length while every
+	// result stays the same. sweep.instructions, added only for finished
+	// workloads, is the result-class pin on stream length.
+	arrangement := opt.Metrics.In(telemetry.Arrangement)
+	refsStreamed := arrangement.Counter("sweep.references", "references streamed into the model-building sweeps so far")
 
 	ctx := opt.ctx()
 	// One pool serves every workload sweep. Each engine spreads its
@@ -79,12 +85,11 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	// the old NumCPU/len(specs) split idled most of the machine through
 	// the tail of the sweep.
 	groups := 2 * cheetah.GroupCount(cacheCfgs)
-	workers := sweepWorkers(0)
+	workers := runtime.NumCPU()
 	shards := opt.Shards
 	if shards <= 0 {
 		shards = autoShards(workers, groups)
 	}
-	arrangement := opt.Metrics.In(telemetry.Arrangement)
 	arrangement.Gauge("sweep.workers",
 		"simulation workers in the shared sweep pool").Set(float64(workers))
 	arrangement.Gauge("sweep.shards",
@@ -92,9 +97,10 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	pool := newGroupPool(workers, opt.Spans, "sweep")
 	defer pool.close()
 
-	// sweepWorkload runs one workload's sweep, reporting any panic
-	// (injected or real) as an error so one bad run degrades to a
-	// footnote instead of killing the whole sweep.
+	// sweepWorkload runs one workload's sweep, reporting a panic as an
+	// error: it runs on its own goroutine, where an unrecovered panic
+	// would take down the process -- and with it a serving advisor,
+	// whose job-level recover sits on a different goroutine.
 	//
 	// One generation feeds every simulator. The standalone sweeps each
 	// consumed a window of the same deterministic stream (the system's
@@ -118,25 +124,19 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	sweepWorkload := func(spec osmodel.WorkloadSpec) (engine *sweepEngine, results []tapeworm.Result, err error) {
 		defer func() {
 			if v := recover(); v != nil {
-				if site, ok := faultinject.IsInjectedPanic(v); ok {
-					err = fmt.Errorf("injected panic at %s", site)
-				} else {
-					err = fmt.Errorf("panic: %v", v)
-				}
+				err = fmt.Errorf("panic: %v", v)
 			}
 		}()
-		opt.FaultInjector.MaybePanic("sweep/" + spec.Name)
 
 		// The workload's generation phases record on one lane per
 		// workload; the enclosing span also re-levels the lane stack if a
-		// panic below leaves phase spans open, so a retry starts clean.
+		// panic below leaves phase spans open.
 		lane := opt.Spans.Lane("workload/" + spec.Name)
 		wl := lane.Start("sweep.workload")
 		defer wl.End()
 
 		attempt := func(entry *tracecache.Entry, rec *tracecache.Writer) (engine *sweepEngine, results []tapeworm.Result, err error) {
 			engine = newSweepEngine(cacheCfgs, 8, enginePar{pool: pool, shards: shards})
-			defer engine.close()
 			hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
 			tw := tapeworm.Attach(hw, tlbConfigs...)
 			tsink := &tlbOnly{hw: hw}
@@ -198,39 +198,20 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	// bit-identical models.
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, spec := range specs {
+	errs := make([]error, len(specs))
+	for w, spec := range specs {
 		wg.Add(1)
-		go func(spec osmodel.WorkloadSpec) {
+		go func(w int, spec osmodel.WorkloadSpec) {
 			defer wg.Done()
-			var engine *sweepEngine
-			var results []tapeworm.Result
-			var err error
-			for attempt := 0; ; attempt++ {
-				if ctx.Err() != nil {
-					return
-				}
-				engine, results, err = sweepWorkload(spec)
-				if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					break
-				}
-				opt.progressf("sweep: %s attempt %d failed: %v", spec.Name, attempt+1, err)
-				if attempt >= opt.FaultRetries {
-					break
-				}
-				wlRetried.Inc()
-			}
-			if ctx.Err() != nil {
+			engine, results, err := sweepWorkload(spec)
+			if err != nil {
+				errs[w] = err
+				opt.progressf("sweep: %s failed: %v", spec.Name, err)
 				return
 			}
 
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
-				failed = append(failed, fmt.Sprintf("%s (%v)", spec.Name, err))
-				wlFailed.Inc()
-				opt.progressf("sweep: %s FAILED, excluded from the model: %v", spec.Name, err)
-				return
-			}
 			for _, c := range cacheCfgs {
 				iMiss[c] += engine.iMisses(c)
 				dMiss[c] += engine.dReadMisses(c)
@@ -244,15 +225,16 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 			opt.progressf("sweep: %s done (%d/%d workloads)", spec.Name, workloadsDone, len(specs))
 			wlDone.Inc()
 			sweepInstrs.Add(engine.instrs)
-		}(spec)
+		}(w, spec)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, failed, err
+		return nil, err
 	}
-	sort.Strings(failed) // deterministic footer regardless of finish order
-	if workloadsDone == 0 {
-		return nil, failed, fmt.Errorf("every workload sweep failed: %v", failed)
+	for w, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: %w", specs[w].Name, err)
+		}
 	}
 
 	// The paper's Table 6/7 totals are 1.0 plus the TLB, I-cache and
@@ -269,7 +251,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	for _, c := range tlbCfgs {
 		m.TLB[c] = float64(tlbCycles[c]) / n
 	}
-	return m, failed, nil
+	return m, nil
 }
 
 // sweepTraceKey content-addresses one workload's generated stream for
@@ -453,7 +435,7 @@ func runAllocation(opt Options, grid search.Space, title string, extraNotes []st
 	// (the binaries open "experiment.<id>").
 	lane := opt.Spans.Lane("main")
 	modelSpan := lane.Start("sweep.model")
-	measured, failedWorkloads, err := buildMeasuredModel(osmodel.Mach, workload.All(), grid, refs, opt)
+	measured, err := buildMeasuredModel(osmodel.Mach, workload.All(), grid, refs, opt)
 	modelSpan.End()
 	if err != nil {
 		return Result{}, fmt.Errorf("model-building sweep: %w", err)
@@ -536,11 +518,6 @@ func runAllocation(opt Options, grid search.Space, title string, extraNotes []st
 			"%d feasible allocations under the %d-rbe budget", ranking.Feasible, area.BudgetRBE))
 	}
 	notes = append(notes, extraNotes...)
-	if len(failedWorkloads) > 0 {
-		notes = append(notes, fmt.Sprintf(
-			"DEGRADED: %d workload sweep(s) failed and are excluded from the model: %s",
-			len(failedWorkloads), strings.Join(failedWorkloads, "; ")))
-	}
 	return Result{Text: t.String(), Notes: notes}, nil
 }
 

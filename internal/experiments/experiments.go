@@ -11,7 +11,6 @@ import (
 	"io"
 	"sort"
 
-	"onchip/internal/faultinject"
 	"onchip/internal/search"
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
@@ -52,14 +51,6 @@ type Options struct {
 	// enumeration loop stops between pricing steps, and Run returns the
 	// context's error. Nil means run to completion.
 	Context context.Context
-	// FaultInjector, when non-nil, injects worker panics into the
-	// model-building sweeps (deterministically, per its seed) so the
-	// recovery paths are exercised; see internal/faultinject.
-	FaultInjector *faultinject.Injector
-	// FaultRetries is the number of times a panicked workload sweep is
-	// retried before it is marked failed and excluded from the model.
-	// Zero means no retries.
-	FaultRetries int
 	// TraceCache, when non-nil, short-circuits workload reference
 	// generation in the model-building sweeps: a warm run replays the
 	// compressed on-disk stream (byte-identical to a live generation, so

@@ -41,7 +41,7 @@ func init() {
 func extATime(opt Options) (Result, error) {
 	refs := opt.refs(defaultSweepRefs)
 	space := search.Table5()
-	model, _, err := buildMeasuredModel(osmodel.Mach, workload.All(), space, refs, opt)
+	model, err := buildMeasuredModel(osmodel.Mach, workload.All(), space, refs, opt)
 	if err != nil {
 		return Result{}, fmt.Errorf("model-building sweep: %w", err)
 	}

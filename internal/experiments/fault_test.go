@@ -6,9 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"onchip/internal/faultinject"
+	"onchip/internal/osmodel"
 	"onchip/internal/search"
-	"onchip/internal/telemetry"
 	"onchip/internal/workload"
 )
 
@@ -50,84 +49,23 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 	}
 }
 
-// With every sweep attempt panicking, every workload must be retried the
-// configured number of times, then excluded -- and with nothing left to
-// measure, the experiment fails loudly instead of ranking garbage.
-func TestSweepAllWorkloadsFail(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	opt := Options{
-		Refs:          60_000,
-		Metrics:       reg,
-		FaultInjector: faultinject.New(faultinject.Config{Seed: 1, PanicProb: 1}),
-		FaultRetries:  1,
+// A workload sweep that fails fails the whole model. The bad spec
+// fails Validate, so osmodel.NewSystem really panics on that workload's
+// goroutine: the sweep must turn the panic into an error naming the
+// workload and return no model, not crash or rank the rest.
+func TestSweepFailureFailsTheRun(t *testing.T) {
+	bad := workload.MAB()
+	bad.Name = "bad_spec"
+	bad.ComputeInstrs = 0
+	if bad.Validate() == nil {
+		t.Fatal("the bad spec passes Validate")
 	}
-	opt.FaultInjector.Describe(reg, "faults")
-	_, err := Run("table6", opt)
-	if err == nil {
-		t.Fatal("table6 with every workload panicking should fail")
+	specs := []osmodel.WorkloadSpec{workload.MAB(), bad}
+	model, err := buildMeasuredModel(osmodel.Mach, specs, search.Table5(), 60_000, Options{})
+	if model != nil {
+		t.Error("a failed workload sweep still returned a model")
 	}
-	if !strings.Contains(err.Error(), "injected panic") {
-		t.Errorf("error should name the injected panics: %v", err)
-	}
-	n := uint64(len(workload.All()))
-	counts := map[string]float64{}
-	for _, m := range reg.Snapshot() {
-		counts[m.Name] = m.Value
-	}
-	if got := counts["sweep.workloads_failed"]; got != float64(n) {
-		t.Errorf("sweep.workloads_failed = %v, want %d", got, n)
-	}
-	if got := counts["sweep.workloads_retried"]; got != float64(n) {
-		t.Errorf("sweep.workloads_retried = %v, want %d (one retry each)", got, n)
-	}
-	if got := counts["faults.panics"]; got != float64(2*n) {
-		t.Errorf("faults.panics = %v, want %d (initial attempt + one retry each)", got, 2*n)
-	}
-}
-
-// The acceptance scenario's panic half: heavy panic injection with
-// enough retries still completes, with the full model intact.
-func TestSweepSurvivesPanicsWithRetries(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow: full design-space sweep under fault injection")
-	}
-	reg := telemetry.NewRegistry()
-	opt := Options{
-		Refs:    60_000,
-		Metrics: reg,
-		// Half of all attempts panic; 20 retries make a workload's
-		// permanent failure (21 consecutive panics) vanishingly unlikely.
-		FaultInjector: faultinject.New(faultinject.Config{Seed: 7, PanicProb: 0.5}),
-		FaultRetries:  20,
-	}
-	opt.FaultInjector.Describe(reg, "faults")
-	res, err := Run("table6", opt)
-	if err != nil {
-		t.Fatalf("table6 under 50%% panic injection with retries: %v", err)
-	}
-	if res.Text == "" {
-		t.Fatal("empty ranking")
-	}
-	for _, n := range res.Notes {
-		if strings.Contains(n, "DEGRADED") {
-			t.Errorf("no workload should be permanently lost with 20 retries: %s", n)
-		}
-	}
-	var failed, retried, panics float64
-	for _, m := range reg.Snapshot() {
-		switch m.Name {
-		case "sweep.workloads_failed":
-			failed = m.Value
-		case "sweep.workloads_retried":
-			retried = m.Value
-		case "faults.panics":
-			panics = m.Value
-		}
-	}
-	if failed != 0 {
-		t.Errorf("sweep.workloads_failed = %v, want 0", failed)
-	}
-	if panics == 0 || retried != panics {
-		t.Errorf("faults.panics = %v, sweep.workloads_retried = %v: every injected panic should be retried", panics, retried)
+	if err == nil || !strings.Contains(err.Error(), "workload bad_spec: panic") {
+		t.Fatalf("err = %v, want the bad spec's panic, named", err)
 	}
 }

@@ -38,8 +38,8 @@ type chromeEvent struct {
 // Durations and counts vary run to run; the structure must not.
 func TestSweepChromeTraceGolden(t *testing.T) {
 	tr := spans.New(0)
-	// Four distinct (sets, line-size) groups per stream, so the engine
-	// keeps all four requested workers and every worker lane appears.
+	// Four distinct (sets, line-size) groups per stream: eight units
+	// over a four-worker pool, so every worker lane runs jobs.
 	cacheCfgs := []area.CacheConfig{
 		{CapacityBytes: 2 << 10, LineWords: 4, Assoc: 1},
 		{CapacityBytes: 2 << 10, LineWords: 16, Assoc: 2},
@@ -49,7 +49,8 @@ func TestSweepChromeTraceGolden(t *testing.T) {
 	for _, spec := range []osmodel.WorkloadSpec{workload.MPEGPlay(), workload.MAB()} {
 		lane := tr.Lane("workload/" + spec.Name)
 		wl := lane.Start("sweep.workload")
-		engine := newSweepEngine(cacheCfgs, 8, enginePar{workers: 4, tr: tr, lanePrefix: "sweep/" + spec.Name})
+		pool := newGroupPool(4, tr, "sweep/"+spec.Name)
+		engine := newSweepEngine(cacheCfgs, 8, enginePar{pool: pool})
 		sys := osmodel.NewSystem(osmodel.Mach, spec)
 		warm := lane.Start("generate.warmup")
 		sys.Generate(5_000, engine)
@@ -57,7 +58,7 @@ func TestSweepChromeTraceGolden(t *testing.T) {
 		meas := lane.Start("generate.measure")
 		sys.Generate(15_000, engine)
 		meas.End()
-		engine.close()
+		pool.close()
 		wl.End()
 	}
 

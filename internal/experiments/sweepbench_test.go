@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"onchip/internal/osmodel"
@@ -43,12 +44,13 @@ func BenchmarkSweepEngine(b *testing.B) {
 	replay(b, stream, engine)
 }
 
-// BenchmarkSweepEngineParallel is the same engine with its group pool
-// and automatic set sharding.
+// BenchmarkSweepEngineParallel is the same engine on a machine-wide
+// group pool with automatic set sharding.
 func BenchmarkSweepEngineParallel(b *testing.B) {
 	stream := recordStream(200_000)
-	engine := newSweepEngine(search.Table5().CacheConfigs(), 8, enginePar{workers: sweepWorkers(0)})
-	defer engine.close()
+	pool := newGroupPool(runtime.NumCPU(), nil, "")
+	defer pool.close()
+	engine := newSweepEngine(search.Table5().CacheConfigs(), 8, enginePar{pool: pool})
 	replay(b, stream, engine)
 }
 

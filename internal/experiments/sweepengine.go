@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -40,8 +39,7 @@ type sweepEngine struct {
 	dkeys []uint64
 	one   [1]trace.Ref
 
-	pool     *groupPool
-	ownsPool bool
+	pool *groupPool
 	// perWorker[w] is the fixed set of units worker w simulates for
 	// every batch; static assignment keeps worker lanes deterministic.
 	perWorker [][]shardUnit
@@ -55,37 +53,15 @@ type sweepEngine struct {
 // enginePar configures the engine's parallel execution. The zero value
 // is the serial engine.
 type enginePar struct {
-	// pool, when non-nil, is a shared worker pool (the model-building
-	// sweep runs one pool for all workloads so cores freed by finished
-	// workloads flow to the stragglers). Otherwise workers > 1 starts a
-	// private pool that close() stops.
-	pool    *groupPool
-	workers int
+	// pool, when non-nil, is the worker pool the engine's units run on.
+	// The model-building sweep runs one pool for all workloads so cores
+	// freed by finished workloads flow to the stragglers; the pool's
+	// creator closes it.
+	pool *groupPool
 	// shards is the per-group set-shard count (rounded to a power of
 	// two; each group additionally clamps to its set count); 0 picks
 	// autoShards from the pool width.
 	shards int
-	// tr/lanePrefix instrument a private pool's workers with lanes
-	// named "<lanePrefix>.worker.<N>" (one span per consumed batch,
-	// feeding the /spans utilization and imbalance summary).
-	tr         *spans.Tracer
-	lanePrefix string
-}
-
-// sweepWorkers sizes a sweep pool: the whole machine, clamped to the
-// number of schedulable units that could keep workers busy (<= 0 means
-// unclamped). The model-building sweep shares one pool across every
-// concurrent workload, so the tail of a sweep -- when most workloads
-// have finished -- no longer strands cores on a divided-up allowance.
-func sweepWorkers(units int) int {
-	w := runtime.NumCPU()
-	if units > 0 && w > units {
-		w = units
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // autoShards picks the per-group set-shard count: the smallest power
@@ -109,25 +85,19 @@ type shardUnit struct {
 }
 
 // newSweepEngine builds the fused engine over the configurations.
-// Callers must close() the engine when done with it (a no-op for the
-// serial engine or a shared pool).
 func newSweepEngine(configs []area.CacheConfig, maxAssoc int, par enginePar) *sweepEngine {
 	e := &sweepEngine{
 		i: cheetah.NewSweep(configs, maxAssoc),
 		d: cheetah.NewDataSweep(configs),
 	}
-	if par.pool == nil && par.workers <= 1 {
+	if par.pool == nil {
 		e.shards = 1
 		return e
-	}
-	width := par.workers
-	if par.pool != nil {
-		width = par.pool.workers()
 	}
 	groups := e.i.Simulators() + e.d.Simulators()
 	e.shards = par.shards
 	if e.shards <= 0 {
-		e.shards = autoShards(width, groups)
+		e.shards = autoShards(par.pool.workers(), groups)
 	}
 	var units []shardUnit
 	for _, g := range e.i.Groups() {
@@ -141,13 +111,6 @@ func newSweepEngine(configs []area.CacheConfig, maxAssoc int, par enginePar) *sw
 		}
 	}
 	e.pool = par.pool
-	if e.pool == nil {
-		if width > len(units) {
-			width = len(units)
-		}
-		e.pool = newGroupPool(width, par.tr, par.lanePrefix)
-		e.ownsPool = true
-	}
 	e.perWorker = make([][]shardUnit, e.pool.workers())
 	for idx, u := range units {
 		w := idx % len(e.perWorker)
@@ -212,16 +175,6 @@ func (e *sweepEngine) iMisses(c area.CacheConfig) uint64 { return e.i.Misses(c) 
 // configuration under the write-through, no-write-allocate policy.
 func (e *sweepEngine) dReadMisses(c area.CacheConfig) uint64 { return e.d.ReadMisses(c) }
 
-// close stops the engine's private pool, if any; shared pools belong
-// to their creator. The miss counts remain readable.
-func (e *sweepEngine) close() {
-	if e.ownsPool {
-		e.pool.close()
-		e.ownsPool = false
-	}
-	e.pool = nil
-}
-
 // groupPool is a set of simulation workers, each owning one job
 // channel. Engines assign their (group, shard) units statically across
 // the workers and submit every batch as one job per worker; the
@@ -270,7 +223,8 @@ func (p *groupPool) worker(lane *spans.Lane, ch chan groupJob) {
 
 // run consumes one job, capturing a panic into the owning engine so
 // runBatch can re-raise it on the submitting goroutine (where the
-// sweep's fault recovery can see it) instead of crashing the process.
+// per-workload recover turns it into that workload's error) instead of
+// crashing the process.
 func (j groupJob) run(lane *spans.Lane) {
 	span := lane.Start("sweep.job")
 	defer func() {

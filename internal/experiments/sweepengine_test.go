@@ -79,8 +79,9 @@ func TestFusedSweepMatchesLegacyPasses(t *testing.T) {
 	legacyTW, _ := runTapeworm(osmodel.Mach, spec, refsEach, tlbConfigs)
 
 	// Fused: one generation, batched, parallel simulator groups.
-	engine := newSweepEngine(cacheCfgs, 8, enginePar{workers: 4})
-	defer engine.close()
+	pool := newGroupPool(4, nil, "")
+	defer pool.close()
+	engine := newSweepEngine(cacheCfgs, 8, enginePar{pool: pool})
 	hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
 	tw := tapeworm.Attach(hw, tlbConfigs...)
 	tsink := &tlbOnly{hw: hw}
@@ -119,28 +120,31 @@ func TestFusedSweepMatchesLegacyPasses(t *testing.T) {
 }
 
 // TestSweepEngineParallelMatchesSerial pins the determinism claim of
-// the group pool: any worker count, shard count, and pool arrangement
-// (private or shared), traced by a live span tracer or not, produces
+// the group pool: any pool width and shard count, one engine per pool
+// or two sharing one, traced by a live span tracer or not, produces
 // the counts of the serial engine.
 func TestSweepEngineParallelMatchesSerial(t *testing.T) {
 	cacheCfgs := search.Table5().CacheConfigs()
-	shared := newGroupPool(3, nil, "")
-	defer shared.close()
 	tracer := spans.New(0)
 	tracer.SetMetrics(telemetry.NewRegistry())
+	pool := func(workers int, tr *spans.Tracer, lanePrefix string) *groupPool {
+		p := newGroupPool(workers, tr, lanePrefix)
+		t.Cleanup(p.close)
+		return p
+	}
+	shared := pool(3, nil, "")
 	serial := newSweepEngine(cacheCfgs, 8, enginePar{})
 	variants := map[string]*sweepEngine{
-		"traced-4":           newSweepEngine(cacheCfgs, 8, enginePar{workers: 4, tr: tracer, lanePrefix: "sweep/mab"}),
-		"private-6":          newSweepEngine(cacheCfgs, 8, enginePar{workers: 6}),
-		"private-4-shards-4": newSweepEngine(cacheCfgs, 8, enginePar{workers: 4, shards: 4}),
-		"private-2-shards-8": newSweepEngine(cacheCfgs, 8, enginePar{workers: 2, shards: 8}),
-		"shared-3":           newSweepEngine(cacheCfgs, 8, enginePar{pool: shared}),
-		"shared-3-shards-2":  newSweepEngine(cacheCfgs, 8, enginePar{pool: shared, shards: 2}),
+		"traced-4":          newSweepEngine(cacheCfgs, 8, enginePar{pool: pool(4, tracer, "sweep/mab")}),
+		"pool-6":            newSweepEngine(cacheCfgs, 8, enginePar{pool: pool(6, nil, "")}),
+		"pool-4-shards-4":   newSweepEngine(cacheCfgs, 8, enginePar{pool: pool(4, nil, ""), shards: 4}),
+		"pool-2-shards-8":   newSweepEngine(cacheCfgs, 8, enginePar{pool: pool(2, nil, ""), shards: 8}),
+		"shared-3":          newSweepEngine(cacheCfgs, 8, enginePar{pool: shared}),
+		"shared-3-shards-2": newSweepEngine(cacheCfgs, 8, enginePar{pool: shared, shards: 2}),
 	}
 	sinks := trace.Tee{serial}
 	for _, e := range variants {
 		sinks = append(sinks, e)
-		defer e.close()
 	}
 	osmodel.NewSystem(osmodel.Mach, workload.MAB()).Generate(60_000, sinks)
 	for name, parallel := range variants {

@@ -3,7 +3,7 @@
 // run's context so in-flight work stops at the next safe boundary --
 // telemetry is flushed and partial results are written -- and a second
 // signal aborts immediately with the conventional 128+signal exit
-// status. See DESIGN.md "Fault tolerance".
+// status. See DESIGN.md "Failure policy".
 package lifecycle
 
 import (
