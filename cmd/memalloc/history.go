@@ -29,17 +29,15 @@ func runHistory(args []string, globalRefs int) int {
 	dir := fs.String("dir", ".", "directory for the snapshot file")
 	out := fs.String("o", "", "exact output path (overrides -dir and the BENCH_<runid>.json name)")
 	traceCacheDir := fs.String("trace-cache", "", "cache generated workload reference streams under this directory (warm runs replay instead of regenerating)")
-	shards := fs.Int("shards", 0, "set shards per sweep simulator group (power of two; 0 = automatic; never changes results)")
 	spacePreset := fs.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid, priced exhaustively) or big (>=1M triples, searched pruned; power-law miss model off-grid)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: memalloc history [-refs N] [-dir DIR | -o FILE] [-trace-cache DIR] [-shards N] [-space P] <experiment>... | all
+		fmt.Fprintln(os.Stderr, `usage: memalloc history [-refs N] [-dir DIR | -o FILE] [-trace-cache DIR] [-space P] <experiment>... | all
 
 Runs the experiments with metrics collection on and persists the
 end-of-run telemetry snapshot as BENCH_<runid>.json, for later
-regression checks with "memalloc compare". -trace-cache and -shards
-speed the sweeps up without changing any result-class metric, so
-"memalloc compare -threshold 0" passes between cold and warm, or
-serial and sharded, snapshots.`)
+regression checks with "memalloc compare". -trace-cache speeds repeat
+sweeps up without changing any result-class metric, so "memalloc
+compare -threshold 0" passes between cold and warm snapshots.`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -67,7 +65,7 @@ serial and sharded, snapshots.`)
 	}
 	defer drainSpans()
 	opt := experiments.Options{
-		Refs: *refs, Metrics: reg, Spans: spanTr, Context: ctx, Shards: *shards,
+		Refs: *refs, Metrics: reg, Spans: spanTr, Context: ctx,
 		SpacePreset: *spacePreset,
 	}
 	if *traceCacheDir != "" {
@@ -120,10 +118,10 @@ converted runs). Exits 0 when every result-class counter, gauge,
 histogram and the derived CPI agree within the threshold, 1 when any
 regressed or is missing from one run, 2 on usage or read errors (so CI
 can tell a regression from a missing or unreadable run file).
-Arrangement metrics (pool width, shard count, trace-cache and advisor
-traffic) and wall-clock metrics (span timings) carry their class in
-the snapshot and are never compared. Snapshots from before metric
-classes are refused; re-record them.`)
+Arrangement metrics (pool width, trace-cache and advisor traffic) and
+wall-clock metrics (span timings) carry their class in the snapshot
+and are never compared. Snapshots from before metric classes are
+refused; re-record them.`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)

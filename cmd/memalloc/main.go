@@ -51,15 +51,13 @@
 //	-prof-span NAME capture a CPU profile bracketed exactly by the first
 //	                span named NAME (-prof-span-out sets the .pprof path)
 //
-// Performance flags (neither ever changes experiment output):
+// Performance flag (never changes experiment output):
 //
 //	-trace-cache DIR  cache generated workload reference streams under
 //	                  DIR (compressed, content-addressed, checksummed);
 //	                  a warm run replays the recorded stream instead of
 //	                  regenerating it, a corrupt entry falls back to
 //	                  regeneration
-//	-shards N         set shards per sweep simulator group (power of
-//	                  two, 0 = automatic from the worker count)
 //
 // Failures (see DESIGN.md "Failure policy"): a workload sweep that
 // fails -- an error, or a panic recovered on its goroutine -- fails its
@@ -114,7 +112,6 @@ func run() int {
 	profSpan := flag.String("prof-span", "", "capture a CPU profile bracketed by the first span with this name (e.g. sweep.model, search.enumerate)")
 	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
 	traceCacheDir := flag.String("trace-cache", "", "cache generated workload reference streams (compressed, content-addressed) under this directory; warm runs replay instead of regenerating")
-	shards := flag.Int("shards", 0, "set shards per sweep simulator group (power of two; 0 = automatic from the worker count; never changes results)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -160,7 +157,6 @@ func run() int {
 
 	opt := experiments.Options{Refs: *refs, Context: ctx}
 	opt.SpacePreset = *spacePreset
-	opt.Shards = *shards
 	if *metricsFile != "" || *serveAddr != "" {
 		opt.Metrics = telemetry.NewRegistry()
 	}

@@ -6,11 +6,6 @@
 //
 //	tracegen -workload mpeg_play -os Mach -refs 1000000 -o trace.octr
 //	tracegen -stat trace.octr
-//
-// With -trace-cache DIR the generated stream is recorded to (or, when
-// already present, replayed from) the same compressed content-addressed
-// cache that memalloc -trace-cache uses; a warm run skips the
-// behavioral model entirely.
 package main
 
 import (
@@ -28,7 +23,6 @@ import (
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
 	"onchip/internal/trace"
-	"onchip/internal/tracecache"
 	"onchip/internal/workload"
 )
 
@@ -38,7 +32,6 @@ func main() {
 	refs := flag.Int("refs", 1_000_000, "references to generate")
 	out := flag.String("o", "", "output trace file (default stdout summary only)")
 	stat := flag.String("stat", "", "inspect an existing trace file instead of generating")
-	traceCacheDir := flag.String("trace-cache", "", "compressed content-addressed stream cache directory (shared with memalloc -trace-cache): replay on a hit, record on a miss")
 	skipCorrupt := flag.Bool("skip-corrupt", false, "with -stat: skip corrupt records (counted) instead of aborting")
 	list := flag.Bool("list", false, "list workload names")
 	metricsFile := flag.String("metrics", "", "write run manifest and metrics as JSONL to this file")
@@ -93,7 +86,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "tracegen: observability plane on http://%s/\n", bound)
 	}
-	genErr := generate(ctx, *wl, *osName, *refs, *out, *traceCacheDir, reg, spanTr.Lane("main"))
+	genErr := generate(ctx, *wl, *osName, *refs, *out, reg, spanTr.Lane("main"))
 	interrupted := errors.Is(genErr, context.Canceled)
 	if genErr != nil && !interrupted {
 		fmt.Fprintln(os.Stderr, "tracegen:", genErr)
@@ -136,7 +129,7 @@ func variant(name string) (osmodel.Variant, error) {
 // slice stopped, so chunking does not change the generated stream.
 const genChunk = 1 << 20
 
-func generate(ctx context.Context, wl, osName string, refs int, out, cacheDir string, reg *telemetry.Registry, lane *spans.Lane) error {
+func generate(ctx context.Context, wl, osName string, refs int, out string, reg *telemetry.Registry, lane *spans.Lane) error {
 	spec, err := workload.ByName(wl)
 	if err != nil {
 		return err
@@ -152,87 +145,18 @@ func generate(ctx context.Context, wl, osName string, refs int, out, cacheDir st
 	reg.CounterFunc("tracegen.references", "trace records generated",
 		func() uint64 { return counter.Total })
 
-	// openSinks (re)creates the delivery chain. Recreating truncates the
-	// output file, so a corrupt-cache fallback regenerates from a clean
-	// slate instead of appending to a half-replayed trace.
+	sinks := trace.Tee{&counter}
 	var f *os.File
 	var w *trace.Writer
-	openSinks := func() (trace.Tee, error) {
-		counter = trace.Counter{}
-		sinks := trace.Tee{&counter}
-		if out == "" {
-			return sinks, nil
-		}
-		if f != nil {
-			f.Close()
-		}
-		var err error
+	if out != "" {
 		if f, err = os.Create(out); err != nil {
-			return nil, err
+			return err
 		}
+		defer f.Close() // error paths; the success path checks Close below
 		if w, err = trace.NewWriter(f); err != nil {
-			return nil, err
-		}
-		return append(sinks, w), nil
-	}
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-
-	var cache *tracecache.Cache
-	var key tracecache.Key
-	if cacheDir != "" {
-		if cache, err = tracecache.Open(cacheDir); err != nil {
 			return err
 		}
-		cache.Describe(reg)
-		cache.SetLogWriter(os.Stderr)
-		// The same address the model-building sweep uses, so tracegen and
-		// memalloc -trace-cache share entries for equal (workload, OS,
-		// refs) runs.
-		key = tracecache.Key{Workload: spec.Name, OS: v.String(), Seed: spec.Seed,
-			Refs: refs, Model: fmt.Sprintf("%+v", spec)}
-		if entry := cache.OpenEntry(key); entry != nil {
-			sinks, err := openSinks()
-			if err != nil {
-				entry.Close()
-				return err
-			}
-			err = replayEntry(ctx, entry, sinks, lane)
-			entry.Close()
-			switch {
-			case err == nil:
-				if w != nil {
-					if err := w.Flush(); err != nil {
-						return err
-					}
-				}
-				fmt.Printf("%s under %s: %d refs replayed from cache (%d ifetch, %d load, %d store)\n",
-					spec.Name, v, counter.Total,
-					counter.ByKind[trace.IFetch], counter.ByKind[trace.Load], counter.ByKind[trace.Store])
-				return nil
-			case errors.Is(err, tracecache.ErrCorrupt):
-				fmt.Fprintf(os.Stderr, "tracegen: corrupt cache entry for %s/%s, regenerating: %v\n", spec.Name, v, err)
-				cache.Evict(key)
-			default:
-				return err
-			}
-		}
-	}
-
-	sinks, err := openSinks()
-	if err != nil {
-		return err
-	}
-	var rec *tracecache.Writer
-	if cache != nil {
-		if rec, err = cache.NewWriter(key); err != nil {
-			return err
-		}
-		defer rec.Abort()
-		sinks = append(sinks, rec)
+		sinks = append(sinks, w)
 	}
 	sys := osmodel.NewSystem(v, spec)
 	sys.SetMetrics(reg)
@@ -261,17 +185,14 @@ func generate(ctx context.Context, wl, osName string, refs int, out, cacheDir st
 		if err := w.Flush(); err != nil {
 			return err
 		}
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
 	if interrupted {
-		// A partial recording never commits: the deferred Abort drops it.
 		fmt.Fprintf(os.Stderr, "tracegen: interrupted after %d of %d refs; partial trace is valid\n",
 			counter.Total, refs)
 		return ctx.Err()
-	}
-	if rec != nil {
-		if err := rec.Commit(); err != nil {
-			return err
-		}
 	}
 	fmt.Printf("%s under %s: %d refs (%d ifetch, %d load, %d store), %d instrs, %d OS calls\n",
 		spec.Name, v, counter.Total,
@@ -280,23 +201,6 @@ func generate(ctx context.Context, wl, osName string, refs int, out, cacheDir st
 	fmt.Printf("time split: app %.0f%%, kernel %.0f%%, bsd %.0f%%, x %.0f%%\n",
 		gen.AppPct(), gen.KernelPct(), gen.BSDPct(), gen.XPct())
 	return nil
-}
-
-// replayEntry streams every recorded segment of a cache entry into the
-// sinks. Entries recorded by the sweep carry its three phase segments;
-// their concatenation is the same full stream tracegen generates.
-func replayEntry(ctx context.Context, entry *tracecache.Entry, sinks trace.Sink, lane *spans.Lane) error {
-	span := lane.Start("replay")
-	defer span.End()
-	for {
-		_, last, err := entry.ReplaySegment(ctx, sinks)
-		if err != nil {
-			return err
-		}
-		if last {
-			return nil
-		}
-	}
 }
 
 func statFile(path string, skipCorrupt bool) error {

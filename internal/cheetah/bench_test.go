@@ -9,7 +9,7 @@ import (
 // tracked caches: sequential runs exercise the depth-1 memo and the
 // depth-2 swap, jumps exercise the promote and relabel paths.
 func benchKeys(n int) []uint64 {
-	return shardStream(rand.New(rand.NewSource(42)), n)
+	return mixedStream(rand.New(rand.NewSource(42)), n)
 }
 
 // BenchmarkAllAssocAccess guards the I-stream hot loop: the depth-1

@@ -16,7 +16,6 @@ import "onchip/internal/area"
 // caches with a fixed set count and line size and every associativity
 // 1..MaxAssoc.
 type AllAssoc struct {
-	sets       int
 	maxAssoc   int
 	offsetBits uint
 	setMask    uint64
@@ -33,10 +32,6 @@ type AllAssoc struct {
 	// that provably leaves the stack unchanged, so the scan and the
 	// promote can be skipped. Initialized to an impossible block.
 	last uint64
-	// shards, when non-nil, are the concurrent set-partition views
-	// handed out by Shards; their private counters merge into every
-	// read-side accessor.
-	shards []*AllAssocShard
 }
 
 // NewAllAssoc builds a simulator for the given set count (a power of
@@ -56,7 +51,6 @@ func NewAllAssoc(sets, lineWords, maxAssoc int) *AllAssoc {
 		stacks[i] = make([]uint64, 0, maxAssoc)
 	}
 	return &AllAssoc{
-		sets:       sets,
 		maxAssoc:   maxAssoc,
 		offsetBits: uint(log2(lineWords * area.WordBytes)),
 		setMask:    uint64(sets - 1),
@@ -75,18 +69,39 @@ func (a *AllAssoc) Access(key uint64) {
 		return
 	}
 	a.last = block
-	a.accessStack(int(block&a.setMask), block, a.hits)
+	a.accessStack(int(block&a.setMask), block)
+}
+
+// AccessKeys processes a batch of references: the sweep engine's hot
+// path, equal in effect to calling Access per key. The depth-1 memo
+// and the repeat count live in locals for the batch, and the access
+// count is credited once.
+func (a *AllAssoc) AccessKeys(keys []uint64) {
+	last := a.last
+	var repeats uint64
+	for _, key := range keys {
+		block := key >> a.offsetBits
+		if block == last {
+			repeats++
+			continue
+		}
+		last = block
+		a.accessStack(int(block&a.setMask), block)
+	}
+	a.last = last
+	a.hits[0] += repeats
+	a.accesses += uint64(len(keys))
 }
 
 // accessStack scans and updates set's LRU stack for block, crediting
-// the hit depth to hits. The caller has already ruled out its depth-1
-// memo, but block can still sit at the front: the memo only covers the
-// globally (or shard-locally) most recent access.
-func (a *AllAssoc) accessStack(set int, block uint64, hits []uint64) {
+// the hit depth. The caller has already ruled out its depth-1 memo,
+// but block can still sit at the front: the memo only covers the most
+// recent access, which may have gone to another set.
+func (a *AllAssoc) accessStack(set int, block uint64) {
 	stack := a.stacks[set]
 	for i, b := range stack {
 		if b == block {
-			hits[i]++
+			a.hits[i]++
 			// Promote to the front. Depth 1 needs nothing and depth 2 is
 			// a single displaced element -- handle both without the copy
 			// machinery; deeper hits shift a real window.
@@ -109,121 +124,8 @@ func (a *AllAssoc) accessStack(set int, block uint64, hits []uint64) {
 	a.stacks[set] = stack
 }
 
-// AccessKeys processes a batch of references; the devirtualized inner
-// loop is the sweep engine's hot path.
-func (a *AllAssoc) AccessKeys(keys []uint64) {
-	for _, key := range keys {
-		a.Access(key)
-	}
-}
-
-// AllAssocShard is a deterministic set-partition view of an AllAssoc:
-// shard i of n owns the sets whose index is congruent to i mod n (n a
-// power of two, so the filter is a mask) and carries private hit and
-// access counters plus its own depth-1 memo. Per-set LRU stacks are
-// independent, so n shards fed the same key stream -- each skipping
-// the sets it does not own -- touch disjoint state and may run on
-// separate goroutines; the parent merges shard counters at read time
-// and the combined result is byte-identical to the serial pass.
-//
-// The per-shard memo stays exact: a memo hit means no access since the
-// last one touched this shard's copy of that set, so the block is
-// still at the MRU spot and a depth-1 hit leaves the stack unchanged.
-type AllAssocShard struct {
-	parent    *AllAssoc
-	shard     uint64
-	shardMask uint64
-	hits      []uint64
-	accesses  uint64
-	last      uint64
-}
-
-// Shards partitions the simulator for n-way concurrent access and
-// returns the shard views. n is rounded down to a power of two and
-// clamped to the set count, so the result may be shorter than
-// requested; it always holds at least one shard. Shards must be called
-// at most once, before any access, and serial Access/AccessKeys on the
-// parent must not be mixed with shard access afterwards (the parent's
-// memo cannot see shard updates).
-func (a *AllAssoc) Shards(n int) []*AllAssocShard {
-	if a.shards != nil {
-		panic("cheetah: simulator already sharded")
-	}
-	if a.accesses != 0 {
-		panic("cheetah: Shards called after serial access")
-	}
-	n = shardCount(n, a.sets)
-	a.shards = make([]*AllAssocShard, n)
-	for i := range a.shards {
-		a.shards[i] = &AllAssocShard{
-			parent:    a,
-			shard:     uint64(i),
-			shardMask: uint64(n - 1),
-			hits:      make([]uint64, a.maxAssoc),
-			last:      ^uint64(0),
-		}
-	}
-	return a.shards
-}
-
-// shardCount rounds n down to a power of two clamped to [1, sets].
-func shardCount(n, sets int) int {
-	if n > sets {
-		n = sets
-	}
-	s := 1
-	for s*2 <= n {
-		s *= 2
-	}
-	return s
-}
-
-// AccessKeys processes a batch of references, simulating only the sets
-// this shard owns. Every shard of one parent must see the same stream
-// in the same order.
-func (s *AllAssocShard) AccessKeys(keys []uint64) {
-	a := s.parent
-	for _, key := range keys {
-		block := key >> a.offsetBits
-		if block == s.last {
-			s.hits[0]++
-			s.accesses++
-			continue
-		}
-		set := block & a.setMask
-		if set&s.shardMask != s.shard {
-			continue
-		}
-		s.accesses++
-		s.last = block
-		a.accessStack(int(set), block, s.hits)
-	}
-}
-
-// Accesses returns the number of references processed (for a sharded
-// simulator, summed over the shards' disjoint set partitions).
-func (a *AllAssoc) Accesses() uint64 {
-	n := a.accesses
-	for _, s := range a.shards {
-		n += s.accesses
-	}
-	return n
-}
-
-// hitsThrough sums hit counts at depths 1..assoc across the serial
-// counters and every shard.
-func (a *AllAssoc) hitsThrough(assoc int) uint64 {
-	var h uint64
-	for d := 0; d < assoc; d++ {
-		h += a.hits[d]
-	}
-	for _, s := range a.shards {
-		for d := 0; d < assoc; d++ {
-			h += s.hits[d]
-		}
-	}
-	return h
-}
+// Accesses returns the number of references processed.
+func (a *AllAssoc) Accesses() uint64 { return a.accesses }
 
 // Misses returns the exact LRU miss count for associativity assoc
 // (1 <= assoc <= MaxAssoc).
@@ -231,7 +133,11 @@ func (a *AllAssoc) Misses(assoc int) uint64 {
 	if assoc < 1 || assoc > a.maxAssoc {
 		panic("cheetah: associativity out of tracked range")
 	}
-	return a.Accesses() - a.hitsThrough(assoc)
+	var hits uint64
+	for _, h := range a.hits[:assoc] {
+		hits += h
+	}
+	return a.accesses - hits
 }
 
 // MissRatio returns Misses(assoc)/Accesses().

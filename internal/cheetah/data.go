@@ -43,7 +43,6 @@ import (
 // AllAssoc and agrees bit-for-bit with direct simulation
 // (cache.Cache with WriteAllocate and WriteBack off).
 type AllAssocData struct {
-	sets       int
 	maxAssoc   int
 	offsetBits uint
 	setMask    uint64
@@ -57,19 +56,6 @@ type AllAssocData struct {
 	m      []uint8
 	len    []uint8
 
-	// The serial counters. Shard views carry their own dataCounters;
-	// read-side accessors merge the two.
-	dataCounters
-
-	// shards, when non-nil, are the concurrent set-partition views
-	// handed out by Shards.
-	shards []*AllAssocDataShard
-}
-
-// dataCounters is the per-consumer bookkeeping of an AllAssocData: the
-// serial simulator owns one and each shard view owns another, so
-// concurrent shards never share a cache line of counter state.
-type dataCounters struct {
 	// hits[d] counts loads that hit with minimum resident
 	// associativity d+1 (a hit in every cache with assoc >= d+1).
 	hits   []uint64
@@ -102,43 +88,65 @@ func NewAllAssocData(sets, lineWords, maxAssoc int) *AllAssocData {
 		panic("cheetah: max associativity must be in 1..255")
 	}
 	return &AllAssocData{
-		sets:       sets,
 		maxAssoc:   maxAssoc,
 		offsetBits: uint(log2(lineWords * area.WordBytes)),
 		setMask:    uint64(sets - 1),
 		blocks:     make([]uint64, sets*maxAssoc),
 		m:          make([]uint8, sets*maxAssoc),
 		len:        make([]uint8, sets),
-		dataCounters: dataCounters{
-			hits: make([]uint64, maxAssoc),
-			last: ^uint64(0),
-		},
+		hits:       make([]uint64, maxAssoc),
+		last:       ^uint64(0),
 	}
 }
 
 // Access processes one data reference to the byte-addressable key.
 func (d *AllAssocData) Access(key uint64, write bool) {
+	if write {
+		d.writes++
+	} else {
+		d.reads++
+	}
 	block := key >> d.offsetBits
 	if block == d.last {
-		if write {
-			d.writes++
-		} else {
-			d.reads++
+		if !write {
 			d.hits[0]++
 		}
 		return
 	}
-	d.accessSet(int(block&d.setMask), block, write, &d.dataCounters)
+	d.last = d.accessSet(int(block&d.setMask), block, write, d.last)
+}
+
+// AccessPacked processes a batch of data references, each packed as
+// key<<1|write (see PackRef): the sweep engine's hot path, equal in
+// effect to calling Access per reference. The depth-1 memo and the
+// counters live in locals for the batch and are credited once.
+func (d *AllAssocData) AccessPacked(batch []uint64) {
+	last := d.last
+	var writes, repeatLoads uint64
+	for _, kv := range batch {
+		write := kv & 1
+		writes += write
+		block := kv >> 1 >> d.offsetBits
+		if block == last {
+			repeatLoads += write ^ 1
+			continue
+		}
+		last = d.accessSet(int(block&d.setMask), block, write != 0, last)
+	}
+	d.last = last
+	d.hits[0] += repeatLoads
+	d.writes += writes
+	d.reads += uint64(len(batch)) - writes
 }
 
 // accessSet runs the full stack-update bookkeeping for one reference
-// known to have missed the owner's depth-1 memo, crediting counters to
-// c and keeping c.last exact: it becomes block when the access leaves
-// block at the MRU spot of every tracked cache (m = 1 at the list
-// front), is invalidated when a store-hit promote displaces the set's
-// memoizable front block, and is otherwise left alone (a store miss
-// touches nothing).
-func (d *AllAssocData) accessSet(set int, block uint64, write bool, c *dataCounters) {
+// known to have missed the depth-1 memo last, crediting its hit depth,
+// and returns the memo to carry on: block when the access leaves block
+// at the MRU spot of every tracked cache (m = 1 at the list front), an
+// impossible block when a store-hit promote displaces the set's
+// memoizable front block, and last unchanged otherwise (a store miss
+// touches nothing). The caller counts the reference itself.
+func (d *AllAssocData) accessSet(set int, block uint64, write bool, last uint64) uint64 {
 	base := set * d.maxAssoc
 	k := int(d.len[set])
 
@@ -151,9 +159,8 @@ func (d *AllAssocData) accessSet(set int, block uint64, write bool, c *dataCount
 	}
 
 	if write {
-		c.writes++
 		if p < 0 {
-			return // store miss: no allocation, no recency change
+			return last // store miss: no allocation, no recency change
 		}
 		// Store hit in every cache with assoc >= m(block): refresh
 		// recency there (front of the list; the restriction to each
@@ -173,20 +180,20 @@ func (d *AllAssocData) accessSet(set int, block uint64, write bool, c *dataCount
 		}
 		if mv == 1 {
 			// block now fronts every tracked cache's recency order.
-			c.last = block
-		} else if c.last&d.setMask == uint64(set) {
+			return block
+		}
+		if last&d.setMask == uint64(set) {
 			// The promote displaced this set's old front block -- the
 			// only block the memo could have been holding.
-			c.last = ^uint64(0)
+			return ^uint64(0)
 		}
-		return
+		return last
 	}
 
-	c.reads++
 	var evictLimit int
 	if p >= 0 {
 		depth := int(d.m[base+p])
-		c.hits[depth-1]++
+		d.hits[depth-1]++
 		if depth == 1 {
 			// Fast path for the common case: a hit in even the 1-way
 			// cache evicts nowhere, so no relabeling -- just promote.
@@ -199,8 +206,7 @@ func (d *AllAssocData) accessSet(set int, block uint64, write bool, c *dataCount
 			}
 			d.blocks[base] = block
 			d.m[base] = 1
-			c.last = block
-			return
+			return block
 		}
 		evictLimit = depth - 1 // caches 1..depth-1 miss and evict
 	} else {
@@ -258,81 +264,7 @@ func (d *AllAssocData) accessSet(set int, block uint64, write bool, c *dataCount
 	copy(d.m[base+1:base+shift+1], d.m[base:base+shift])
 	d.blocks[base] = block
 	d.m[base] = 1
-	c.last = block
-}
-
-// AllAssocDataShard is a deterministic set-partition view of an
-// AllAssocData, the D-stream counterpart of AllAssocShard: shard i of
-// n owns the sets congruent to i mod n and carries private counters
-// and a private depth-1 memo, so n shards fed the same packed stream
-// touch disjoint state and may run concurrently; merged counters are
-// byte-identical to the serial pass.
-type AllAssocDataShard struct {
-	parent    *AllAssocData
-	shard     uint64
-	shardMask uint64
-	dataCounters
-}
-
-// Shards partitions the simulator for n-way concurrent access and
-// returns the shard views. n is rounded down to a power of two and
-// clamped to the set count. Shards must be called at most once, before
-// any access, and serial Access/AccessPacked on the parent must not be
-// mixed with shard access afterwards.
-func (d *AllAssocData) Shards(n int) []*AllAssocDataShard {
-	if d.shards != nil {
-		panic("cheetah: simulator already sharded")
-	}
-	if d.reads != 0 || d.writes != 0 {
-		panic("cheetah: Shards called after serial access")
-	}
-	n = shardCount(n, d.sets)
-	d.shards = make([]*AllAssocDataShard, n)
-	for i := range d.shards {
-		d.shards[i] = &AllAssocDataShard{
-			parent:    d,
-			shard:     uint64(i),
-			shardMask: uint64(n - 1),
-			dataCounters: dataCounters{
-				hits: make([]uint64, d.maxAssoc),
-				last: ^uint64(0),
-			},
-		}
-	}
-	return d.shards
-}
-
-// AccessPacked processes a batch of packed references (see PackRef),
-// simulating only the sets this shard owns. Every shard of one parent
-// must see the same stream in the same order.
-func (s *AllAssocDataShard) AccessPacked(batch []uint64) {
-	d := s.parent
-	for _, kv := range batch {
-		block := kv >> 1 >> d.offsetBits
-		if block == s.last {
-			if kv&1 != 0 {
-				s.writes++
-			} else {
-				s.reads++
-				s.hits[0]++
-			}
-			continue
-		}
-		set := block & d.setMask
-		if set&s.shardMask != s.shard {
-			continue
-		}
-		d.accessSet(int(set), block, kv&1 != 0, &s.dataCounters)
-	}
-}
-
-// AccessPacked processes a batch of data references, each packed as
-// key<<1|write (see PackRef). The devirtualized inner loop is the
-// sweep engine's hot path.
-func (d *AllAssocData) AccessPacked(batch []uint64) {
-	for _, kv := range batch {
-		d.Access(kv>>1, kv&1 != 0)
-	}
+	return block
 }
 
 // PackRef packs a cache key and write flag for AccessPacked. Cache
@@ -345,24 +277,11 @@ func PackRef(key uint64, write bool) uint64 {
 	return kv
 }
 
-// Reads returns the number of load references processed (for a
-// sharded simulator, summed over the shards' disjoint set partitions).
-func (d *AllAssocData) Reads() uint64 {
-	n := d.reads
-	for _, s := range d.shards {
-		n += s.reads
-	}
-	return n
-}
+// Reads returns the number of load references processed.
+func (d *AllAssocData) Reads() uint64 { return d.reads }
 
 // Writes returns the number of store references processed.
-func (d *AllAssocData) Writes() uint64 {
-	n := d.writes
-	for _, s := range d.shards {
-		n += s.writes
-	}
-	return n
-}
+func (d *AllAssocData) Writes() uint64 { return d.writes }
 
 // ReadMisses returns the exact load miss count for associativity assoc
 // (1 <= assoc <= maxAssoc) under the write-through, no-write-allocate
@@ -372,22 +291,17 @@ func (d *AllAssocData) ReadMisses(assoc int) uint64 {
 		panic("cheetah: associativity out of tracked range")
 	}
 	var hits uint64
-	for i := 0; i < assoc; i++ {
-		hits += d.hits[i]
+	for _, h := range d.hits[:assoc] {
+		hits += h
 	}
-	for _, s := range d.shards {
-		for i := 0; i < assoc; i++ {
-			hits += s.hits[i]
-		}
-	}
-	return d.Reads() - hits
+	return d.reads - hits
 }
 
 // DataSweep prices an arbitrary set of cache configurations for the
 // no-write-allocate data stream: configurations sharing a (set count,
 // line size) pair share one AllAssocData simulator tracking the widest
-// associativity any of them needs, so the Table 5 design space of ~120
-// configurations runs on ~48 stack simulators instead of 120 direct
+// associativity any of them needs, so the Table 5 design space of 120
+// configurations runs on 48 stack simulators instead of 120 direct
 // ones -- and each access costs a bounded stack scan rather than a
 // full LRU simulation per configuration.
 type DataSweep struct {

@@ -9,8 +9,9 @@ import (
 // Sweep measures miss counts for an arbitrary set of cache
 // configurations in as few passes as single-pass all-associativity
 // simulation allows: configurations sharing a (set count, line size)
-// pair share one AllAssoc simulator, so a Table 5-style design space of
-// 120 configurations typically needs ~40 simulators instead of 120.
+// pair share one AllAssoc simulator, so the Table 5 design space of 120
+// configurations (6 line sizes x 8 set counts) needs 48 simulators
+// instead of 120.
 type Sweep struct {
 	sims     map[[2]int]*AllAssoc // key: {sets, lineWords}; lookup only
 	simList  []*AllAssoc          // dense iteration order for the hot path
@@ -60,9 +61,7 @@ func (s *Sweep) Access(key uint64) {
 func (s *Sweep) AccessKeys(keys []uint64) {
 	s.accesses += uint64(len(keys))
 	for _, sim := range s.simList {
-		for _, key := range keys {
-			sim.Access(key)
-		}
+		sim.AccessKeys(keys)
 	}
 }
 
@@ -93,16 +92,3 @@ func (s *Sweep) Simulators() int { return len(s.simList) }
 // deterministic, so concurrent groups give bit-identical results as
 // long as every group sees the full stream in order).
 func (s *Sweep) Groups() []*AllAssoc { return s.simList }
-
-// GroupCount reports how many distinct (set count, line size) simulator
-// groups the configurations collapse into -- the per-stream group count
-// a Sweep or DataSweep over the same configurations will run, available
-// without building the simulators. Callers sizing a worker pool use it
-// to avoid spinning workers that could never receive a group.
-func GroupCount(configs []area.CacheConfig) int {
-	seen := make(map[[2]int]struct{}, len(configs))
-	for _, c := range configs {
-		seen[[2]int{c.Sets(), c.LineWords}] = struct{}{}
-	}
-	return len(seen)
-}

@@ -9,7 +9,6 @@ import (
 
 	"onchip/internal/area"
 	"onchip/internal/cache"
-	"onchip/internal/cheetah"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
 	"onchip/internal/search"
@@ -79,21 +78,14 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 
 	ctx := opt.ctx()
 	// One pool serves every workload sweep. Each engine spreads its
-	// (group, set-shard) units across all of the pool's workers, so when
-	// most workloads have finished the stragglers absorb the freed
-	// workers instead of stranding cores on a per-workload allowance --
-	// the old NumCPU/len(specs) split idled most of the machine through
-	// the tail of the sweep.
-	groups := 2 * cheetah.GroupCount(cacheCfgs)
+	// simulator groups across all of the pool's workers, so when most
+	// workloads have finished the stragglers absorb the freed workers
+	// instead of stranding cores on a per-workload allowance -- the old
+	// NumCPU/len(specs) split idled most of the machine through the tail
+	// of the sweep.
 	workers := runtime.NumCPU()
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = autoShards(workers, groups)
-	}
 	arrangement.Gauge("sweep.workers",
 		"simulation workers in the shared sweep pool").Set(float64(workers))
-	arrangement.Gauge("sweep.shards",
-		"set shards per simulator group (each group clamps to its set count)").Set(float64(shards))
 	pool := newGroupPool(workers, opt.Spans, "sweep")
 	defer pool.close()
 
@@ -136,7 +128,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 		defer wl.End()
 
 		attempt := func(entry *tracecache.Entry, rec *tracecache.Writer) (engine *sweepEngine, results []tapeworm.Result, err error) {
-			engine = newSweepEngine(cacheCfgs, 8, enginePar{pool: pool, shards: shards})
+			engine = newSweepEngine(cacheCfgs, 8, pool)
 			hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
 			tw := tapeworm.Attach(hw, tlbConfigs...)
 			tsink := &tlbOnly{hw: hw}

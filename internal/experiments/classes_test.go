@@ -12,23 +12,23 @@ import (
 )
 
 // TestCompareCrossesArrangementAndTiming is the sweep's determinism
-// contract in one place: a serial and a sharded run, and a cold and a
-// warm trace-cache run, must agree on every result-class metric at a
-// zero threshold while their arrangement (shard count, cache hits) and
-// their timing (which spans ran) really differ -- so it is the classes
-// the metrics declare, not a list of names, that keeps those
-// differences out of the comparison.
+// contract in one place: an uncached run, a cold trace-cache run and a
+// warm one must agree on every result-class metric at a zero threshold
+// while their arrangement (cache misses and hits) and their timing
+// (which spans ran) really differ -- so it is the classes the metrics
+// declare, not a list of names, that keeps those differences out of
+// the comparison.
 func TestCompareCrossesArrangementAndTiming(t *testing.T) {
 	cache, err := tracecache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(shards int, tc *tracecache.Cache) obs.Run {
+	run := func(tc *tracecache.Cache) obs.Run {
 		t.Helper()
 		reg := telemetry.NewRegistry()
 		tr := spans.New(0)
 		tr.SetMetrics(reg)
-		opt := Options{Refs: 60_000, Shards: shards, Metrics: reg, Spans: tr}
+		opt := Options{Refs: 60_000, Metrics: reg, Spans: tr}
 		if tc != nil {
 			tc.Describe(reg)
 			opt.TraceCache = tc
@@ -38,12 +38,12 @@ func TestCompareCrossesArrangementAndTiming(t *testing.T) {
 		}
 		return obs.Run{Metrics: reg.Snapshot()}
 	}
-	serial, cold, warm := run(1, nil), run(8, cache), run(8, cache)
+	uncached, cold, warm := run(nil), run(cache), run(cache)
 
 	for _, p := range []struct {
 		name string
 		a, b obs.Run
-	}{{"serial vs sharded", serial, cold}, {"cold vs warm cache", cold, warm}} {
+	}{{"uncached vs cold cache", uncached, cold}, {"cold vs warm cache", cold, warm}} {
 		if d := obs.Compare(p.a, p.b, 0); len(d) != 0 {
 			t.Errorf("%s: compare flags\n%s", p.name, obs.FormatDeltas(d))
 		}
@@ -67,8 +67,8 @@ func TestCompareCrossesArrangementAndTiming(t *testing.T) {
 		sort.Strings(names)
 		return strings.Join(names, " ")
 	}
-	if a, b := value(serial, "sweep.shards"), value(cold, "sweep.shards"); a == b {
-		t.Errorf("sweep.shards = %g in both serial and sharded runs; the comparison crossed no arrangement change", a)
+	if a, b := value(uncached, "tracecache.miss"), value(cold, "tracecache.miss"); a == b {
+		t.Errorf("tracecache.miss = %g uncached and cold; the comparison crossed no arrangement change", a)
 	}
 	if a, b := value(cold, "tracecache.hit"), value(warm, "tracecache.hit"); a == b {
 		t.Errorf("tracecache.hit = %g cold and warm; the warm run never replayed", a)

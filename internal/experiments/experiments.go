@@ -57,12 +57,6 @@ type Options struct {
 	// the tables do not change), a cold run records it. Corrupt entries
 	// fall back to regeneration.
 	TraceCache *tracecache.Cache
-	// Shards forces the sweep engine's per-group set-shard count
-	// (rounded down to a power of two; each simulator group additionally
-	// clamps to its set count). Zero picks an automatic count from the
-	// worker-pool width. Sharding never changes results, only how the
-	// simulation parallelizes.
-	Shards int
 	// SpacePreset selects the design space the allocation experiments
 	// search: "table5" (or empty, the default) is the paper's grid,
 	// enumerated exhaustively; "big" is the >=1M-triple production

@@ -40,17 +40,17 @@ func replay(b *testing.B, stream []trace.Ref, sink trace.Sink) {
 // the full Table 5 cache space.
 func BenchmarkSweepEngine(b *testing.B) {
 	stream := recordStream(200_000)
-	engine := newSweepEngine(search.Table5().CacheConfigs(), 8, enginePar{})
+	engine := newSweepEngine(search.Table5().CacheConfigs(), 8, nil)
 	replay(b, stream, engine)
 }
 
 // BenchmarkSweepEngineParallel is the same engine on a machine-wide
-// group pool with automatic set sharding.
+// group pool.
 func BenchmarkSweepEngineParallel(b *testing.B) {
 	stream := recordStream(200_000)
 	pool := newGroupPool(runtime.NumCPU(), nil, "")
 	defer pool.close()
-	engine := newSweepEngine(search.Table5().CacheConfigs(), 8, enginePar{pool: pool})
+	engine := newSweepEngine(search.Table5().CacheConfigs(), 8, pool)
 	replay(b, stream, engine)
 }
 

@@ -23,13 +23,12 @@ import (
 // per-reference interface dispatch, and the per-configuration direct
 // D-cache simulation, while producing bit-identical miss counts.
 //
-// In parallel mode the schedulable unit is a (simulator group, set
-// shard) pair: each (set count, line size) group is further split into
-// deterministic set-index shards (cheetah.AllAssoc.Shards), so a
-// single large group no longer bounds parallelism and one workload's
-// sweep can use the whole machine. Units are statically round-robined
-// across the pool's workers; every unit observes the full stream in
-// order, so results stay byte-identical to the serial path.
+// In parallel mode the schedulable unit is one (set count, line size)
+// simulator group. Table 5 gives each stream 48 (36 under Table 7's
+// 2-way limit): at least two units per worker up to a 36-worker pool.
+// Units are statically round-robined across the pool's workers; every
+// unit observes the full stream in order, so results stay
+// byte-identical to the serial path.
 type sweepEngine struct {
 	i      *cheetah.Sweep
 	d      *cheetah.DataSweep
@@ -39,79 +38,46 @@ type sweepEngine struct {
 	dkeys []uint64
 	one   [1]trace.Ref
 
+	// pool, when non-nil, is the worker pool the engine's units run on.
+	// The model-building sweep runs one pool for all workloads so cores
+	// freed by finished workloads flow to the stragglers; the pool's
+	// creator closes it.
 	pool *groupPool
 	// perWorker[w] is the fixed set of units worker w simulates for
 	// every batch; static assignment keeps worker lanes deterministic.
-	perWorker [][]shardUnit
-	shards    int // set shards requested per group (groups clamp to their set count)
+	perWorker [][]groupUnit
 
 	batch    sync.WaitGroup // per-batch barrier
 	panicMu  sync.Mutex
 	panicked any // first captured worker panic, re-raised after the barrier
 }
 
-// enginePar configures the engine's parallel execution. The zero value
-// is the serial engine.
-type enginePar struct {
-	// pool, when non-nil, is the worker pool the engine's units run on.
-	// The model-building sweep runs one pool for all workloads so cores
-	// freed by finished workloads flow to the stragglers; the pool's
-	// creator closes it.
-	pool *groupPool
-	// shards is the per-group set-shard count (rounded to a power of
-	// two; each group additionally clamps to its set count); 0 picks
-	// autoShards from the pool width.
-	shards int
+// groupUnit is one schedulable piece of the engine: one I-stream or
+// D-stream simulator group (exactly one field is non-nil).
+type groupUnit struct {
+	i *cheetah.AllAssoc
+	d *cheetah.AllAssocData
 }
 
-// autoShards picks the per-group set-shard count: the smallest power
-// of two giving at least two work units per pool worker, so the
-// per-batch barrier does not serialize on one straggler group, capped
-// at 8 -- past that the per-shard filter pass over the shared batch
-// outweighs the spare parallelism.
-func autoShards(workers, groups int) int {
-	s := 1
-	for s < 8 && groups*s < 2*workers {
-		s <<= 1
-	}
-	return s
-}
-
-// shardUnit is one schedulable piece of the engine: a set shard of one
-// I-stream or D-stream simulator group (exactly one field is non-nil).
-type shardUnit struct {
-	i *cheetah.AllAssocShard
-	d *cheetah.AllAssocDataShard
-}
-
-// newSweepEngine builds the fused engine over the configurations.
-func newSweepEngine(configs []area.CacheConfig, maxAssoc int, par enginePar) *sweepEngine {
+// newSweepEngine builds the fused engine over the configurations. A nil
+// pool gives the serial engine.
+func newSweepEngine(configs []area.CacheConfig, maxAssoc int, pool *groupPool) *sweepEngine {
 	e := &sweepEngine{
 		i: cheetah.NewSweep(configs, maxAssoc),
 		d: cheetah.NewDataSweep(configs),
 	}
-	if par.pool == nil {
-		e.shards = 1
+	if pool == nil {
 		return e
 	}
-	groups := e.i.Simulators() + e.d.Simulators()
-	e.shards = par.shards
-	if e.shards <= 0 {
-		e.shards = autoShards(par.pool.workers(), groups)
-	}
-	var units []shardUnit
+	var units []groupUnit
 	for _, g := range e.i.Groups() {
-		for _, s := range g.Shards(e.shards) {
-			units = append(units, shardUnit{i: s})
-		}
+		units = append(units, groupUnit{i: g})
 	}
 	for _, g := range e.d.Groups() {
-		for _, s := range g.Shards(e.shards) {
-			units = append(units, shardUnit{d: s})
-		}
+		units = append(units, groupUnit{d: g})
 	}
-	e.pool = par.pool
-	e.perWorker = make([][]shardUnit, e.pool.workers())
+	e.pool = pool
+	e.perWorker = make([][]groupUnit, pool.workers())
 	for idx, u := range units {
 		w := idx % len(e.perWorker)
 		e.perWorker[w] = append(e.perWorker[w], u)
@@ -176,7 +142,7 @@ func (e *sweepEngine) iMisses(c area.CacheConfig) uint64 { return e.i.Misses(c) 
 func (e *sweepEngine) dReadMisses(c area.CacheConfig) uint64 { return e.d.ReadMisses(c) }
 
 // groupPool is a set of simulation workers, each owning one job
-// channel. Engines assign their (group, shard) units statically across
+// channel. Engines assign their group units statically across
 // the workers and submit every batch as one job per worker; the
 // per-engine barrier means a unit never sees two batches out of order
 // even when several engines share the pool. Determinism is free: units
@@ -189,7 +155,7 @@ type groupPool struct {
 
 // groupJob is one engine's batch for one worker's units.
 type groupJob struct {
-	units        []shardUnit
+	units        []groupUnit
 	ikeys, dkeys []uint64
 	e            *sweepEngine
 }
@@ -197,7 +163,7 @@ type groupJob struct {
 // newGroupPool starts `workers` simulation workers. A non-nil tracer
 // gives each worker a lane named "<lanePrefix>.worker.<N>" recording
 // one span per consumed job, which feeds the /spans per-worker
-// utilization and shard-imbalance summary; a nil tracer records
+// utilization and worker-imbalance summary; a nil tracer records
 // nothing.
 func newGroupPool(workers int, tr *spans.Tracer, lanePrefix string) *groupPool {
 	p := &groupPool{}

@@ -81,7 +81,7 @@ func TestFusedSweepMatchesLegacyPasses(t *testing.T) {
 	// Fused: one generation, batched, parallel simulator groups.
 	pool := newGroupPool(4, nil, "")
 	defer pool.close()
-	engine := newSweepEngine(cacheCfgs, 8, enginePar{pool: pool})
+	engine := newSweepEngine(cacheCfgs, 8, pool)
 	hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
 	tw := tapeworm.Attach(hw, tlbConfigs...)
 	tsink := &tlbOnly{hw: hw}
@@ -120,9 +120,9 @@ func TestFusedSweepMatchesLegacyPasses(t *testing.T) {
 }
 
 // TestSweepEngineParallelMatchesSerial pins the determinism claim of
-// the group pool: any pool width and shard count, one engine per pool
-// or two sharing one, traced by a live span tracer or not, produces
-// the counts of the serial engine.
+// the group pool: any pool width, one engine per pool or two sharing
+// one, traced by a live span tracer or not, produces the counts of the
+// serial engine.
 func TestSweepEngineParallelMatchesSerial(t *testing.T) {
 	cacheCfgs := search.Table5().CacheConfigs()
 	tracer := spans.New(0)
@@ -133,14 +133,14 @@ func TestSweepEngineParallelMatchesSerial(t *testing.T) {
 		return p
 	}
 	shared := pool(3, nil, "")
-	serial := newSweepEngine(cacheCfgs, 8, enginePar{})
+	serial := newSweepEngine(cacheCfgs, 8, nil)
 	variants := map[string]*sweepEngine{
-		"traced-4":          newSweepEngine(cacheCfgs, 8, enginePar{pool: pool(4, tracer, "sweep/mab")}),
-		"pool-6":            newSweepEngine(cacheCfgs, 8, enginePar{pool: pool(6, nil, "")}),
-		"pool-4-shards-4":   newSweepEngine(cacheCfgs, 8, enginePar{pool: pool(4, nil, ""), shards: 4}),
-		"pool-2-shards-8":   newSweepEngine(cacheCfgs, 8, enginePar{pool: pool(2, nil, ""), shards: 8}),
-		"shared-3":          newSweepEngine(cacheCfgs, 8, enginePar{pool: shared}),
-		"shared-3-shards-2": newSweepEngine(cacheCfgs, 8, enginePar{pool: shared, shards: 2}),
+		"traced-4":   newSweepEngine(cacheCfgs, 8, pool(4, tracer, "sweep/mab")),
+		"pool-6":     newSweepEngine(cacheCfgs, 8, pool(6, nil, "")),
+		"pool-4":     newSweepEngine(cacheCfgs, 8, pool(4, nil, "")),
+		"pool-2":     newSweepEngine(cacheCfgs, 8, pool(2, nil, "")),
+		"shared-3-a": newSweepEngine(cacheCfgs, 8, shared),
+		"shared-3-b": newSweepEngine(cacheCfgs, 8, shared),
 	}
 	sinks := trace.Tee{serial}
 	for _, e := range variants {

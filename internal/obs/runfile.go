@@ -119,10 +119,9 @@ type Delta struct {
 // threshold — the determinism check CI relies on.
 //
 // Only telemetry.Result metrics are compared. Arrangement metrics (pool
-// width, shard count, trace-cache traffic) and WallClock metrics (span
-// durations, latency) differ between correct runs by nature, so a
-// metric of either class in either run is skipped entirely, presence
-// included.
+// width, trace-cache traffic) and WallClock metrics (span durations,
+// latency) differ between correct runs by nature, so a metric of either
+// class in either run is skipped entirely, presence included.
 func Compare(a, b Run, threshold float64) []Delta {
 	am := indexMetrics(a.Metrics)
 	bm := indexMetrics(b.Metrics)

@@ -154,7 +154,7 @@ func TestCompareFlagsCPIRegression(t *testing.T) {
 }
 
 // TestCompareSkipsWallClockMetrics pins the determinism contract: the
-// wall-clock span folds and the arrangement metrics (shard count,
+// wall-clock span folds and the arrangement metrics (pool width,
 // trace-cache hits) vary between correct runs by nature and must never
 // trip a zero-threshold comparison, in either direction and even when
 // present in only one run. Their class, not their name, decides.
@@ -162,12 +162,12 @@ func TestCompareSkipsWallClockMetrics(t *testing.T) {
 	a, b := baselineRun(), baselineRun()
 	a.Metrics = append(a.Metrics,
 		telemetry.Metric{Name: "span.sweep.model_us", Type: "histogram", Class: telemetry.WallClock, Value: 4310, Count: 1, Sum: 4310},
-		telemetry.Metric{Name: "sweep.shards", Type: "gauge", Class: telemetry.Arrangement, Value: 1, Max: 1},
+		telemetry.Metric{Name: "sweep.workers", Type: "gauge", Class: telemetry.Arrangement, Value: 1, Max: 1},
 		telemetry.Metric{Name: "span.generate.measure_us", Type: "histogram", Class: telemetry.WallClock, Value: 20, Count: 1, Sum: 20},
 	)
 	b.Metrics = append(b.Metrics,
 		telemetry.Metric{Name: "span.sweep.model_us", Type: "histogram", Class: telemetry.WallClock, Value: 1070, Count: 1, Sum: 1070},
-		telemetry.Metric{Name: "sweep.shards", Type: "gauge", Class: telemetry.Arrangement, Value: 8, Max: 8},
+		telemetry.Metric{Name: "sweep.workers", Type: "gauge", Class: telemetry.Arrangement, Value: 8, Max: 8},
 		telemetry.Metric{Name: "tracecache.hit", Type: "counter", Class: telemetry.Arrangement, Value: 7},
 	)
 	if d := Compare(a, b, 0); len(d) != 0 {
@@ -187,7 +187,7 @@ func TestCompareSkipsWallClockMetrics(t *testing.T) {
 // equal, so a file `memalloc compare` accepted means what it says.
 func FuzzReadRunFile(f *testing.F) {
 	r := baselineRun()
-	r.Metrics = append(r.Metrics, telemetry.Metric{Name: "sweep.shards", Type: "gauge", Class: telemetry.Arrangement, Value: 8, Max: 8})
+	r.Metrics = append(r.Metrics, telemetry.Metric{Name: "sweep.workers", Type: "gauge", Class: telemetry.Arrangement, Value: 8, Max: 8})
 	valid, err := marshalRun(r)
 	if err != nil {
 		f.Fatal(err)

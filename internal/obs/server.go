@@ -42,7 +42,7 @@ type Config struct {
 	KindName, CompName func(uint8) string
 	// Spans, when non-nil, is the run's execution-span tracer: /spans
 	// serves its live summary (per-phase self-time, per-worker
-	// utilization, shard imbalance, open spans) or, with ?format=chrome,
+	// utilization, worker imbalance, open spans) or, with ?format=chrome,
 	// the full Chrome trace-event JSON.
 	Spans *spans.Tracer
 }
@@ -196,7 +196,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /events    stall-event ring tail (SSE; ?since=SEQ, ?n=MAX)
   /sweep     design-space enumeration progress (JSON)
   /spans     execution-span summary: phase self-time, worker utilization,
-             shard imbalance, open spans (?format=chrome downloads the trace)
+             worker imbalance, open spans (?format=chrome downloads the trace)
 `)
 }
 
@@ -228,7 +228,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, _ *http.Request) {
 
 // handleSpans serves the execution-span tracer: the default JSON body
 // is the live Summary (per-phase total/self time, per-lane utilization
-// with the group pool's worker lanes, shard-imbalance ratio, and the
+// with the group pool's worker lanes, worker-imbalance ratio, and the
 // open-span tree); ?format=chrome streams the full Chrome trace-event
 // JSON for Perfetto, current to the moment of the request.
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {

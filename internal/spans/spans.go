@@ -154,7 +154,7 @@ func (t *Tracer) StopProfile() {
 func (t *Tracer) Lane(name string) *Lane { return t.lane(name, false) }
 
 // WorkerLane is Lane for pool workers: the lane is additionally counted
-// in the /spans per-worker utilization and shard-imbalance summary.
+// in the /spans per-worker utilization and worker-imbalance summary.
 func (t *Tracer) WorkerLane(name string) *Lane { return t.lane(name, true) }
 
 func (t *Tracer) lane(name string, worker bool) *Lane {

@@ -7,7 +7,7 @@ import (
 
 // Summary is the aggregate view of a tracer served by the obs server's
 // /spans endpoint: where the wall-clock went per phase (span name) and
-// per lane, with pool-worker utilization and shard imbalance.
+// per lane, with pool-worker utilization and worker imbalance.
 type Summary struct {
 	// ElapsedSeconds is wall-clock since the tracer epoch at
 	// summarize time.
@@ -26,8 +26,9 @@ type Summary struct {
 	Lanes []LaneStat `json:"lanes"`
 
 	// WorkerImbalance is max/mean busy time across worker lanes (1.0
-	// means perfectly balanced shards; 0 when there are no worker
-	// lanes). The sweep's shard round-robin should keep this near 1.
+	// means perfectly balanced workers; 0 when there are no worker
+	// lanes). It shows how evenly the sweep's static round-robin of
+	// simulator groups spreads their unequal costs.
 	WorkerImbalance float64 `json:"worker_imbalance"`
 
 	// Open lists spans still in flight, outermost first.

@@ -234,8 +234,8 @@ const (
 	// determinism gate compares it.
 	Result Class = iota
 	// Arrangement describes how a run was executed rather than what it
-	// computed: pool width, shard count, trace-cache and advisor
-	// traffic. No gate compares it.
+	// computed: pool width, trace-cache and advisor traffic. No gate
+	// compares it.
 	Arrangement
 	// WallClock is elapsed time: span durations, request latency. No
 	// gate compares it; host-time trends are the repository benchmark's
