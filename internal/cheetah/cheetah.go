@@ -8,137 +8,183 @@
 // The inclusion property of LRU makes this exact: with the set count
 // fixed, an access that hits way-depth d in the per-set LRU stack hits
 // in every cache of associativity >= d and misses in all smaller ones.
+//
+// A second inclusion runs across set counts. Under bit-selection
+// indexing the set a block maps to at 2S sets holds a subset of the
+// blocks of its set at S sets, so a block's LRU depth never rises as
+// the set count grows. A LineSweep exploits it: it runs every set
+// count of one line size in one walk, smallest first, and stops at the
+// first depth-1 hit, which is a depth-1 hit that changes no stack at
+// every larger set count.
 package cheetah
 
-import "onchip/internal/area"
+import (
+	"fmt"
 
-// AllAssoc computes, in one pass, miss counts for set-associative LRU
-// caches with a fixed set count and line size and every associativity
-// 1..MaxAssoc.
-type AllAssoc struct {
-	maxAssoc   int
-	offsetBits uint
-	setMask    uint64
-	// stacks[s] is set s's LRU stack, most recent first, truncated to
-	// maxAssoc entries (deeper blocks miss at every tracked
-	// associativity, so their order is irrelevant).
-	stacks [][]uint64
-	// hits[d] counts accesses that hit at stack depth d+1.
-	hits     []uint64
+	"onchip/internal/area"
+)
+
+// noBlock pads the flat stacks of empty ways. Blocks are keys shifted
+// right by at least log2(area.WordBytes) bits, so no block is all ones.
+const noBlock = ^uint64(0)
+
+// group is one (set count, line size) LRU stack simulator inside a
+// LineSweep. Each set's stack is exactly ways entries deep, most recent
+// first, padded with noBlock where the set holds fewer blocks; all sets
+// share one flat array. A block deeper than ways misses at every
+// associativity the group prices, so its order is irrelevant and it
+// drops off the bottom.
+type group struct {
+	ways    int
+	setMask uint64
+	stacks  []uint64 // set s is stacks[s*ways : (s+1)*ways]
+	// hits[d] counts accesses that hit at stack depth d+1. hits[0]
+	// counts only the walks that stopped at this group; see
+	// LineSweep.misses.
+	hits []uint64
+}
+
+// access runs a block that is not at the front of its set's stack
+// through that stack, crediting the hit depth.
+func (g *group) access(stack []uint64, block uint64) {
+	for i := 1; i < len(stack); i++ {
+		if stack[i] == block {
+			g.hits[i]++
+			// Promote to the front. Depth 2 is a single displaced
+			// element -- swap it without the copy machinery; deeper
+			// hits shift a real window.
+			if i == 1 {
+				stack[1] = stack[0]
+			} else {
+				copy(stack[1:i+1], stack[:i])
+			}
+			stack[0] = block
+			return
+		}
+	}
+	// Miss at every tracked associativity: push, dropping the bottom.
+	copy(stack[1:], stack[:len(stack)-1])
+	stack[0] = block
+}
+
+// LineSweep is the I-stream sweep unit: every set-count group of one
+// line size, sharing the block shift and the repeat memo. Each reference
+// walks the groups smallest set count first and stops at the first
+// depth-1 hit: by the cross-set-count inclusion (package comment) the
+// block then fronts its set at every larger set count too, so the
+// skipped groups would have counted a depth-1 hit and changed nothing.
+// Their depth-1 hits are therefore the walks that stopped at or before
+// them.
+type LineSweep struct {
+	shift    uint    // log2 of the line size in bytes
+	groups   []group // ascending set count
 	accesses uint64
-	// last is the block of the previous access (always at the front of
-	// its set's stack afterwards), memoized because reference streams
-	// run through cache lines sequentially: a repeat is a depth-1 hit
-	// that provably leaves the stack unchanged, so the scan and the
-	// promote can be skipped. Initialized to an impossible block.
+	// last is the block of the previous access, which every group then
+	// holds at the front of its set: a repeat is a walk that stops at
+	// the first group, credited without the scan. Sequential code runs
+	// through cache lines, making this the hottest case. Initialized to
+	// noBlock.
 	last uint64
 }
 
-// NewAllAssoc builds a simulator for the given set count (a power of
-// two), line size in words, and maximum associativity of interest.
-func NewAllAssoc(sets, lineWords, maxAssoc int) *AllAssoc {
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("cheetah: set count must be a positive power of two")
-	}
+// newLineSweep builds the unit for one line size over its groups, in
+// ascending set count. Set counts must be positive powers of two (the
+// nesting of bit-selection sets), ways positive.
+func newLineSweep(groups []groupSpec) *LineSweep {
+	lineWords := groups[0].lineWords
 	if lineWords <= 0 || lineWords&(lineWords-1) != 0 {
 		panic("cheetah: line words must be a positive power of two")
 	}
-	if maxAssoc <= 0 {
-		panic("cheetah: max associativity must be positive")
+	l := &LineSweep{shift: uint(log2(lineWords * area.WordBytes)), last: noBlock}
+	for _, g := range groups {
+		if g.sets <= 0 || g.sets&(g.sets-1) != 0 {
+			panic("cheetah: set count must be a positive power of two")
+		}
+		if g.ways <= 0 {
+			panic("cheetah: max associativity must be positive")
+		}
+		stacks := make([]uint64, g.sets*g.ways)
+		for j := range stacks {
+			stacks[j] = noBlock
+		}
+		l.groups = append(l.groups, group{
+			ways:    g.ways,
+			setMask: uint64(g.sets - 1),
+			stacks:  stacks,
+			hits:    make([]uint64, g.ways),
+		})
 	}
-	stacks := make([][]uint64, sets)
-	for i := range stacks {
-		stacks[i] = make([]uint64, 0, maxAssoc)
-	}
-	return &AllAssoc{
-		maxAssoc:   maxAssoc,
-		offsetBits: uint(log2(lineWords * area.WordBytes)),
-		setMask:    uint64(sets - 1),
-		stacks:     stacks,
-		hits:       make([]uint64, maxAssoc),
-		last:       ^uint64(0),
-	}
+	return l
 }
 
-// Access processes one reference to the byte-addressable key.
-func (a *AllAssoc) Access(key uint64) {
-	a.accesses++
-	block := key >> a.offsetBits
-	if block == a.last {
-		a.hits[0]++
-		return
-	}
-	a.last = block
-	a.accessStack(int(block&a.setMask), block)
-}
+// Access processes one reference to the byte-addressable key: the
+// batch loop over a batch of one.
+func (l *LineSweep) Access(key uint64) { l.AccessKeys([]uint64{key}) }
 
 // AccessKeys processes a batch of references: the sweep engine's hot
-// path, equal in effect to calling Access per key. The depth-1 memo
-// and the repeat count live in locals for the batch, and the access
-// count is credited once.
-func (a *AllAssoc) AccessKeys(keys []uint64) {
-	last := a.last
+// path. The memo and the repeat count live in locals for the batch,
+// and the access count is credited once.
+func (l *LineSweep) AccessKeys(keys []uint64) {
+	last := l.last
+	groups := l.groups
 	var repeats uint64
 	for _, key := range keys {
-		block := key >> a.offsetBits
+		block := key >> l.shift
 		if block == last {
 			repeats++
 			continue
 		}
 		last = block
-		a.accessStack(int(block&a.setMask), block)
-	}
-	a.last = last
-	a.hits[0] += repeats
-	a.accesses += uint64(len(keys))
-}
-
-// accessStack scans and updates set's LRU stack for block, crediting
-// the hit depth. The caller has already ruled out its depth-1 memo,
-// but block can still sit at the front: the memo only covers the most
-// recent access, which may have gone to another set.
-func (a *AllAssoc) accessStack(set int, block uint64) {
-	stack := a.stacks[set]
-	for i, b := range stack {
-		if b == block {
-			a.hits[i]++
-			// Promote to the front. Depth 1 needs nothing and depth 2 is
-			// a single displaced element -- handle both without the copy
-			// machinery; deeper hits shift a real window.
-			if i == 1 {
-				stack[1] = stack[0]
-				stack[0] = block
-			} else if i > 1 {
-				copy(stack[1:i+1], stack[:i])
-				stack[0] = block
+		for i := range groups {
+			g := &groups[i]
+			base := int(block&g.setMask) * g.ways
+			stack := g.stacks[base : base+g.ways]
+			if stack[0] == block {
+				g.hits[0]++
+				break
 			}
-			return
+			g.access(stack, block)
 		}
 	}
-	// Miss at every tracked associativity; push, truncating the stack.
-	if len(stack) < a.maxAssoc {
-		stack = append(stack, 0)
-	}
-	copy(stack[1:], stack[:len(stack)-1])
-	stack[0] = block
-	a.stacks[set] = stack
+	l.last = last
+	l.groups[0].hits[0] += repeats
+	l.accesses += uint64(len(keys))
 }
 
 // Accesses returns the number of references processed.
-func (a *AllAssoc) Accesses() uint64 { return a.accesses }
+func (l *LineSweep) Accesses() uint64 { return l.accesses }
 
-// Misses returns the exact LRU miss count for associativity assoc
-// (1 <= assoc <= MaxAssoc).
-func (a *AllAssoc) Misses(assoc int) uint64 {
-	if assoc < 1 || assoc > a.maxAssoc {
+// misses returns group gi's exact LRU miss count at associativity
+// assoc (1 <= assoc <= the group's ways).
+func (l *LineSweep) misses(gi, assoc int) uint64 {
+	g := &l.groups[gi]
+	if assoc < 1 || assoc > g.ways {
 		panic("cheetah: associativity out of tracked range")
 	}
 	var hits uint64
-	for _, h := range a.hits[:assoc] {
+	for _, prev := range l.groups[:gi+1] {
+		hits += prev.hits[0]
+	}
+	for _, h := range g.hits[1:assoc] {
 		hits += h
 	}
-	return a.accesses - hits
+	return l.accesses - hits
 }
+
+// AllAssoc computes, in one pass, miss counts for set-associative LRU
+// caches with a fixed set count and line size and every associativity
+// 1..maxAssoc: a LineSweep with a single group.
+type AllAssoc struct{ LineSweep }
+
+// NewAllAssoc builds a simulator for the given set count (a power of
+// two), line size in words, and maximum associativity of interest.
+func NewAllAssoc(sets, lineWords, maxAssoc int) *AllAssoc {
+	return &AllAssoc{LineSweep: *newLineSweep([]groupSpec{{sets: sets, lineWords: lineWords, ways: maxAssoc}})}
+}
+
+// Misses returns the exact LRU miss count for associativity assoc
+// (1 <= assoc <= MaxAssoc).
+func (a *AllAssoc) Misses(assoc int) uint64 { return a.misses(0, assoc) }
 
 // MissRatio returns Misses(assoc)/Accesses().
 func (a *AllAssoc) MissRatio(assoc int) float64 {
@@ -172,6 +218,48 @@ func (s *StackDist) Misses(lines int) uint64 { return s.inner.Misses(lines) }
 
 // Accesses returns the number of references processed.
 func (s *StackDist) Accesses() uint64 { return s.inner.Accesses() }
+
+// groupSpec is one (set count, line size) simulator group and the
+// widest associativity any of its configurations prices.
+type groupSpec struct{ sets, lineWords, ways int }
+
+// groupWays is the one way-sizing rule of both streams' sweeps: it
+// groups configurations by (set count, line size), in first-seen order,
+// and sizes each group to the widest associativity its configurations
+// price. Recency below that depth is state no configuration reads. It
+// panics on an invalid configuration.
+func groupWays(configs []area.CacheConfig) []groupSpec {
+	var specs []groupSpec
+	at := make(map[[2]int]int)
+	for _, c := range configs {
+		if err := c.Validate(); err != nil {
+			panic(err)
+		}
+		key := [2]int{c.Sets(), c.LineWords}
+		i, ok := at[key]
+		if !ok {
+			i = len(specs)
+			at[key] = i
+			specs = append(specs, groupSpec{sets: key[0], lineWords: key[1]})
+		}
+		specs[i].ways = max(specs[i].ways, effectiveAssoc(c))
+	}
+	return specs
+}
+
+// effectiveAssoc is the associativity a configuration prices: its
+// line count when fully associative.
+func effectiveAssoc(c area.CacheConfig) int {
+	if c.Assoc == area.FullyAssociative {
+		return c.Lines()
+	}
+	return c.Assoc
+}
+
+// unswept panics for a configuration a sweep does not cover.
+func unswept(c area.CacheConfig) {
+	panic(fmt.Sprintf("cheetah: config %v was not swept", c))
+}
 
 func log2(n int) int {
 	k := 0

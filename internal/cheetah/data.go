@@ -30,11 +30,7 @@
 // is relabeling m when the per-level LRU victims diverge.
 package cheetah
 
-import (
-	"fmt"
-
-	"onchip/internal/area"
-)
+import "onchip/internal/area"
 
 // AllAssocData computes, in one pass over a load/store stream, exact
 // read (load) miss counts for write-through, no-write-allocate,
@@ -299,11 +295,12 @@ func (d *AllAssocData) ReadMisses(assoc int) uint64 {
 
 // DataSweep prices an arbitrary set of cache configurations for the
 // no-write-allocate data stream: configurations sharing a (set count,
-// line size) pair share one AllAssocData simulator tracking the widest
-// associativity any of them needs, so the Table 5 design space of 120
-// configurations runs on 48 stack simulators instead of 120 direct
-// ones -- and each access costs a bounded stack scan rather than a
-// full LRU simulation per configuration.
+// line size) pair share one AllAssocData simulator sized to the widest
+// associativity any of them prices (groupWays, the I-stream's rule
+// too), so the Table 5 design space of 120 configurations runs on 48
+// stack simulators instead of 120 direct ones -- and each access costs
+// a bounded stack scan rather than a full LRU simulation per
+// configuration.
 type DataSweep struct {
 	sims    map[[2]int]*AllAssocData // key: {sets, lineWords}; lookup only
 	simList []*AllAssocData          // dense iteration order for the hot path
@@ -314,27 +311,9 @@ type DataSweep struct {
 // on invalid configurations or effective associativities above 255.
 func NewDataSweep(configs []area.CacheConfig) *DataSweep {
 	s := &DataSweep{sims: make(map[[2]int]*AllAssocData)}
-	want := make(map[[2]int]int)
-	var order [][2]int
-	for _, c := range configs {
-		if err := c.Validate(); err != nil {
-			panic(err)
-		}
-		assoc := c.Assoc
-		if assoc == area.FullyAssociative {
-			assoc = c.Lines()
-		}
-		key := [2]int{c.Sets(), c.LineWords}
-		if _, ok := want[key]; !ok {
-			order = append(order, key)
-		}
-		if assoc > want[key] {
-			want[key] = assoc
-		}
-	}
-	for _, key := range order {
-		sim := NewAllAssocData(key[0], key[1], want[key])
-		s.sims[key] = sim
+	for _, g := range groupWays(configs) {
+		sim := NewAllAssocData(g.sets, g.lineWords, g.ways)
+		s.sims[[2]int{g.sets, g.lineWords}] = sim
 		s.simList = append(s.simList, sim)
 	}
 	return s
@@ -371,15 +350,11 @@ func (s *DataSweep) Reads() uint64 { return s.reads }
 // configurations. It panics if the configuration was not covered by
 // NewDataSweep.
 func (s *DataSweep) ReadMisses(c area.CacheConfig) uint64 {
-	assoc := c.Assoc
-	if assoc == area.FullyAssociative {
-		assoc = c.Lines()
-	}
 	sim, ok := s.sims[[2]int{c.Sets(), c.LineWords}]
 	if !ok {
-		panic(fmt.Sprintf("cheetah: config %v was not swept", c))
+		unswept(c)
 	}
-	return sim.ReadMisses(assoc)
+	return sim.ReadMisses(effectiveAssoc(c))
 }
 
 // Simulators reports how many distinct stack simulators the sweep runs.

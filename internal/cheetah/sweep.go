@@ -2,6 +2,7 @@ package cheetah
 
 import (
 	"fmt"
+	"slices"
 
 	"onchip/internal/area"
 )
@@ -9,59 +10,69 @@ import (
 // Sweep measures miss counts for an arbitrary set of cache
 // configurations in as few passes as single-pass all-associativity
 // simulation allows: configurations sharing a (set count, line size)
-// pair share one AllAssoc simulator, so the Table 5 design space of 120
-// configurations (6 line sizes x 8 set counts) needs 48 simulators
-// instead of 120.
+// pair share one stack group sized to the widest of them, and the
+// groups of one line size run as one fused LineSweep. The Table 5
+// design space of 120 configurations (6 line sizes x 8 set counts)
+// needs 48 groups in 6 LineSweeps instead of 120 simulators.
 type Sweep struct {
-	sims     map[[2]int]*AllAssoc // key: {sets, lineWords}; lookup only
-	simList  []*AllAssoc          // dense iteration order for the hot path
+	lines    []*LineSweep         // one per line size, in first-seen order
+	index    map[[2]int]groupSlot // key: {sets, lineWords}; lookup only
+	groups   int
 	accesses uint64
 }
 
-// NewSweep builds a sweep covering every configuration. Configurations
-// must be set-associative (the stack algorithm covers any associativity
-// up to maxAssoc); it panics on invalid or fully-associative configs
-// beyond maxAssoc.
+// groupSlot locates one (set count, line size) group.
+type groupSlot struct {
+	line  *LineSweep
+	group int
+}
+
+// NewSweep builds a sweep covering every configuration. Every
+// effective associativity (a fully-associative config's line count)
+// must be at most maxAssoc; it panics on invalid configurations or
+// ones beyond maxAssoc.
 func NewSweep(configs []area.CacheConfig, maxAssoc int) *Sweep {
-	s := &Sweep{sims: make(map[[2]int]*AllAssoc)}
-	for _, c := range configs {
-		if err := c.Validate(); err != nil {
-			panic(err)
+	specs := groupWays(configs)
+	byLine := make(map[int][]groupSpec)
+	var lineOrder []int
+	for _, g := range specs {
+		if g.ways > maxAssoc {
+			panic(fmt.Sprintf("cheetah: %d sets x %d words prices %d ways, beyond sweep associativity %d",
+				g.sets, g.lineWords, g.ways, maxAssoc))
 		}
-		assoc := c.Assoc
-		if assoc == area.FullyAssociative {
-			assoc = c.Lines()
+		if _, ok := byLine[g.lineWords]; !ok {
+			lineOrder = append(lineOrder, g.lineWords)
 		}
-		if assoc > maxAssoc {
-			panic(fmt.Sprintf("cheetah: config %v exceeds sweep associativity %d", c, maxAssoc))
+		byLine[g.lineWords] = append(byLine[g.lineWords], g)
+	}
+	s := &Sweep{index: make(map[[2]int]groupSlot), groups: len(specs)}
+	for _, lw := range lineOrder {
+		gs := byLine[lw]
+		slices.SortFunc(gs, func(a, b groupSpec) int { return a.sets - b.sets })
+		line := newLineSweep(gs)
+		for i, g := range gs {
+			s.index[[2]int{g.sets, lw}] = groupSlot{line: line, group: i}
 		}
-		key := [2]int{c.Sets(), c.LineWords}
-		if _, ok := s.sims[key]; !ok {
-			sim := NewAllAssoc(c.Sets(), c.LineWords, maxAssoc)
-			s.sims[key] = sim
-			s.simList = append(s.simList, sim)
-		}
+		s.lines = append(s.lines, line)
 	}
 	return s
 }
 
-// Access processes one reference for every simulator. Iteration runs
-// over a pre-built slice: ranging the map here would cost per
-// reference and visit simulators in random order.
+// Access processes one reference for every line size.
 func (s *Sweep) Access(key uint64) {
 	s.accesses++
-	for _, sim := range s.simList {
-		sim.Access(key)
+	for _, l := range s.lines {
+		l.Access(key)
 	}
 }
 
-// AccessKeys processes a batch of references for every simulator, one
-// simulator at a time so each inner loop stays tight over the shared
+// AccessKeys processes a batch of references for every line size, one
+// LineSweep at a time so each fused loop stays tight over the shared
 // batch.
 func (s *Sweep) AccessKeys(keys []uint64) {
 	s.accesses += uint64(len(keys))
-	for _, sim := range s.simList {
-		sim.AccessKeys(keys)
+	for _, l := range s.lines {
+		l.AccessKeys(keys)
 	}
 }
 
@@ -72,23 +83,19 @@ func (s *Sweep) Accesses() uint64 { return s.accesses }
 // configurations. It panics if the configuration was not covered by
 // NewSweep.
 func (s *Sweep) Misses(c area.CacheConfig) uint64 {
-	assoc := c.Assoc
-	if assoc == area.FullyAssociative {
-		assoc = c.Lines()
-	}
-	sim, ok := s.sims[[2]int{c.Sets(), c.LineWords}]
+	slot, ok := s.index[[2]int{c.Sets(), c.LineWords}]
 	if !ok {
-		panic(fmt.Sprintf("cheetah: config %v was not swept", c))
+		unswept(c)
 	}
-	return sim.Misses(assoc)
+	return slot.line.misses(slot.group, effectiveAssoc(c))
 }
 
-// Simulators reports how many distinct stack simulators the sweep runs
-// (the pass-sharing the package exists for).
-func (s *Sweep) Simulators() int { return len(s.simList) }
+// Simulators reports how many (set count, line size) stack groups the
+// sweep runs (the pass-sharing the package exists for).
+func (s *Sweep) Simulators() int { return s.groups }
 
-// Groups hands out the underlying simulators for callers that
-// parallelize across them (each simulator is independent and
-// deterministic, so concurrent groups give bit-identical results as
-// long as every group sees the full stream in order).
-func (s *Sweep) Groups() []*AllAssoc { return s.simList }
+// Lines hands out the fused per-line-size units for callers that
+// parallelize across them (each LineSweep is independent and
+// deterministic, so concurrent units give bit-identical results as long
+// as every unit sees the full stream in order).
+func (s *Sweep) Lines() []*LineSweep { return s.lines }

@@ -78,7 +78,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 
 	ctx := opt.ctx()
 	// One pool serves every workload sweep. Each engine spreads its
-	// simulator groups across all of the pool's workers, so when most
+	// simulator units across all of the pool's workers, so when most
 	// workloads have finished the stragglers absorb the freed workers
 	// instead of stranding cores on a per-workload allowance -- the old
 	// NumCPU/len(specs) split idled most of the machine through the tail
@@ -320,7 +320,7 @@ func replayPhases(ctx context.Context, entry *tracecache.Entry, both, tail trace
 			return err
 		}
 		if last != wantLast {
-			return fmt.Errorf("%w: segment layout does not match the sweep's phase plan", tracecache.ErrCorrupt)
+			return entry.Reject("segment layout does not match the sweep's phase plan")
 		}
 		return nil
 	}

@@ -24,7 +24,8 @@ const defaultSweepRefs = 1_000_000
 // icacheSweep measures instruction-stream miss counts for a family of
 // set-associative configurations via cheetah.Sweep: configurations
 // sharing a (set count, line size) pair share one single-pass
-// all-associativity simulator.
+// all-associativity stack group, and each line size's groups run as
+// one fused cheetah.LineSweep.
 type icacheSweep struct {
 	sweep  *cheetah.Sweep
 	instrs uint64
@@ -45,8 +46,7 @@ func (s *icacheSweep) Ref(r trace.Ref) {
 }
 
 // Refs implements trace.BatchSink: the cache keys are computed once
-// into a shared buffer, then each simulator group runs a tight loop
-// over it.
+// into a shared buffer, then each line size's fused loop runs over it.
 func (s *icacheSweep) Refs(refs []trace.Ref) {
 	s.keys = s.keys[:0]
 	for _, r := range refs {

@@ -8,6 +8,9 @@ import (
 
 	"onchip/internal/osmodel"
 	"onchip/internal/search"
+	"onchip/internal/telemetry"
+	"onchip/internal/trace"
+	"onchip/internal/tracecache"
 	"onchip/internal/workload"
 )
 
@@ -67,5 +70,68 @@ func TestSweepFailureFailsTheRun(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "workload bad_spec: panic") {
 		t.Fatalf("err = %v, want the bad spec's panic, named", err)
+	}
+}
+
+// A cached stream that decodes cleanly but lacks the sweep's three
+// phase segments is rejected like a decode failure: counted once in
+// tracecache.corrupt, evicted, re-recorded by the regeneration with
+// the sweep's layout, and the table comes out as an uncached run's.
+func TestLayoutMismatchCountsAsCorrupt(t *testing.T) {
+	const refs = 60_000
+	uncached, err := Run("table6", Options{Refs: refs})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err := tracecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.IOzone()
+	key := sweepTraceKey(osmodel.Mach, spec, refs)
+	w, err := cache.NewWriter(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	osmodel.NewSystem(osmodel.Mach, spec).Generate(refs, w) // one segment, no phase marks
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	cache.Describe(reg)
+	var log strings.Builder
+	cache.SetLogWriter(&log)
+	cached, err := Run("table6", Options{Refs: refs, TraceCache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Text != uncached.Text {
+		t.Error("table6 over the mismatched entry differs from the uncached run")
+	}
+	corrupt := -1.0
+	for _, m := range reg.Snapshot() {
+		if m.Name == "tracecache.corrupt" {
+			corrupt = m.Value
+		}
+	}
+	if corrupt != 1 {
+		t.Errorf("tracecache.corrupt = %g, want 1", corrupt)
+	}
+	if !strings.Contains(log.String(), "evicted corrupt entry") {
+		t.Errorf("no eviction logged:\n%s", log.String())
+	}
+
+	entry := cache.OpenEntry(key)
+	if entry == nil {
+		t.Fatal("the regeneration did not re-record the entry")
+	}
+	defer entry.Close()
+	for i, wantLast := range []bool{false, false, true} {
+		_, last, err := entry.ReplaySegment(context.Background(), trace.Discard)
+		if err != nil || last != wantLast {
+			t.Fatalf("re-recorded segment %d: last=%v err=%v, want last=%v", i+1, last, err, wantLast)
+		}
 	}
 }

@@ -38,8 +38,9 @@ type chromeEvent struct {
 // Durations and counts vary run to run; the structure must not.
 func TestSweepChromeTraceGolden(t *testing.T) {
 	tr := spans.New(0)
-	// Four distinct (sets, line-size) groups per stream: eight units
-	// over a four-worker pool, so every worker lane runs jobs.
+	// Two line sizes over four distinct (sets, line-size) groups: two
+	// I-stream LineSweeps and four D-stream groups, six units over a
+	// four-worker pool, so every worker lane runs jobs.
 	cacheCfgs := []area.CacheConfig{
 		{CapacityBytes: 2 << 10, LineWords: 4, Assoc: 1},
 		{CapacityBytes: 2 << 10, LineWords: 16, Assoc: 2},

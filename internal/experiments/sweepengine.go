@@ -23,12 +23,12 @@ import (
 // per-reference interface dispatch, and the per-configuration direct
 // D-cache simulation, while producing bit-identical miss counts.
 //
-// In parallel mode the schedulable unit is one (set count, line size)
-// simulator group. Table 5 gives each stream 48 (36 under Table 7's
-// 2-way limit): at least two units per worker up to a 36-worker pool.
-// Units are statically round-robined across the pool's workers; every
-// unit observes the full stream in order, so results stay
-// byte-identical to the serial path.
+// In parallel mode the schedulable units are the I-stream's fused
+// per-line-size cheetah.LineSweeps and the D-stream's (set count, line
+// size) simulator groups: 6 + 48 per workload under Table 5, 6 + 36
+// under Table 7's 2-way limit. Units are statically round-robined
+// across the pool's workers; every unit observes the full stream in
+// order, so results stay byte-identical to the serial path.
 type sweepEngine struct {
 	i      *cheetah.Sweep
 	d      *cheetah.DataSweep
@@ -52,10 +52,11 @@ type sweepEngine struct {
 	panicked any // first captured worker panic, re-raised after the barrier
 }
 
-// groupUnit is one schedulable piece of the engine: one I-stream or
-// D-stream simulator group (exactly one field is non-nil).
+// groupUnit is one schedulable piece of the engine: one I-stream
+// LineSweep or one D-stream simulator group (exactly one field is
+// non-nil).
 type groupUnit struct {
-	i *cheetah.AllAssoc
+	i *cheetah.LineSweep
 	d *cheetah.AllAssocData
 }
 
@@ -70,8 +71,8 @@ func newSweepEngine(configs []area.CacheConfig, maxAssoc int, pool *groupPool) *
 		return e
 	}
 	var units []groupUnit
-	for _, g := range e.i.Groups() {
-		units = append(units, groupUnit{i: g})
+	for _, l := range e.i.Lines() {
+		units = append(units, groupUnit{i: l})
 	}
 	for _, g := range e.d.Groups() {
 		units = append(units, groupUnit{d: g})
@@ -142,7 +143,7 @@ func (e *sweepEngine) iMisses(c area.CacheConfig) uint64 { return e.i.Misses(c) 
 func (e *sweepEngine) dReadMisses(c area.CacheConfig) uint64 { return e.d.ReadMisses(c) }
 
 // groupPool is a set of simulation workers, each owning one job
-// channel. Engines assign their group units statically across
+// channel. Engines assign their simulator units statically across
 // the workers and submit every batch as one job per worker; the
 // per-engine barrier means a unit never sees two batches out of order
 // even when several engines share the pool. Determinism is free: units

@@ -138,14 +138,15 @@ type Emitter struct {
 	// perASIDInstrs records where execution time goes, for the
 	// user/kernel/server time-split calibration (Section 4 of the
 	// paper: mpeg_play spends 40% in the task, 25% kernel, 30% BSD
-	// server, 5% X server).
-	perASIDInstrs map[uint8]uint64
+	// server, 5% X server). Indexed by ASID: every user-mode fetch
+	// bumps it, so an array beats a map.
+	perASIDInstrs [256]uint64
 	kernelInstrs  uint64
 }
 
 // NewEmitter builds an emitter over sink with a deterministic seed.
 func NewEmitter(sink trace.Sink, seed uint64) *Emitter {
-	e := &Emitter{rng: newRNG(seed), perASIDInstrs: make(map[uint8]uint64)}
+	e := &Emitter{rng: newRNG(seed)}
 	e.SetSink(sink)
 	return e
 }
@@ -181,8 +182,9 @@ func (e *Emitter) Emitted() uint64 { return e.emitted }
 // Instructions returns the number of instruction fetches emitted.
 func (e *Emitter) Instructions() uint64 { return e.instrs }
 
-// InstrsByASID exposes the per-address-space instruction counts.
-func (e *Emitter) InstrsByASID() map[uint8]uint64 { return e.perASIDInstrs }
+// InstrsByASID exposes the per-address-space user-mode instruction
+// counts, indexed by ASID.
+func (e *Emitter) InstrsByASID() *[256]uint64 { return &e.perASIDInstrs }
 
 // KernelInstrs returns instructions executed in kernel mode.
 func (e *Emitter) KernelInstrs() uint64 { return e.kernelInstrs }

@@ -1,7 +1,10 @@
 package tlb
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -212,4 +215,138 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	New(saCfg(48, 1, LRU))
+}
+
+// listModel is the naive reference TLB of TestTLBMatchesListModel: a
+// plain list of keys per set, most recent (LRU) or most recently
+// inserted (FIFO) first, searched from the front on every operation.
+type listModel struct {
+	ways   int
+	lru    bool
+	sets   [][]vm.TransKey
+	misses uint64
+}
+
+func (m *listModel) set(k vm.TransKey) *[]vm.TransKey { return &m.sets[int(k.VPN)%len(m.sets)] }
+
+// lookup returns k's position in its set, moving it to the front
+// first under LRU when touch is set.
+func (m *listModel) lookup(k vm.TransKey, touch bool) int {
+	s := m.set(k)
+	for i, x := range *s {
+		if x == k {
+			if touch && m.lru {
+				*s = append([]vm.TransKey{k}, append((*s)[:i:i], (*s)[i+1:]...)...)
+				return 0
+			}
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *listModel) insert(k vm.TransKey) (victim vm.TransKey, evicted bool) {
+	if m.lookup(k, true) >= 0 {
+		return vm.TransKey{}, false
+	}
+	s := m.set(k)
+	if len(*s) == m.ways {
+		victim, evicted = (*s)[m.ways-1], true
+		*s = (*s)[:m.ways-1]
+	}
+	*s = append([]vm.TransKey{k}, *s...)
+	return victim, evicted
+}
+
+func (m *listModel) invalidate(k vm.TransKey) bool {
+	i := m.lookup(k, false)
+	if i < 0 {
+		return false
+	}
+	s := m.set(k)
+	*s = append((*s)[:i:i], (*s)[i+1:]...)
+	return true
+}
+
+func (m *listModel) keys() []vm.TransKey {
+	var out []vm.TransKey
+	for _, s := range m.sets {
+		out = append(out, s...)
+	}
+	return out
+}
+
+// sortKeys orders keys for comparison (Keys promises no order).
+func sortKeys(ks []vm.TransKey) []vm.TransKey {
+	slices.SortFunc(ks, func(a, b vm.TransKey) int {
+		return cmp.Or(cmp.Compare(a.VPN, b.VPN), cmp.Compare(a.ASID, b.ASID))
+	})
+	return ks
+}
+
+// TestTLBMatchesListModel drives random sequences of Probe, Insert,
+// Invalidate, Contains, Len and Keys through the TLB and through
+// listModel side by side, under LRU and FIFO, at 1 to 16 ways over 1 to
+// 8 sets and fully associative: every answer, every returned victim and
+// the probe counters must agree. Tapeworm's own oracle runs on this
+// type, so this test is what pins the TLB itself.
+func TestTLBMatchesListModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var cfgs []area.TLBConfig
+	for ways := 1; ways <= 16; ways++ {
+		for sets := 1; sets <= 8; sets *= 2 {
+			cfgs = append(cfgs, area.TLBConfig{Entries: ways * sets, Assoc: ways})
+		}
+	}
+	for _, entries := range []int{1, 4, 16, 64} {
+		cfgs = append(cfgs, area.TLBConfig{Entries: entries, Assoc: area.FullyAssociative})
+	}
+	for _, cfg := range cfgs {
+		for _, policy := range []Policy{LRU, FIFO} {
+			name := fmt.Sprintf("%v %v", cfg, policy)
+			tl := New(Config{TLBConfig: cfg, Policy: policy})
+			m := &listModel{ways: cfg.Entries / cfg.Sets(), lru: policy == LRU, sets: make([][]vm.TransKey, cfg.Sets())}
+			// Twice the capacity in VPNs over three ASIDs: sets overflow,
+			// and a re-touched key is often still resident.
+			universe := 2 * cfg.Entries
+			for op := 0; op < 4000; op++ {
+				k := key(uint32(rng.Intn(universe)), uint8(rng.Intn(3)))
+				switch r := rng.Intn(10); {
+				case r < 4:
+					want := m.lookup(k, true) >= 0
+					if !want {
+						m.misses++
+					}
+					if got := tl.Probe(k); got != want {
+						t.Fatalf("%s op %d: Probe(%v) = %v, model %v", name, op, k, got, want)
+					}
+				case r < 7:
+					wv, we := m.insert(k)
+					if gv, ge := tl.Insert(k); gv != wv || ge != we {
+						t.Fatalf("%s op %d: Insert(%v) = %v, %v; model %v, %v", name, op, k, gv, ge, wv, we)
+					}
+				case r < 8:
+					if got, want := tl.Invalidate(k), m.invalidate(k); got != want {
+						t.Fatalf("%s op %d: Invalidate(%v) = %v, model %v", name, op, k, got, want)
+					}
+				default:
+					if got, want := tl.Contains(k), m.lookup(k, false) >= 0; got != want {
+						t.Fatalf("%s op %d: Contains(%v) = %v, model %v", name, op, k, got, want)
+					}
+				}
+				if op%50 == 0 {
+					want := sortKeys(m.keys())
+					if got := tl.Len(); got != len(want) {
+						t.Fatalf("%s op %d: Len = %d, model %d", name, op, got, len(want))
+					}
+					if got := sortKeys(tl.Keys()); !slices.Equal(got, want) {
+						t.Fatalf("%s op %d: Keys = %v, model %v", name, op, got, want)
+					}
+				}
+			}
+			if s := tl.Stats(); s.Misses != m.misses {
+				t.Errorf("%s: %d probe misses, model %d", name, s.Misses, m.misses)
+			}
+		}
+	}
 }

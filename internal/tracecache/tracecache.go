@@ -164,6 +164,17 @@ type Entry struct {
 // Close releases the entry's file.
 func (e *Entry) Close() error { return e.f.Close() }
 
+// Reject records the entry as corrupt for a reason the caller found in
+// its content -- a stream that decodes cleanly but does not have the
+// shape the caller recorded -- and returns that reason as an error
+// matching ErrCorrupt. It counts and logs the event as the decoder's
+// own failures do.
+func (e *Entry) Reject(reason string) error {
+	err := corruptf("%s", reason)
+	e.c.noteCorrupt(e.addr, err)
+	return err
+}
+
 // ReplaySegment streams the next recorded segment into sink in batched
 // stream order, returning the number of references delivered and
 // whether the entry is exhausted (the final segment verifies the
