@@ -47,7 +47,7 @@ fuzz:
 # optimized paths and brute force fails here.
 crossval:
 	$(GO) test -race -count=1 \
-		-run 'CrossValidat|AgreesWithDirect|MatchesLegacy|MatchesSerial|TestTee|TestBatched|TestRefMeter|TestFusedLineMatchesDirect|TestTLBMatchesListModel' \
+		-run 'CrossValidat|AgreesWithDirect|MatchesLegacy|MatchesSerial|TestTee|TestBatched|TestRefMeter|TestFusedLineMatchesDirect|TestDataLineMatchesDirect|TestTLBMatchesListModel' \
 		./internal/cheetah/ ./internal/experiments/ ./internal/trace/ ./internal/tlb/
 
 # crossval-search pins search.Rank and the pruned branch-and-bound

@@ -134,17 +134,13 @@ func TestBatchedDataAccessMatchesPerKey(t *testing.T) {
 	}
 }
 
-// TestFusedLineMatchesDirect pins the fused I-stream sweep -- groups
-// sized to the ways their configurations price, one repeat memo per
-// line size, the smallest-set-count-first walk and its depth-1 exit --
-// to direct simulation: one cache.Cache per configuration, driven per
-// key, shares no code with the stack simulator, so a defect in the
-// per-group stack update cannot show on both sides. Every
-// configuration's misses must match in every batch mode. It covers all
-// 120 Table 5 configurations and a randomized set with several tracked
-// widths per line size and a fully-associative group.
-func TestFusedLineMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
+// oracleConfigSets returns the configuration sets the line-unit oracle
+// tests cover: all 120 Table 5 configurations, and 40 random ones with
+// several tracked widths per line size and a fully-associative group.
+func oracleConfigSets(rng *rand.Rand) []struct {
+	name    string
+	configs []area.CacheConfig
+} {
 	random := []area.CacheConfig{{CapacityBytes: 8 * 2 * area.WordBytes, LineWords: 2, Assoc: area.FullyAssociative}}
 	for len(random) < 40 {
 		c := area.CacheConfig{
@@ -156,10 +152,24 @@ func TestFusedLineMatchesDirect(t *testing.T) {
 			random = append(random, c)
 		}
 	}
-	for _, tc := range []struct {
+	return []struct {
 		name    string
 		configs []area.CacheConfig
-	}{{"table5", search.Table5().CacheConfigs()}, {"random", random}} {
+	}{{"table5", search.Table5().CacheConfigs()}, {"random", random}}
+}
+
+// TestFusedLineMatchesDirect pins the fused I-stream sweep -- groups
+// sized to the ways their configurations price, one repeat memo per
+// line size, the smallest-set-count-first walk and its depth-1 exit --
+// to direct simulation: one cache.Cache per configuration, driven per
+// key, shares no code with the stack simulator, so a defect in the
+// per-group stack update cannot show on both sides. Every
+// configuration's misses must match in every batch mode. It covers all
+// 120 Table 5 configurations and a randomized set with several tracked
+// widths per line size and a fully-associative group.
+func TestFusedLineMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range oracleConfigSets(rng) {
 		keys := mixedStream(rng, 60_000)
 		direct := make([]*cache.Cache, len(tc.configs))
 		for i, c := range tc.configs {

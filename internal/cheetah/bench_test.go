@@ -3,6 +3,9 @@ package cheetah
 import (
 	"math/rand"
 	"testing"
+
+	"onchip/internal/area"
+	"onchip/internal/search"
 )
 
 // benchKeys is a mixed stream sized so the working set spills the
@@ -25,7 +28,9 @@ func BenchmarkAllAssocAccess(b *testing.B) {
 }
 
 // BenchmarkAllAssocDataAccess is the D-stream counterpart, with a
-// store mix driving the write-policy paths.
+// store mix driving the write-policy paths: one 64-set group alone, and
+// one Table 5 line size's DataLine (its eight set-count groups), the
+// unit the sweep engine runs.
 func BenchmarkAllAssocDataAccess(b *testing.B) {
 	rng := rand.New(rand.NewSource(43))
 	keys := benchKeys(1 << 16)
@@ -33,10 +38,24 @@ func BenchmarkAllAssocDataAccess(b *testing.B) {
 	for i, k := range keys {
 		batch[i] = PackRef(k, rng.Intn(3) == 0)
 	}
-	d := NewAllAssocData(64, 4, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.AccessPacked(batch)
+	var table5Line []area.CacheConfig
+	for _, c := range search.Table5().CacheConfigs() {
+		if c.LineWords == 4 {
+			table5Line = append(table5Line, c)
+		}
 	}
-	b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+	for _, bc := range []struct {
+		name string
+		line *DataLine
+	}{
+		{"group", &NewAllAssocData(64, 4, 8).DataLine},
+		{"table5-line", NewDataSweep(table5Line).Lines()[0]},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bc.line.AccessPacked(batch)
+			}
+			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+		})
+	}
 }

@@ -95,7 +95,7 @@ func newLineSweep(groups []groupSpec) *LineSweep {
 	if lineWords <= 0 || lineWords&(lineWords-1) != 0 {
 		panic("cheetah: line words must be a positive power of two")
 	}
-	l := &LineSweep{shift: uint(log2(lineWords * area.WordBytes)), last: noBlock}
+	l := &LineSweep{shift: uint(log2(lineWords * area.WordBytes))}
 	for _, g := range groups {
 		if g.sets <= 0 || g.sets&(g.sets-1) != 0 {
 			panic("cheetah: set count must be a positive power of two")
@@ -103,18 +103,29 @@ func newLineSweep(groups []groupSpec) *LineSweep {
 		if g.ways <= 0 {
 			panic("cheetah: max associativity must be positive")
 		}
-		stacks := make([]uint64, g.sets*g.ways)
-		for j := range stacks {
-			stacks[j] = noBlock
-		}
 		l.groups = append(l.groups, group{
 			ways:    g.ways,
 			setMask: uint64(g.sets - 1),
-			stacks:  stacks,
+			stacks:  make([]uint64, g.sets*g.ways),
 			hits:    make([]uint64, g.ways),
 		})
 	}
+	l.reset()
 	return l
+}
+
+// reset empties every stack and zeroes the counters, keeping the
+// storage.
+func (l *LineSweep) reset() {
+	for i := range l.groups {
+		g := &l.groups[i]
+		for j := range g.stacks {
+			g.stacks[j] = noBlock
+		}
+		clear(g.hits)
+	}
+	l.accesses = 0
+	l.last = noBlock
 }
 
 // Access processes one reference to the byte-addressable key: the

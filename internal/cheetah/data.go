@@ -28,185 +28,106 @@
 // caches with a >= d and misses in the rest, which is the same
 // "hit depth" bookkeeping as the read-only algorithm; the extra work
 // is relabeling m when the per-level LRU victims diverge.
+//
+// The inclusion across set counts that lets the I stream stop its walk
+// early does not survive the write policy: a store can hit, and so
+// refresh a block, at one set count and miss at a smaller one, after
+// which a load can hit at the smaller set count and miss at the larger
+// (TestSetCountInclusionFailsForStores). A DataLine therefore walks
+// every set count on every reference it cannot prove a no-op.
 package cheetah
 
 import "onchip/internal/area"
 
-// AllAssocData computes, in one pass over a load/store stream, exact
-// read (load) miss counts for write-through, no-write-allocate,
-// true-LRU caches with a fixed set count and line size and every
-// associativity 1..maxAssoc. It is the D-stream counterpart of
-// AllAssoc and agrees bit-for-bit with direct simulation
-// (cache.Cache with WriteAllocate and WriteBack off).
-type AllAssocData struct {
-	maxAssoc   int
-	offsetBits uint
-	setMask    uint64
-
-	// Per set: up to maxAssoc resident blocks in the recency order of
-	// the maxAssoc-way cache (most recent first), flattened as
-	// blocks[set*maxAssoc : set*maxAssoc+len[set]], with m[i] the
-	// block's minimum resident associativity. m is always a bijection
-	// onto 1..len[set].
-	blocks []uint64
-	m      []uint8
-	len    []uint8
-
-	// hits[d] counts loads that hit with minimum resident
-	// associativity d+1 (a hit in every cache with assoc >= d+1).
-	hits   []uint64
-	reads  uint64
-	writes uint64
-
-	// last memoizes a block known to sit at the front of its set's
-	// recency list with m = 1 (it is resident in every tracked cache,
-	// at the MRU spot of each). A repeated load is then a depth-1 hit
-	// and a repeated store a store hit at the front -- both provably
-	// leave the set state unchanged, so the scan and relabel walk can
-	// be skipped. Sequential code runs through cache lines, making this
-	// the hottest case. Initialized to an impossible block; accessSet
-	// keeps it exact by invalidating it when a store-hit promote
-	// displaces the memoized front block.
-	last uint64
+// dgroup is one (set count, line size) D-stream stack simulator inside
+// a DataLine. Each set is exactly ways words, most recent first, in the
+// recency order of the ways-way cache; a word is block<<8 | m(block),
+// and empty ways hold noBlock (m reads 255, and no key makes the
+// block). Residents always form a prefix of their set, and their m
+// values are a bijection onto 1..residents.
+type dgroup struct {
+	ways    int
+	setMask uint64
+	sets    []uint64 // set s is sets[s*ways : (s+1)*ways]
+	// hits[d] counts loads that walked this group and hit with minimum
+	// resident associativity d+1 (a hit in every cache with assoc >=
+	// d+1). Loads of the memoized front block are counted by the
+	// DataLine instead.
+	hits []uint64
 }
 
-// NewAllAssocData builds a D-stream simulator for the given set count
-// (a power of two), line size in words, and maximum associativity of
-// interest (at most 255, the relabeling bookkeeping's width).
-func NewAllAssocData(sets, lineWords, maxAssoc int) *AllAssocData {
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("cheetah: set count must be a positive power of two")
-	}
-	if lineWords <= 0 || lineWords&(lineWords-1) != 0 {
-		panic("cheetah: line words must be a positive power of two")
-	}
-	if maxAssoc <= 0 || maxAssoc > 255 {
-		panic("cheetah: max associativity must be in 1..255")
-	}
-	return &AllAssocData{
-		maxAssoc:   maxAssoc,
-		offsetBits: uint(log2(lineWords * area.WordBytes)),
-		setMask:    uint64(sets - 1),
-		blocks:     make([]uint64, sets*maxAssoc),
-		m:          make([]uint8, sets*maxAssoc),
-		len:        make([]uint8, sets),
-		hits:       make([]uint64, maxAssoc),
-		last:       ^uint64(0),
-	}
+// set returns block's set.
+func (g *dgroup) set(block uint64) []uint64 {
+	base := int(block&g.setMask) * g.ways
+	return g.sets[base : base+g.ways]
 }
 
-// Access processes one data reference to the byte-addressable key.
-func (d *AllAssocData) Access(key uint64, write bool) {
-	if write {
-		d.writes++
-	} else {
-		d.reads++
-	}
-	block := key >> d.offsetBits
-	if block == d.last {
-		if !write {
-			d.hits[0]++
-		}
-		return
-	}
-	d.last = d.accessSet(int(block&d.setMask), block, write, d.last)
-}
-
-// AccessPacked processes a batch of data references, each packed as
-// key<<1|write (see PackRef): the sweep engine's hot path, equal in
-// effect to calling Access per reference. The depth-1 memo and the
-// counters live in locals for the batch and are credited once.
-func (d *AllAssocData) AccessPacked(batch []uint64) {
-	last := d.last
-	var writes, repeatLoads uint64
-	for _, kv := range batch {
-		write := kv & 1
-		writes += write
-		block := kv >> 1 >> d.offsetBits
-		if block == last {
-			repeatLoads += write ^ 1
+// store runs a store through the group. A store hit refreshes the
+// block's recency in every cache that holds it (the front of the list;
+// the restriction to each containing cache puts it at that cache's MRU
+// spot) and leaves m unchanged, since the narrower caches missed; a
+// store miss allocates nowhere and touches nothing. It reports whether
+// the store promoted a block within last's set, displacing last from
+// the front.
+func (g *dgroup) store(block, last uint64) bool {
+	set := g.set(block)
+	for p, w := range set {
+		if w>>8 != block {
 			continue
 		}
-		last = d.accessSet(int(block&d.setMask), block, write != 0, last)
+		switch {
+		case p == 0:
+			return false
+		case p == 1:
+			set[1] = set[0]
+		default:
+			copy(set[1:p+1], set[:p])
+		}
+		set[0] = w
+		return (block^last)&g.setMask == 0
 	}
-	d.last = last
-	d.hits[0] += repeatLoads
-	d.writes += writes
-	d.reads += uint64(len(batch)) - writes
+	return false
 }
 
-// accessSet runs the full stack-update bookkeeping for one reference
-// known to have missed the depth-1 memo last, crediting its hit depth,
-// and returns the memo to carry on: block when the access leaves block
-// at the MRU spot of every tracked cache (m = 1 at the list front), an
-// impossible block when a store-hit promote displaces the set's
-// memoizable front block, and last unchanged otherwise (a store miss
-// touches nothing). The caller counts the reference itself.
-func (d *AllAssocData) accessSet(set int, block uint64, write bool, last uint64) uint64 {
-	base := set * d.maxAssoc
-	k := int(d.len[set])
-
+// load runs a load through the group, crediting its hit depth, and
+// leaves block at the front with m = 1 (it now sits at the MRU spot of
+// every cache).
+func (g *dgroup) load(block uint64) {
+	set := g.set(block)
 	p := -1
-	for i, b := range d.blocks[base : base+k] {
-		if b == block {
+	for i, w := range set {
+		if w>>8 == block {
 			p = i
 			break
 		}
 	}
 
-	if write {
-		if p < 0 {
-			return last // store miss: no allocation, no recency change
-		}
-		// Store hit in every cache with assoc >= m(block): refresh
-		// recency there (front of the list; the restriction to each
-		// containing cache puts the block at its MRU spot). m is
-		// unchanged -- the narrower caches missed and stay untouched.
-		mv := d.m[base+p]
-		if p == 1 {
-			d.blocks[base+1] = d.blocks[base]
-			d.m[base+1] = d.m[base]
-			d.blocks[base] = block
-			d.m[base] = mv
-		} else if p > 1 {
-			copy(d.blocks[base+1:base+p+1], d.blocks[base:base+p])
-			copy(d.m[base+1:base+p+1], d.m[base:base+p])
-			d.blocks[base] = block
-			d.m[base] = mv
-		}
-		if mv == 1 {
-			// block now fronts every tracked cache's recency order.
-			return block
-		}
-		if last&d.setMask == uint64(set) {
-			// The promote displaced this set's old front block -- the
-			// only block the memo could have been holding.
-			return ^uint64(0)
-		}
-		return last
-	}
-
-	var evictLimit int
+	// A hit at depth d misses in caches 1..d-1, which evict; a miss
+	// evicts in every full cache, 1..residents, while the wider ones
+	// fill a free way.
+	var evictLimit, bottom int
 	if p >= 0 {
-		depth := int(d.m[base+p])
-		d.hits[depth-1]++
+		depth := int(set[p] & 0xff)
+		g.hits[depth-1]++
 		if depth == 1 {
-			// Fast path for the common case: a hit in even the 1-way
-			// cache evicts nowhere, so no relabeling -- just promote.
-			if p == 1 {
-				d.blocks[base+1] = d.blocks[base]
-				d.m[base+1] = d.m[base]
-			} else if p > 1 {
-				copy(d.blocks[base+1:base+p+1], d.blocks[base:base+p])
-				copy(d.m[base+1:base+p+1], d.m[base:base+p])
+			// A hit in even the 1-way cache evicts nowhere, so no
+			// relabeling -- just promote.
+			switch {
+			case p == 1:
+				set[1] = set[0]
+			case p > 1:
+				copy(set[1:p+1], set[:p])
 			}
-			d.blocks[base] = block
-			d.m[base] = 1
-			return block
+			set[0] = block<<8 | 1
+			return
 		}
-		evictLimit = depth - 1 // caches 1..depth-1 miss and evict
+		evictLimit, bottom = depth-1, len(set)
 	} else {
-		evictLimit = k // full caches 1..k evict; wider ones fill a free way
+		k := len(set)
+		for k > 0 && set[k-1] == noBlock {
+			k--
+		}
+		evictLimit, bottom = k, k
 	}
 
 	// Relabel the per-level LRU victims. Walking from the bottom of the
@@ -214,24 +135,23 @@ func (d *AllAssocData) accessSet(set int, block uint64, write bool, last uint64)
 	// [m(x), min(minBelow, evictLimit+1)-1], where minBelow is the
 	// smallest m strictly below x (a deeper block with a smaller m
 	// shields x at that level and beyond). Its new minimum residency is
-	// the first level that did not evict it; past maxAssoc it has left
-	// every tracked cache and drops off the list.
+	// the first level that did not evict it; past ways it has left
+	// every tracked cache and drops off the list. Empty ways read
+	// m = 255, above any evictLimit, so a walk over them relabels
+	// nothing.
 	minBelow := 256
 	drop := -1
-	for i := k - 1; i >= 0; i-- {
+	for i := bottom - 1; i >= 0; i-- {
 		if i == p {
 			continue
 		}
-		mi := int(d.m[base+i])
+		mi := int(set[i] & 0xff)
 		if mi <= evictLimit && mi < minBelow {
-			nm := minBelow
-			if evictLimit+1 < nm {
-				nm = evictLimit + 1
-			}
-			if nm > d.maxAssoc {
+			nm := min(minBelow, evictLimit+1)
+			if nm > g.ways {
 				drop = i
 			} else {
-				d.m[base+i] = uint8(nm)
+				set[i] = set[i]&^0xff | uint64(nm)
 			}
 		}
 		if mi < minBelow {
@@ -244,24 +164,147 @@ func (d *AllAssocData) accessSet(set int, block uint64, write bool, last uint64)
 		}
 	}
 
-	// Insert the loaded block at the front with m=1 (it now sits at the
-	// MRU spot of every cache), shifting everything above the vacated
-	// position down one.
+	// Insert the loaded block at the front with m = 1, shifting
+	// everything above the vacated position down one: the hit's old
+	// spot, the dropped entry's, or the first empty way.
 	shift := p
 	if p < 0 {
+		shift = bottom
 		if drop >= 0 {
 			shift = drop
-		} else {
-			shift = k
-			d.len[set]++
 		}
 	}
-	copy(d.blocks[base+1:base+shift+1], d.blocks[base:base+shift])
-	copy(d.m[base+1:base+shift+1], d.m[base:base+shift])
-	d.blocks[base] = block
-	d.m[base] = 1
-	return block
+	copy(set[1:shift+1], set[:shift])
+	set[0] = block<<8 | 1
 }
+
+// DataLine is the D-stream sweep unit: every set-count group of one
+// line size, decoding each reference once. It computes, in one pass
+// over a load/store stream, exact read (load) miss counts for
+// write-through, no-write-allocate, true-LRU caches of that line size
+// at every tracked set count and associativity, and agrees bit-for-bit
+// with direct simulation (cache.Cache with WriteAllocate and WriteBack
+// off).
+//
+// Two memos skip the walk over the groups, each exact:
+//
+//   - last is a block at the front with m = 1 in every group. A load
+//     of it is a depth-1 hit everywhere and a store of it a hit at the
+//     front; neither changes a stack. A load sets it. A store of
+//     another block keeps it, unless the store promoted a block within
+//     last's set in some group.
+//   - A store of the previous reference's block is a no-op in every
+//     group: if that reference hit (or was a load) the block is at the
+//     front, and if it was a store that missed, the store misses again.
+type DataLine struct {
+	shift  uint     // log2 of the line size in bytes
+	groups []dgroup // ascending set count
+	reads  uint64
+	writes uint64
+	// repeats counts loads of last, a depth-1 hit in every group.
+	repeats uint64
+	last    uint64 // noBlock when no block qualifies
+	prev    uint64 // block of the previous reference; noBlock at start
+}
+
+// newDataLine builds the unit for one line size over its groups, in
+// ascending set count. Set counts must be positive powers of two, ways
+// in 1..255 (the width of m).
+func newDataLine(groups []groupSpec) *DataLine {
+	lineWords := groups[0].lineWords
+	if lineWords <= 0 || lineWords&(lineWords-1) != 0 {
+		panic("cheetah: line words must be a positive power of two")
+	}
+	l := &DataLine{shift: uint(log2(lineWords * area.WordBytes))}
+	for _, g := range groups {
+		if g.sets <= 0 || g.sets&(g.sets-1) != 0 {
+			panic("cheetah: set count must be a positive power of two")
+		}
+		if g.ways <= 0 || g.ways > 255 {
+			panic("cheetah: max associativity must be in 1..255")
+		}
+		l.groups = append(l.groups, dgroup{
+			ways:    g.ways,
+			setMask: uint64(g.sets - 1),
+			sets:    make([]uint64, g.sets*g.ways),
+			hits:    make([]uint64, g.ways),
+		})
+	}
+	l.reset()
+	return l
+}
+
+// reset empties every stack and zeroes the counters, keeping the
+// storage.
+func (l *DataLine) reset() {
+	for i := range l.groups {
+		g := &l.groups[i]
+		for j := range g.sets {
+			g.sets[j] = noBlock
+		}
+		clear(g.hits)
+	}
+	l.reads, l.writes, l.repeats = 0, 0, 0
+	l.last, l.prev = noBlock, noBlock
+}
+
+// Access processes one data reference to the byte-addressable key: the
+// batch loop over a batch of one.
+func (l *DataLine) Access(key uint64, write bool) { l.AccessPacked([]uint64{PackRef(key, write)}) }
+
+// AccessPacked processes a batch of data references, each packed as
+// key<<1|write (see PackRef): the sweep engine's hot path. The memos
+// and the counters live in locals for the batch and are credited once.
+func (l *DataLine) AccessPacked(batch []uint64) {
+	last, prev := l.last, l.prev
+	groups := l.groups
+	var writes, repeats uint64
+	for _, kv := range batch {
+		write := kv & 1
+		writes += write
+		block := kv >> 1 >> l.shift
+		switch {
+		case block == last:
+			repeats += write ^ 1
+		case write == 0:
+			for i := range groups {
+				groups[i].load(block)
+			}
+			last = block
+		case block != prev:
+			for i := range groups {
+				if groups[i].store(block, last) {
+					last = noBlock
+				}
+			}
+		}
+		prev = block
+	}
+	l.last, l.prev = last, prev
+	l.repeats += repeats
+	l.writes += writes
+	l.reads += uint64(len(batch)) - writes
+}
+
+// readMisses returns group gi's exact load miss count at associativity
+// assoc (1 <= assoc <= the group's ways).
+func (l *DataLine) readMisses(gi, assoc int) uint64 {
+	g := &l.groups[gi]
+	if assoc < 1 || assoc > g.ways {
+		panic("cheetah: associativity out of tracked range")
+	}
+	hits := l.repeats
+	for _, h := range g.hits[:assoc] {
+		hits += h
+	}
+	return l.reads - hits
+}
+
+// Reads returns the number of load references processed.
+func (l *DataLine) Reads() uint64 { return l.reads }
+
+// Writes returns the number of store references processed.
+func (l *DataLine) Writes() uint64 { return l.writes }
 
 // PackRef packs a cache key and write flag for AccessPacked. Cache
 // keys are at most 45 bits (see vm.CacheKey), so the shift is safe.
@@ -273,95 +316,110 @@ func PackRef(key uint64, write bool) uint64 {
 	return kv
 }
 
-// Reads returns the number of load references processed.
-func (d *AllAssocData) Reads() uint64 { return d.reads }
+// AllAssocData computes, in one pass over a load/store stream, exact
+// read miss counts for write-through, no-write-allocate, true-LRU
+// caches with a fixed set count and line size and every associativity
+// 1..maxAssoc: a DataLine with a single group, as AllAssoc is for the
+// I stream.
+type AllAssocData struct{ DataLine }
 
-// Writes returns the number of store references processed.
-func (d *AllAssocData) Writes() uint64 { return d.writes }
+// NewAllAssocData builds a D-stream simulator for the given set count
+// (a power of two), line size in words, and maximum associativity of
+// interest (at most 255, the relabeling bookkeeping's width).
+func NewAllAssocData(sets, lineWords, maxAssoc int) *AllAssocData {
+	return &AllAssocData{DataLine: *newDataLine([]groupSpec{{sets: sets, lineWords: lineWords, ways: maxAssoc}})}
+}
 
 // ReadMisses returns the exact load miss count for associativity assoc
 // (1 <= assoc <= maxAssoc) under the write-through, no-write-allocate
 // policy.
-func (d *AllAssocData) ReadMisses(assoc int) uint64 {
-	if assoc < 1 || assoc > d.maxAssoc {
-		panic("cheetah: associativity out of tracked range")
-	}
-	var hits uint64
-	for _, h := range d.hits[:assoc] {
-		hits += h
-	}
-	return d.reads - hits
-}
+func (d *AllAssocData) ReadMisses(assoc int) uint64 { return d.readMisses(0, assoc) }
 
 // DataSweep prices an arbitrary set of cache configurations for the
-// no-write-allocate data stream: configurations sharing a (set count,
-// line size) pair share one AllAssocData simulator sized to the widest
-// associativity any of them prices (groupWays, the I-stream's rule
-// too), so the Table 5 design space of 120 configurations runs on 48
-// stack simulators instead of 120 direct ones -- and each access costs
-// a bounded stack scan rather than a full LRU simulation per
-// configuration.
+// no-write-allocate data stream, as Sweep does for the I stream:
+// configurations sharing a (set count, line size) pair share one stack
+// group sized to the widest associativity any of them prices
+// (groupWays), and the groups of one line size run as one DataLine. The
+// Table 5 design space of 120 configurations needs 48 groups in 6
+// DataLines instead of 120 direct simulators. DataSweep.AccessPacked,
+// the sweep engine and the repository benchmark's ledger all run
+// DataLine.AccessPacked.
 type DataSweep struct {
-	sims    map[[2]int]*AllAssocData // key: {sets, lineWords}; lookup only
-	simList []*AllAssocData          // dense iteration order for the hot path
-	reads   uint64
+	lines  []*DataLine         // one per line size, ascending
+	index  map[[2]int]dataSlot // key: {sets, lineWords}; lookup only
+	groups int
+}
+
+// dataSlot locates one (set count, line size) D-stream group.
+type dataSlot struct {
+	line  *DataLine
+	group int
 }
 
 // NewDataSweep builds a sweep covering every configuration. It panics
 // on invalid configurations or effective associativities above 255.
 func NewDataSweep(configs []area.CacheConfig) *DataSweep {
-	s := &DataSweep{sims: make(map[[2]int]*AllAssocData)}
-	for _, g := range groupWays(configs) {
-		sim := NewAllAssocData(g.sets, g.lineWords, g.ways)
-		s.sims[[2]int{g.sets, g.lineWords}] = sim
-		s.simList = append(s.simList, sim)
+	specs := groupWays(configs)
+	s := &DataSweep{index: make(map[[2]int]dataSlot), groups: len(specs)}
+	for _, gs := range byLineSize(specs) {
+		line := newDataLine(gs)
+		for i, g := range gs {
+			s.index[[2]int{g.sets, g.lineWords}] = dataSlot{line: line, group: i}
+		}
+		s.lines = append(s.lines, line)
 	}
 	return s
 }
 
-// Access processes one data reference for every simulator.
+// Access processes one data reference for every line size.
 func (s *DataSweep) Access(key uint64, write bool) {
-	if !write {
-		s.reads++
-	}
-	for _, sim := range s.simList {
-		sim.Access(key, write)
+	for _, l := range s.lines {
+		l.Access(key, write)
 	}
 }
 
 // AccessPacked processes a batch of packed references (see PackRef)
-// for every simulator, one simulator at a time so each inner loop
-// stays tight over the shared batch.
+// for every line size, one DataLine at a time so each loop stays tight
+// over the shared batch.
 func (s *DataSweep) AccessPacked(batch []uint64) {
-	for _, kv := range batch {
-		if kv&1 == 0 {
-			s.reads++
-		}
+	for _, l := range s.lines {
+		l.AccessPacked(batch)
 	}
-	for _, sim := range s.simList {
-		sim.AccessPacked(batch)
+}
+
+// Reset empties every line size's stacks and zeroes the counters,
+// keeping the storage for the next stream.
+func (s *DataSweep) Reset() {
+	for _, l := range s.lines {
+		l.reset()
 	}
 }
 
 // Reads returns the number of load references processed.
-func (s *DataSweep) Reads() uint64 { return s.reads }
+func (s *DataSweep) Reads() uint64 {
+	if len(s.lines) == 0 {
+		return 0
+	}
+	return s.lines[0].reads
+}
 
 // ReadMisses returns the exact load miss count for one of the swept
 // configurations. It panics if the configuration was not covered by
 // NewDataSweep.
 func (s *DataSweep) ReadMisses(c area.CacheConfig) uint64 {
-	sim, ok := s.sims[[2]int{c.Sets(), c.LineWords}]
+	slot, ok := s.index[[2]int{c.Sets(), c.LineWords}]
 	if !ok {
 		unswept(c)
 	}
-	return sim.ReadMisses(effectiveAssoc(c))
+	return slot.line.readMisses(slot.group, effectiveAssoc(c))
 }
 
-// Simulators reports how many distinct stack simulators the sweep runs.
-func (s *DataSweep) Simulators() int { return len(s.simList) }
+// Simulators reports how many (set count, line size) stack groups the
+// sweep runs.
+func (s *DataSweep) Simulators() int { return s.groups }
 
-// Groups hands out the underlying simulators for callers that
-// parallelize across them (each simulator is independent and
-// deterministic, so concurrent groups give bit-identical results as
-// long as every group sees the full stream in order).
-func (s *DataSweep) Groups() []*AllAssocData { return s.simList }
+// Lines hands out the per-line-size units for callers that parallelize
+// across them (each DataLine is independent and deterministic, so
+// concurrent units give bit-identical results as long as every unit
+// sees the full stream in order).
+func (s *DataSweep) Lines() []*DataLine { return s.lines }

@@ -1,6 +1,7 @@
 package cheetah
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -216,5 +217,133 @@ func TestDataSweepPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestSetCountInclusionFailsForStores pins the counterexample to the
+// I stream's cross-set-count inclusion under no-write-allocate, the
+// reason a DataLine walks every set count. With 1-word lines, blocks
+// Y=0, W=1, V=2 and X=4 share the one set of a 1-set 2-way cache; at 2
+// sets W moves to set 1. The stream is load Y, load W, load V, store
+// Y, load X, store V, load V. Store Y hits only at 2 sets, where it
+// leaves V as its set's LRU block, so load X evicts V there but Y at
+// 1 set; the last load then hits at 1 set and misses at 2. A depth-1
+// hit at the smaller set count is no hit at all at the larger.
+func TestSetCountInclusionFailsForStores(t *testing.T) {
+	oneSet := area.CacheConfig{CapacityBytes: 2 * area.WordBytes, LineWords: 1, Assoc: 2}
+	twoSets := area.CacheConfig{CapacityBytes: 4 * area.WordBytes, LineWords: 1, Assoc: 2}
+	const y, w, v, x = 0, 4, 8, 16 // byte keys of blocks 0, 1, 2, 4
+	refs := []struct {
+		key   uint64
+		write bool
+	}{{y, false}, {w, false}, {v, false}, {y, true}, {x, false}, {v, true}, {v, false}}
+	// Hits per reference in the direct no-write-allocate caches.
+	want := map[area.CacheConfig][]bool{
+		oneSet:  {false, false, false, false, false, true, true},
+		twoSets: {false, false, false, true, false, false, false},
+	}
+	sw := NewDataSweep([]area.CacheConfig{oneSet, twoSets})
+	for cfg, hits := range want {
+		c := directNWA(cfg)
+		for i, r := range refs {
+			if got := c.Access(r.key, r.write); got != hits[i] {
+				t.Errorf("%v reference %d (key %d, write %v): hit %v, want %v", cfg, i, r.key, r.write, got, hits[i])
+			}
+		}
+	}
+	for _, r := range refs {
+		sw.Access(r.key, r.write)
+	}
+	// Five loads: four compulsory misses at both set counts, and the
+	// last load of V hits only at 1 set.
+	for cfg, misses := range map[area.CacheConfig]uint64{oneSet: 4, twoSets: 5} {
+		if got := sw.ReadMisses(cfg); got != misses {
+			t.Errorf("%v: sweep read misses %d, want %d", cfg, got, misses)
+		}
+	}
+}
+
+// dataStream builds a packed load/store stream for the D-line oracle:
+// the batch tests' mixed key stream with a third of its references
+// stores, interleaved with the shapes the memos must get right --
+// store runs to one block, a store followed by a load of its block,
+// and stores that promote a block into the memoized block's set at
+// some set counts but not others (promoteIntoLast).
+func dataStream(rng *rand.Rand, n int) []uint64 {
+	var out []uint64
+	for _, k := range mixedStream(rng, n) {
+		switch rng.Intn(16) {
+		case 0:
+			for range 2 + rng.Intn(6) {
+				out = append(out, PackRef(k, true))
+			}
+		case 1:
+			out = append(out, PackRef(k, true), PackRef(k, false))
+		case 2:
+			out = promoteIntoLast(rng, out)
+		default:
+			out = append(out, PackRef(k, rng.Intn(3) == 0))
+		}
+	}
+	return out
+}
+
+// promoteIntoLast appends, for a random line size and set count S,
+// load B, nine loads that share B's set at S sets but not at 2S, load
+// A, store B and load A again, where A and B share a set at 2S. At S
+// sets and below, B has fallen out of every tracked way (at most 8)
+// and the store misses; at 2S, while a group tracks two ways or more,
+// B sits right behind A and the store promotes it, displacing A, the
+// memoized block, from the front of its set there and only there.
+func promoteIntoLast(rng *rand.Rand, out []uint64) []uint64 {
+	lineBytes := uint64(area.WordBytes) << rng.Intn(6)
+	sets := uint64(1) << rng.Intn(13)
+	a := uint64(rng.Intn(1 << 12))
+	b := a + 2*sets*uint64(1+rng.Intn(4))
+	load := func(block uint64) uint64 { return PackRef(block*lineBytes, false) }
+	out = append(out, load(b))
+	for j := range uint64(9) {
+		out = append(out, load(a+sets+2*sets*j))
+	}
+	return append(out, load(a), PackRef(b*lineBytes, true), load(a))
+}
+
+// TestDataLineMatchesDirect is the D-stream counterpart of
+// TestFusedLineMatchesDirect: it pins the DataSweep -- one DataLine per
+// line size, its groups sized to the ways their configurations price,
+// the packed block<<8|m stacks and the line-level memos -- to direct
+// simulation, one no-write-allocate cache.Cache per configuration,
+// which shares no code with the stack simulator. Every configuration's
+// read misses must match, over all of Table 5 and a randomized set
+// with several widths per line size and a fully-associative group, in
+// batches of 1, 7 and 1024, alone and interleaved with per-key Access.
+func TestDataLineMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, tc := range oracleConfigSets(rng) {
+		packed := dataStream(rng, 50_000)
+		direct := make([]*cache.Cache, len(tc.configs))
+		for i, c := range tc.configs {
+			direct[i] = directNWA(c)
+		}
+		var loads uint64
+		for _, kv := range packed {
+			loads += kv&1 ^ 1
+			for _, d := range direct {
+				d.Access(kv>>1, kv&1 != 0)
+			}
+		}
+		forBatchModes(func(batch int, mixed bool) {
+			name := fmt.Sprintf("%s batch=%d mixed=%v", tc.name, batch, mixed)
+			sw := NewDataSweep(tc.configs)
+			feedBatches(packed, batch, mixed, func(kv uint64) { sw.Access(kv>>1, kv&1 != 0) }, sw.AccessPacked)
+			if got := sw.Reads(); got != loads {
+				t.Errorf("%s: reads %d, want %d", name, got, loads)
+			}
+			for i, c := range tc.configs {
+				if got, want := sw.ReadMisses(c), direct[i].Stats().ReadMisses; got != want {
+					t.Errorf("%s %v: read misses %d, direct %d", name, c, got, want)
+				}
+			}
+		})
 	}
 }

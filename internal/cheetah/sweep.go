@@ -1,6 +1,7 @@
 package cheetah
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -15,7 +16,7 @@ import (
 // design space of 120 configurations (6 line sizes x 8 set counts)
 // needs 48 groups in 6 LineSweeps instead of 120 simulators.
 type Sweep struct {
-	lines    []*LineSweep         // one per line size, in first-seen order
+	lines    []*LineSweep         // one per line size, ascending
 	index    map[[2]int]groupSlot // key: {sets, lineWords}; lookup only
 	groups   int
 	accesses uint64
@@ -33,29 +34,39 @@ type groupSlot struct {
 // ones beyond maxAssoc.
 func NewSweep(configs []area.CacheConfig, maxAssoc int) *Sweep {
 	specs := groupWays(configs)
-	byLine := make(map[int][]groupSpec)
-	var lineOrder []int
 	for _, g := range specs {
 		if g.ways > maxAssoc {
 			panic(fmt.Sprintf("cheetah: %d sets x %d words prices %d ways, beyond sweep associativity %d",
 				g.sets, g.lineWords, g.ways, maxAssoc))
 		}
-		if _, ok := byLine[g.lineWords]; !ok {
-			lineOrder = append(lineOrder, g.lineWords)
-		}
-		byLine[g.lineWords] = append(byLine[g.lineWords], g)
 	}
 	s := &Sweep{index: make(map[[2]int]groupSlot), groups: len(specs)}
-	for _, lw := range lineOrder {
-		gs := byLine[lw]
-		slices.SortFunc(gs, func(a, b groupSpec) int { return a.sets - b.sets })
+	for _, gs := range byLineSize(specs) {
 		line := newLineSweep(gs)
 		for i, g := range gs {
-			s.index[[2]int{g.sets, lw}] = groupSlot{line: line, group: i}
+			s.index[[2]int{g.sets, g.lineWords}] = groupSlot{line: line, group: i}
 		}
 		s.lines = append(s.lines, line)
 	}
 	return s
+}
+
+// byLineSize splits the group specs by line size, in ascending line
+// size, each line size's groups in ascending set count: the layout of
+// both streams' per-line-size units.
+func byLineSize(specs []groupSpec) [][]groupSpec {
+	specs = slices.Clone(specs)
+	slices.SortFunc(specs, func(a, b groupSpec) int {
+		return cmp.Or(cmp.Compare(a.lineWords, b.lineWords), cmp.Compare(a.sets, b.sets))
+	})
+	var lines [][]groupSpec
+	for i, g := range specs {
+		if i == 0 || g.lineWords != specs[i-1].lineWords {
+			lines = append(lines, nil)
+		}
+		lines[len(lines)-1] = append(lines[len(lines)-1], g)
+	}
+	return lines
 }
 
 // Access processes one reference for every line size.
@@ -73,6 +84,15 @@ func (s *Sweep) AccessKeys(keys []uint64) {
 	s.accesses += uint64(len(keys))
 	for _, l := range s.lines {
 		l.AccessKeys(keys)
+	}
+}
+
+// Reset empties every line size's stacks and zeroes the counters,
+// keeping the storage for the next stream.
+func (s *Sweep) Reset() {
+	s.accesses = 0
+	for _, l := range s.lines {
+		l.reset()
 	}
 }
 

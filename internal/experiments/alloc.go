@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"onchip/internal/area"
 	"onchip/internal/cache"
@@ -42,10 +43,47 @@ func init() {
 // workload-mix) a request names.
 //
 // Any workload sweep that fails -- a returned error, or a panic
-// recovered on that workload's goroutine -- fails the whole model: the
+// recovered on its slot's goroutine -- fails the whole model: the
 // error names the first failed workload in spec order, so the message
 // does not depend on which sweep finished first.
 func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Space, refsEach int, opt Options) (*search.Measured, error) {
+	tot, err := sweepSuite(v, specs, space, refsEach, opt, runtime.NumCPU())
+	if err != nil {
+		return nil, err
+	}
+	// The paper's Table 6/7 totals are 1.0 plus the TLB, I-cache and
+	// D-cache contributions computed from miss ratios and fixed miss
+	// penalties (its best CPI of 1.333 leaves no room for the ~0.3 of
+	// write-buffer and interlock stalls of Table 4, so those
+	// configuration-independent components are evidently excluded).
+	m := search.NewMeasured(1)
+	n := float64(tot.instrs)
+	for c, misses := range tot.iMiss {
+		m.IC[c] = float64(misses) * float64(cache.MissPenalty(c.LineWords)) / n
+	}
+	for c, misses := range tot.dMiss {
+		m.DC[c] = float64(misses) * float64(cache.MissPenalty(c.LineWords)) / n
+	}
+	for c, cycles := range tot.tlbCycles {
+		m.TLB[c] = float64(cycles) / n
+	}
+	return m, nil
+}
+
+// sweepTotals are a suite sweep's sums over its workloads: each cache
+// configuration's I-stream misses and D-stream read misses, each TLB
+// configuration's miss-service cycles, and the instructions simulated.
+type sweepTotals struct {
+	iMiss, dMiss map[area.CacheConfig]uint64
+	tlbCycles    map[area.TLBConfig]uint64
+	instrs       uint64
+}
+
+// sweepSuite runs buildMeasuredModel's sweep over a pool of the given
+// width. At most min(workers, workloads) workload sweeps run at once,
+// each on a slot that owns one engine and resets it between workloads;
+// workers <= 0 sweeps the workloads one at a time on a serial engine.
+func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Space, refsEach int, opt Options, workers int) (*sweepTotals, error) {
 	cacheCfgs := space.CacheConfigs()
 	tlbCfgs := space.TLBConfigs()
 	var tlbConfigs []tlb.Config
@@ -55,10 +93,11 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	opt.progressf("sweep: %d workloads x (%d cache + %d TLB) configs, %d refs each",
 		len(specs), len(cacheCfgs), len(tlbCfgs), refsEach)
 
-	iMiss := make(map[area.CacheConfig]uint64)
-	dMiss := make(map[area.CacheConfig]uint64)
-	tlbCycles := make(map[area.TLBConfig]uint64)
-	var instrs uint64
+	tot := &sweepTotals{
+		iMiss:     make(map[area.CacheConfig]uint64),
+		dMiss:     make(map[area.CacheConfig]uint64),
+		tlbCycles: make(map[area.TLBConfig]uint64),
+	}
 	var workloadsDone int
 
 	// Register the sweep's instruments up front so a live /metrics
@@ -82,17 +121,23 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	// workloads have finished the stragglers absorb the freed workers
 	// instead of stranding cores on a per-workload allowance -- the old
 	// NumCPU/len(specs) split idled most of the machine through the tail
-	// of the sweep.
-	workers := runtime.NumCPU()
+	// of the sweep. More workload sweeps than workers add no throughput,
+	// only simulator state, so min(workers, workloads) slots each own
+	// one engine and take the workloads in spec order.
 	arrangement.Gauge("sweep.workers",
-		"simulation workers in the shared sweep pool").Set(float64(workers))
-	pool := newGroupPool(workers, opt.Spans, "sweep")
-	defer pool.close()
+		"simulation workers in the shared sweep pool").Set(float64(max(workers, 0)))
+	var pool *groupPool
+	if workers > 0 {
+		pool = newGroupPool(workers, opt.Spans, "sweep")
+		defer pool.close()
+	}
+	slots := max(1, min(workers, len(specs)))
 
-	// sweepWorkload runs one workload's sweep, reporting a panic as an
-	// error: it runs on its own goroutine, where an unrecovered panic
-	// would take down the process -- and with it a serving advisor,
-	// whose job-level recover sits on a different goroutine.
+	// sweepWorkload runs one workload's sweep on a slot's engine,
+	// reporting a panic as an error: it runs on the slot's goroutine,
+	// where an unrecovered panic would take down the process -- and
+	// with it a serving advisor, whose job-level recover sits on a
+	// different goroutine.
 	//
 	// One generation feeds every simulator. The standalone sweeps each
 	// consumed a window of the same deterministic stream (the system's
@@ -111,9 +156,9 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	// so a replay reproduces the exact three windows without running the
 	// OS model at all. A corrupt entry is discarded mid-replay -- the
 	// simulators have then seen a partial stream, so the whole attempt
-	// (fresh engine included) falls back to live generation, which also
+	// (engine reset included) falls back to live generation, which also
 	// re-records the entry.
-	sweepWorkload := func(spec osmodel.WorkloadSpec) (engine *sweepEngine, results []tapeworm.Result, err error) {
+	sweepWorkload := func(spec osmodel.WorkloadSpec, slot **sweepEngine) (results []tapeworm.Result, err error) {
 		defer func() {
 			if v := recover(); v != nil {
 				err = fmt.Errorf("panic: %v", v)
@@ -127,8 +172,17 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 		wl := lane.Start("sweep.workload")
 		defer wl.End()
 
-		attempt := func(entry *tracecache.Entry, rec *tracecache.Writer) (engine *sweepEngine, results []tapeworm.Result, err error) {
-			engine = newSweepEngine(cacheCfgs, 8, pool)
+		attempt := func(entry *tracecache.Entry, rec *tracecache.Writer) (results []tapeworm.Result, err error) {
+			// The slot's engine is built on first use, inside this
+			// workload's recover like any other failure, and reset before
+			// every later stream: the next workload's, or the
+			// regeneration after a corrupt replay.
+			if *slot == nil {
+				*slot = newSweepEngine(cacheCfgs, 8, pool)
+			} else {
+				(*slot).reset()
+			}
+			engine := *slot
 			hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
 			tw := tapeworm.Attach(hw, tlbConfigs...)
 			tsink := &tlbOnly{hw: hw}
@@ -148,9 +202,10 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 			flushMeter(both)
 			flushMeter(tail)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			return engine, tw.Results(), nil
+			engine.flush()
+			return tw.Results(), nil
 		}
 
 		if opt.TraceCache == nil {
@@ -158,7 +213,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 		}
 		key := sweepTraceKey(v, spec, refsEach)
 		if entry := opt.TraceCache.OpenEntry(key); entry != nil {
-			engine, results, err = attempt(entry, nil)
+			results, err = attempt(entry, nil)
 			entry.Close()
 			if err == nil || !errors.Is(err, tracecache.ErrCorrupt) {
 				return
@@ -175,7 +230,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 			return attempt(nil, nil)
 		}
 		defer rec.Abort() // no-op once committed
-		engine, results, err = attempt(nil, rec)
+		results, err = attempt(nil, rec)
 		if err == nil {
 			if cerr := rec.Commit(); cerr != nil {
 				opt.progressf("sweep: %s trace not cached: %v", spec.Name, cerr)
@@ -184,40 +239,49 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 		return
 	}
 
-	// The per-workload sweeps are independent; run them concurrently
-	// and merge the counts under a lock. Each simulator is deterministic
-	// and the merged sums are order-independent, so parallel runs give
-	// bit-identical models.
+	// The per-workload sweeps are independent; the slots run them
+	// concurrently and merge the counts under a lock. Each simulator is
+	// deterministic and the merged sums are order-independent, so
+	// parallel runs give bit-identical models.
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	var claimed atomic.Int64
 	errs := make([]error, len(specs))
-	for w, spec := range specs {
+	for range slots {
 		wg.Add(1)
-		go func(w int, spec osmodel.WorkloadSpec) {
+		go func() {
 			defer wg.Done()
-			engine, results, err := sweepWorkload(spec)
-			if err != nil {
-				errs[w] = err
-				opt.progressf("sweep: %s failed: %v", spec.Name, err)
-				return
-			}
+			var engine *sweepEngine
+			for ctx.Err() == nil {
+				w := int(claimed.Add(1) - 1)
+				if w >= len(specs) {
+					return
+				}
+				spec := specs[w]
+				results, err := sweepWorkload(spec, &engine)
+				if err != nil {
+					errs[w] = err
+					opt.progressf("sweep: %s failed: %v", spec.Name, err)
+					continue
+				}
 
-			mu.Lock()
-			defer mu.Unlock()
-			for _, c := range cacheCfgs {
-				iMiss[c] += engine.iMisses(c)
-				dMiss[c] += engine.dReadMisses(c)
+				mu.Lock()
+				for _, c := range cacheCfgs {
+					tot.iMiss[c] += engine.iMisses(c)
+					tot.dMiss[c] += engine.dReadMisses(c)
+				}
+				tot.instrs += engine.instrs
+				for i, c := range tlbCfgs {
+					s := results[i].Service
+					tot.tlbCycles[c] += s.Cycles[tlb.UserMiss] + s.Cycles[tlb.KernelMiss]
+				}
+				workloadsDone++
+				opt.progressf("sweep: %s done (%d/%d workloads)", spec.Name, workloadsDone, len(specs))
+				wlDone.Inc()
+				sweepInstrs.Add(engine.instrs)
+				mu.Unlock()
 			}
-			instrs += engine.instrs
-			for i, c := range tlbCfgs {
-				s := results[i].Service
-				tlbCycles[c] += s.Cycles[tlb.UserMiss] + s.Cycles[tlb.KernelMiss]
-			}
-			workloadsDone++
-			opt.progressf("sweep: %s done (%d/%d workloads)", spec.Name, workloadsDone, len(specs))
-			wlDone.Inc()
-			sweepInstrs.Add(engine.instrs)
-		}(w, spec)
+		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -228,22 +292,7 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 			return nil, fmt.Errorf("workload %s: %w", specs[w].Name, err)
 		}
 	}
-
-	// The paper's Table 6/7 totals are 1.0 plus the TLB, I-cache and
-	// D-cache contributions computed from miss ratios and fixed miss
-	// penalties (its best CPI of 1.333 leaves no room for the ~0.3 of
-	// write-buffer and interlock stalls of Table 4, so those
-	// configuration-independent components are evidently excluded).
-	m := search.NewMeasured(1)
-	n := float64(instrs)
-	for _, c := range cacheCfgs {
-		m.IC[c] = float64(iMiss[c]) * float64(cache.MissPenalty(c.LineWords)) / n
-		m.DC[c] = float64(dMiss[c]) * float64(cache.MissPenalty(c.LineWords)) / n
-	}
-	for _, c := range tlbCfgs {
-		m.TLB[c] = float64(tlbCycles[c]) / n
-	}
-	return m, nil
+	return tot, nil
 }
 
 // sweepTraceKey content-addresses one workload's generated stream for

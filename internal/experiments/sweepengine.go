@@ -3,6 +3,7 @@ package experiments
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"onchip/internal/area"
 	"onchip/internal/cheetah"
@@ -23,17 +24,21 @@ import (
 // per-reference interface dispatch, and the per-configuration direct
 // D-cache simulation, while producing bit-identical miss counts.
 //
-// In parallel mode the schedulable units are the I-stream's fused
-// per-line-size cheetah.LineSweeps and the D-stream's (set count, line
-// size) simulator groups: 6 + 48 per workload under Table 5, 6 + 36
-// under Table 7's 2-way limit. Units are statically round-robined
-// across the pool's workers; every unit observes the full stream in
-// order, so results stay byte-identical to the serial path.
+// In parallel mode the schedulable units are the fused per-line-size
+// units of both streams, cheetah.LineSweep and cheetah.DataLine: 6 + 6
+// per workload under Table 5 and Table 7 alike. Within each batch the
+// pool's workers claim the next unclaimed unit, heaviest first, until
+// none is left; every unit observes the full stream in order, so
+// results stay byte-identical to the serial path. An engine is reset
+// and reused for the next workload of its sweep slot.
 type sweepEngine struct {
 	i      *cheetah.Sweep
 	d      *cheetah.DataSweep
 	instrs uint64
 
+	// ikeys and dkeys hold the keys translated but not yet run: one
+	// Refs call's on a serial engine, on a parallel one those of the
+	// calls since the last batch, until together they reach poolBatch.
 	ikeys []uint64
 	dkeys []uint64
 	one   [1]trace.Ref
@@ -43,9 +48,12 @@ type sweepEngine struct {
 	// freed by finished workloads flow to the stragglers; the pool's
 	// creator closes it.
 	pool *groupPool
-	// perWorker[w] is the fixed set of units worker w simulates for
-	// every batch; static assignment keeps worker lanes deterministic.
-	perWorker [][]groupUnit
+	// units lists the engine's simulator units heaviest first, the
+	// order in which workers claim them within a batch; next is the
+	// index of the next unclaimed unit of the current batch.
+	units   []groupUnit
+	next    atomic.Int64
+	batches int // batches handed to the pool
 
 	batch    sync.WaitGroup // per-batch barrier
 	panicMu  sync.Mutex
@@ -53,43 +61,58 @@ type sweepEngine struct {
 }
 
 // groupUnit is one schedulable piece of the engine: one I-stream
-// LineSweep or one D-stream simulator group (exactly one field is
-// non-nil).
+// LineSweep or one D-stream DataLine (exactly one field is non-nil).
 type groupUnit struct {
 	i *cheetah.LineSweep
-	d *cheetah.AllAssocData
+	d *cheetah.DataLine
 }
 
 // newSweepEngine builds the fused engine over the configurations. A nil
 // pool gives the serial engine.
 func newSweepEngine(configs []area.CacheConfig, maxAssoc int, pool *groupPool) *sweepEngine {
 	e := &sweepEngine{
-		i: cheetah.NewSweep(configs, maxAssoc),
-		d: cheetah.NewDataSweep(configs),
+		i:    cheetah.NewSweep(configs, maxAssoc),
+		d:    cheetah.NewDataSweep(configs),
+		pool: pool,
 	}
 	if pool == nil {
 		return e
 	}
-	var units []groupUnit
+	// Roughly heaviest first: a DataLine costs more per reference than
+	// a LineSweep of its line size (no early exit, relabel walks), and
+	// within a stream the smaller the line, the fewer references the
+	// memos absorb; the 1- and 2-word LineSweeps still outweigh the
+	// widest-line DataLines (DESIGN.md section 10 has the costs). The
+	// lightest units are claimed last and fill in behind the heavy
+	// ones, whatever the pool width.
+	for _, l := range e.d.Lines() {
+		e.units = append(e.units, groupUnit{d: l})
+	}
 	for _, l := range e.i.Lines() {
-		units = append(units, groupUnit{i: l})
-	}
-	for _, g := range e.d.Groups() {
-		units = append(units, groupUnit{d: g})
-	}
-	e.pool = pool
-	e.perWorker = make([][]groupUnit, pool.workers())
-	for idx, u := range units {
-		w := idx % len(e.perWorker)
-		e.perWorker[w] = append(e.perWorker[w], u)
+		e.units = append(e.units, groupUnit{i: l})
 	}
 	return e
 }
 
+// reset empties every simulator and counter, keeping the storage, so
+// the engine can sweep another stream from scratch.
+func (e *sweepEngine) reset() {
+	e.ikeys, e.dkeys = e.ikeys[:0], e.dkeys[:0]
+	e.i.Reset()
+	e.d.Reset()
+	e.instrs = 0
+}
+
+// poolBatch is how many keys (both streams) a parallel engine
+// translates before it runs them as one batch: eight of the emitter's
+// 1024-reference batches, so the per-batch hand-off -- a job per
+// worker, a barrier, often a parked worker to wake -- is paid once per
+// eight.
+const poolBatch = 8192
+
 // Refs implements trace.BatchSink: the sweep's hot path.
 func (e *sweepEngine) Refs(refs []trace.Ref) {
-	e.ikeys = e.ikeys[:0]
-	e.dkeys = e.dkeys[:0]
+	n := len(e.ikeys)
 	for _, r := range refs {
 		if r.Kind == trace.IFetch {
 			e.ikeys = append(e.ikeys, vm.CacheKey(r.Addr, r.ASID))
@@ -97,35 +120,46 @@ func (e *sweepEngine) Refs(refs []trace.Ref) {
 			e.dkeys = append(e.dkeys, cheetah.PackRef(vm.CacheKey(r.Addr, r.ASID), r.Kind == trace.Store))
 		}
 	}
-	e.instrs += uint64(len(e.ikeys))
-	if e.pool != nil {
+	e.instrs += uint64(len(e.ikeys) - n)
+	if e.pool == nil || len(e.ikeys)+len(e.dkeys) >= poolBatch {
 		e.runBatch()
-		return
 	}
-	e.i.AccessKeys(e.ikeys)
-	e.d.AccessPacked(e.dkeys)
 }
 
-// runBatch fans the translated batch out to the pool and waits for
-// every unit to consume it before the shared key slices are reused.
+// runBatch runs the translated keys through every unit -- in place on
+// a serial engine, else as one job on each of up to min(workers,
+// units) workers -- and waits for them before the key slices are
+// reused. A panic captured from a worker is re-raised here, on the
+// submitting goroutine, where the per-workload recover turns it into
+// that workload's error.
 func (e *sweepEngine) runBatch() {
-	n := 0
-	for _, units := range e.perWorker {
-		if len(units) > 0 {
-			n++
+	if e.pool == nil {
+		e.i.AccessKeys(e.ikeys)
+		e.d.AccessPacked(e.dkeys)
+	} else {
+		jobs := min(len(e.pool.chans), len(e.units))
+		e.next.Store(0)
+		e.batch.Add(jobs)
+		// The worker handed a job first starts claiming first; rotating
+		// the first worker gives every worker that head start in turn.
+		e.batches++
+		for k := range jobs {
+			e.pool.chans[(e.batches+k)%len(e.pool.chans)] <- e
 		}
+		e.batch.Wait()
 	}
-	e.batch.Add(n)
-	for w, units := range e.perWorker {
-		if len(units) == 0 {
-			continue
-		}
-		e.pool.chans[w] <- groupJob{units: units, ikeys: e.ikeys, dkeys: e.dkeys, e: e}
-	}
-	e.batch.Wait()
+	e.ikeys, e.dkeys = e.ikeys[:0], e.dkeys[:0]
 	if v := e.panicked; v != nil {
 		e.panicked = nil
 		panic(v)
+	}
+}
+
+// flush runs the keys translated but not yet run: the end of the
+// engine's stream.
+func (e *sweepEngine) flush() {
+	if len(e.ikeys)+len(e.dkeys) > 0 {
+		e.runBatch()
 	}
 }
 
@@ -136,29 +170,61 @@ func (e *sweepEngine) Ref(r trace.Ref) {
 }
 
 // iMisses returns the I-stream miss count for one configuration.
-func (e *sweepEngine) iMisses(c area.CacheConfig) uint64 { return e.i.Misses(c) }
+func (e *sweepEngine) iMisses(c area.CacheConfig) uint64 {
+	e.flush()
+	return e.i.Misses(c)
+}
 
 // dReadMisses returns the D-stream read (load) miss count for one
 // configuration under the write-through, no-write-allocate policy.
-func (e *sweepEngine) dReadMisses(c area.CacheConfig) uint64 { return e.d.ReadMisses(c) }
-
-// groupPool is a set of simulation workers, each owning one job
-// channel. Engines assign their simulator units statically across
-// the workers and submit every batch as one job per worker; the
-// per-engine barrier means a unit never sees two batches out of order
-// even when several engines share the pool. Determinism is free: units
-// touch disjoint simulator state, and each unit sees the full stream
-// in order on a single worker.
-type groupPool struct {
-	chans  []chan groupJob
-	exited sync.WaitGroup
+func (e *sweepEngine) dReadMisses(c area.CacheConfig) uint64 {
+	e.flush()
+	return e.d.ReadMisses(c)
 }
 
-// groupJob is one engine's batch for one worker's units.
-type groupJob struct {
-	units        []groupUnit
-	ikeys, dkeys []uint64
-	e            *sweepEngine
+// work is one worker's share of the current batch: it claims units
+// until none is left, capturing a panic into the engine so runBatch
+// can re-raise it on the submitting goroutine instead of crashing the
+// process.
+func (e *sweepEngine) work(lane *spans.Lane) {
+	span := lane.Start("sweep.job")
+	defer func() {
+		if v := recover(); v != nil {
+			e.panicMu.Lock()
+			if e.panicked == nil {
+				e.panicked = v
+			}
+			e.panicMu.Unlock()
+		}
+		span.End()
+		e.batch.Done()
+	}()
+	for {
+		n := e.next.Add(1) - 1
+		if n >= int64(len(e.units)) {
+			return
+		}
+		if u := e.units[n]; u.i != nil {
+			u.i.AccessKeys(e.ikeys)
+		} else {
+			u.d.AccessPacked(e.dkeys)
+		}
+	}
+}
+
+// groupPool is a set of simulation workers, each owning one job
+// channel. An engine submits every batch as one job to each of
+// min(workers, units) workers, and the per-engine barrier means a unit
+// never sees two batches out of order even when several engines share
+// the pool. A channel holds a job from as many engines as the pool has
+// workers -- the sweep never runs more engines than that at once -- so
+// an engine does not wait on one busy worker to reach the others.
+// Determinism is free: units touch disjoint simulator state, and each
+// unit sees the full stream in order, whichever worker claims it for a
+// batch.
+type groupPool struct {
+	chans  []chan *sweepEngine
+	exited sync.WaitGroup
 }
 
 // newGroupPool starts `workers` simulation workers. A non-nil tracer
@@ -169,7 +235,8 @@ type groupJob struct {
 func newGroupPool(workers int, tr *spans.Tracer, lanePrefix string) *groupPool {
 	p := &groupPool{}
 	for w := 0; w < workers; w++ {
-		ch := make(chan groupJob, 1)
+		// Room for a job from each engine the sweep runs at once.
+		ch := make(chan *sweepEngine, workers)
 		p.chans = append(p.chans, ch)
 		p.exited.Add(1)
 		lane := tr.WorkerLane(lanePrefix + ".worker." + strconv.Itoa(w))
@@ -178,39 +245,10 @@ func newGroupPool(workers int, tr *spans.Tracer, lanePrefix string) *groupPool {
 	return p
 }
 
-// workers returns the pool width.
-func (p *groupPool) workers() int { return len(p.chans) }
-
-func (p *groupPool) worker(lane *spans.Lane, ch chan groupJob) {
+func (p *groupPool) worker(lane *spans.Lane, ch chan *sweepEngine) {
 	defer p.exited.Done()
-	for job := range ch {
-		job.run(lane)
-	}
-}
-
-// run consumes one job, capturing a panic into the owning engine so
-// runBatch can re-raise it on the submitting goroutine (where the
-// per-workload recover turns it into that workload's error) instead of
-// crashing the process.
-func (j groupJob) run(lane *spans.Lane) {
-	span := lane.Start("sweep.job")
-	defer func() {
-		if v := recover(); v != nil {
-			j.e.panicMu.Lock()
-			if j.e.panicked == nil {
-				j.e.panicked = v
-			}
-			j.e.panicMu.Unlock()
-		}
-		span.End()
-		j.e.batch.Done()
-	}()
-	for _, u := range j.units {
-		if u.i != nil {
-			u.i.AccessKeys(j.ikeys)
-		} else {
-			u.d.AccessPacked(j.dkeys)
-		}
+	for e := range ch {
+		e.work(lane)
 	}
 }
 

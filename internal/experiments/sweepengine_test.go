@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"onchip/internal/area"
@@ -12,6 +15,7 @@ import (
 	"onchip/internal/telemetry"
 	"onchip/internal/tlb"
 	"onchip/internal/trace"
+	"onchip/internal/tracecache"
 	"onchip/internal/vm"
 	"onchip/internal/workload"
 )
@@ -193,4 +197,96 @@ func TestRefMeterFlush(t *testing.T) {
 		t.Error("nil counter: expected the sink back unwrapped")
 	}
 	flushMeter(trace.Discard)
+}
+
+// TestSlotSweepMatchesSerial pins the suite sweep's schedule --
+// min(workers, workloads) slots, each reusing one engine, and workers
+// claiming units within each batch -- to serial engines: pool widths 1,
+// 2 and 6 over the suite give exactly the totals of one fresh serial
+// engine per workload. At width 1 a single engine sweeps every
+// workload in turn. A slot whose engine has seen a corrupt cache
+// entry's partial replay, after sweeping two workloads, must still
+// give the uncached totals.
+func TestSlotSweepMatchesSerial(t *testing.T) {
+	const refs = 30_000
+	specs := workload.All()
+	space := search.Table5()
+	suite := func(specs []osmodel.WorkloadSpec, opt Options, workers int) *sweepTotals {
+		t.Helper()
+		tot, err := sweepSuite(osmodel.Mach, specs, space, refs, opt, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tot
+	}
+	want := &sweepTotals{
+		iMiss:     map[area.CacheConfig]uint64{},
+		dMiss:     map[area.CacheConfig]uint64{},
+		tlbCycles: map[area.TLBConfig]uint64{},
+	}
+	for _, spec := range specs {
+		one := suite([]osmodel.WorkloadSpec{spec}, Options{}, 0)
+		for c, n := range one.iMiss {
+			want.iMiss[c] += n
+		}
+		for c, n := range one.dMiss {
+			want.dMiss[c] += n
+		}
+		for c, n := range one.tlbCycles {
+			want.tlbCycles[c] += n
+		}
+		want.instrs += one.instrs
+	}
+	same := func(name string, got *sweepTotals) {
+		t.Helper()
+		if got.instrs != want.instrs {
+			t.Errorf("%s: instrs %d, serial %d", name, got.instrs, want.instrs)
+		}
+		for _, c := range space.CacheConfigs() {
+			if got.iMiss[c] != want.iMiss[c] || got.dMiss[c] != want.dMiss[c] {
+				t.Errorf("%s %v: I/D misses %d/%d, serial %d/%d", name, c, got.iMiss[c], got.dMiss[c], want.iMiss[c], want.dMiss[c])
+			}
+		}
+		for _, c := range space.TLBConfigs() {
+			if got.tlbCycles[c] != want.tlbCycles[c] {
+				t.Errorf("%s %v: TLB cycles %d, serial %d", name, c, got.tlbCycles[c], want.tlbCycles[c])
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 6} {
+		same(fmt.Sprintf("width %d", workers), suite(specs, Options{}, workers))
+	}
+
+	// Record the third workload's stream, then cut its entry short: the
+	// warm-up and measure segments still replay whole into the reused
+	// engine before the tail fails, so only a reset before the
+	// regeneration keeps them out of the totals.
+	cache, err := tracecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite(specs[2:3], Options{TraceCache: cache}, 1)
+	entries, err := filepath.Glob(filepath.Join(cache.Dir(), "*.octc"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("recorded entries %v (%v), want one", entries, err)
+	}
+	data, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[0], data[:len(data)-8], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	cache.Describe(reg)
+	same("width 1 over a corrupt entry", suite(specs, Options{TraceCache: cache, Metrics: reg}, 1))
+	corrupt := -1.0
+	for _, m := range reg.Snapshot() {
+		if m.Name == "tracecache.corrupt" {
+			corrupt = m.Value
+		}
+	}
+	if corrupt != 1 {
+		t.Errorf("tracecache.corrupt = %g, want 1", corrupt)
+	}
 }

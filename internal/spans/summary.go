@@ -27,8 +27,9 @@ type Summary struct {
 
 	// WorkerImbalance is max/mean busy time across worker lanes (1.0
 	// means perfectly balanced workers; 0 when there are no worker
-	// lanes). It shows how evenly the sweep's static round-robin of
-	// simulator units spreads their unequal costs.
+	// lanes). It shows how evenly the sweep's workers, claiming
+	// simulator units heaviest first within each batch, share their
+	// unequal costs.
 	WorkerImbalance float64 `json:"worker_imbalance"`
 
 	// Open lists spans still in flight, outermost first.
