@@ -39,8 +39,9 @@ type chromeEvent struct {
 func TestSweepChromeTraceGolden(t *testing.T) {
 	tr := spans.New(0)
 	// Two line sizes over four distinct (sets, line-size) groups: two
-	// I-stream LineSweeps and four D-stream groups, six units over a
-	// four-worker pool, so every worker lane runs jobs.
+	// I-stream LineSweeps and two D-stream DataLines, four units over a
+	// four-worker pool. Every batch hands each of the four workers a
+	// job, so every worker lane records spans.
 	cacheCfgs := []area.CacheConfig{
 		{CapacityBytes: 2 << 10, LineWords: 4, Assoc: 1},
 		{CapacityBytes: 2 << 10, LineWords: 16, Assoc: 2},
