@@ -42,13 +42,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzAdviseRequest -fuzztime=20s -run=FuzzAdviseRequest ./internal/advisor/
 
 # crossval pins the single-pass stack simulators, the fused sweep
-# engine and the TLB simulator to their direct-simulation or naive-model
-# oracles, under the race detector: any divergence between the
-# optimized paths and brute force fails here.
+# engine, the TLB simulator and the cache's compulsory-miss set to their
+# direct-simulation or naive-model oracles, and the concurrent stall
+# suite and its telemetry fold to a serial run, under the race
+# detector: any divergence between the optimized paths and brute force
+# fails here.
 crossval:
 	$(GO) test -race -count=1 \
 		-run 'CrossValidat|AgreesWithDirect|MatchesLegacy|MatchesSerial|TestTee|TestBatched|TestRefMeter|TestFusedLineMatchesDirect|TestDataLineMatchesDirect|TestTLBMatchesListModel' \
-		./internal/cheetah/ ./internal/experiments/ ./internal/trace/ ./internal/tlb/
+		./internal/cheetah/ ./internal/experiments/ ./internal/trace/ ./internal/tlb/ \
+		./internal/cache/ ./internal/monitor/ ./internal/telemetry/
 
 # crossval-search pins search.Rank and the pruned branch-and-bound
 # search to the exhaustive oracle, under the race detector: identical

@@ -83,7 +83,10 @@ type Cache struct {
 	// an empty way and recency moves carry the dirty bit along.
 	sets  []uint64
 	stats Stats
-	seen  map[uint64]struct{} // blocks ever filled, for compulsory-miss classification
+	// seen holds every block that has taken a read miss, for
+	// compulsory-miss classification, 64 blocks per entry: block b is
+	// in it when bit b&63 of seen[b>>6] is set.
+	seen map[uint64]uint64
 }
 
 // New builds a simulator for cfg. It panics on an invalid configuration;
@@ -114,7 +117,7 @@ func NewE(cfg Config) (*Cache, error) {
 		setMask:    uint64(sets - 1),
 		assoc:      cfg.Assoc,
 		sets:       make([]uint64, cfg.Lines()),
-		seen:       make(map[uint64]struct{}),
+		seen:       make(map[uint64]uint64),
 	}, nil
 }
 
@@ -130,7 +133,7 @@ func (c *Cache) Reset() {
 		c.sets[i] = 0
 	}
 	c.stats = Stats{}
-	c.seen = make(map[uint64]struct{})
+	clear(c.seen)
 }
 
 // ResetStats clears counters but keeps cache contents; used after warmup
@@ -182,8 +185,8 @@ func (c *Cache) AccessWB(key uint64, write bool) (hit, writeback bool) {
 		}
 	} else {
 		c.stats.ReadMisses++
-		if _, ok := c.seen[block]; !ok {
-			c.seen[block] = struct{}{}
+		if w, bit := c.seen[block>>6], uint64(1)<<(block&63); w&bit == 0 {
+			c.seen[block>>6] = w | bit
 			c.stats.Compulsory++
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -219,4 +220,123 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	New(cfg(1000, 4, 1))
+}
+
+// naiveCache is the oracle for TestCompulsoryCrossValidates: each set a
+// plain slice of blocks, most recent first, and every block that took a
+// read miss in a per-block map.
+type naiveCache struct {
+	lineBytes uint64
+	ways      int
+	alloc     bool
+	sets      [][]uint64
+	seen      map[uint64]struct{}
+	stats     Stats
+}
+
+func newNaiveCache(c Config) *naiveCache {
+	ways := c.Assoc
+	if ways == area.FullyAssociative {
+		ways = c.Lines()
+	}
+	return &naiveCache{
+		lineBytes: uint64(c.LineWords * area.WordBytes),
+		ways:      ways,
+		alloc:     c.WriteAllocate,
+		sets:      make([][]uint64, c.Lines()/ways),
+		seen:      map[uint64]struct{}{},
+	}
+}
+
+func (n *naiveCache) access(key uint64, write bool) bool {
+	block := key / n.lineBytes
+	set := &n.sets[block%uint64(len(n.sets))]
+	if write {
+		n.stats.Writes++
+	} else {
+		n.stats.Reads++
+	}
+	for i, b := range *set {
+		if b == block {
+			copy((*set)[1:i+1], (*set)[:i])
+			(*set)[0] = block
+			return true
+		}
+	}
+	if write {
+		n.stats.WriteMisses++
+		if !n.alloc {
+			return false
+		}
+	} else {
+		n.stats.ReadMisses++
+		if _, ok := n.seen[block]; !ok {
+			n.seen[block] = struct{}{}
+			n.stats.Compulsory++
+		}
+	}
+	n.stats.Fills++
+	*set = append([]uint64{block}, *set...)
+	if len(*set) > n.ways {
+		*set = (*set)[:n.ways]
+	}
+	return false
+}
+
+// The 64-blocks-per-entry compulsory set must classify exactly like a
+// plain per-block set. Every line size from 1 to 32 words, direct-
+// mapped, 2-way and fully associative, with and without write-allocate,
+// runs a stream of clustered and scattered keys over a 44-bit space --
+// neighbouring blocks share a set entry, distant ones differ only above
+// bit 6 of the block number -- against the naive oracle, hit by hit,
+// and every counter is compared before and after a Reset midway.
+func TestCompulsoryCrossValidates(t *testing.T) {
+	const n = 20_000
+	rng := rand.New(rand.NewSource(44))
+	bases := make([]uint64, 12)
+	for i := range bases {
+		bases[i] = uint64(rng.Int63n(1 << 44))
+	}
+	keys := make([]uint64, n)
+	writes := make([]bool, n)
+	for i := range keys {
+		switch r := rng.Intn(16); {
+		case r == 0: // anywhere in the space
+			keys[i] = uint64(rng.Int63n(1 << 44))
+		case r < 4: // a 64-block set entry's edges, in a distant region
+			keys[i] = bases[rng.Intn(len(bases))]&^(64*128-1) + uint64(64*128*rng.Intn(4)) - uint64(rng.Intn(2)*4)
+		default: // a few KB around one of the regions
+			keys[i] = bases[rng.Intn(len(bases))] + uint64(rng.Intn(12<<10))
+		}
+		writes[i] = rng.Intn(4) == 0
+	}
+	for _, line := range []int{1, 2, 4, 8, 16, 32} {
+		for _, assoc := range []int{1, 2, area.FullyAssociative} {
+			for _, alloc := range []bool{false, true} {
+				c := cfg(32*line*area.WordBytes, line, assoc)
+				c.WriteAllocate = alloc
+				got, want := New(c), newNaiveCache(c)
+				name := fmt.Sprintf("line=%d assoc=%d alloc=%v", line, assoc, alloc)
+				for i, k := range keys {
+					if i == n/2 {
+						if got.Stats() != want.stats {
+							t.Fatalf("%s: before Reset stats = %+v, oracle %+v", name, got.Stats(), want.stats)
+						}
+						got.Reset()
+						want = newNaiveCache(c)
+					}
+					if g, w := got.Access(k, writes[i]), want.access(k, writes[i]); g != w {
+						t.Fatalf("%s: access %d (key %#x) hit = %v, oracle %v", name, i, k, g, w)
+					}
+				}
+				if got.Stats() != want.stats {
+					t.Fatalf("%s: stats = %+v, oracle %+v", name, got.Stats(), want.stats)
+				}
+				if want.stats.Compulsory == 0 || want.stats.Compulsory == want.stats.ReadMisses {
+					t.Fatalf("%s: %d compulsory of %d read misses: the stream must take both kinds",
+						name, want.stats.Compulsory, want.stats.ReadMisses)
+				}
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -15,41 +16,67 @@ import (
 )
 
 // A cancelled run must return context.Canceled, whether the context
-// is cancelled before the call or mid-enumeration (from the search's
-// progress callback, after the model-building sweep): memalloc relies
-// on it, through runAllocation's wrapped enumeration error, to report
-// an interrupt and exit 130.
+// is cancelled before the call, mid-enumeration (from the search's
+// progress callback, after the model-building sweep) or between stall
+// suites (from table4's first progress line, printed once the Ultrix
+// suite is measured, so the Mach suite claims no row): memalloc relies
+// on it, through the experiment's wrapped error, to report an
+// interrupt and exit 130.
 func TestRunHonorsCancelledContext(t *testing.T) {
 	for _, tc := range []struct {
-		id     string
-		midRun bool
+		id string
+		// arm installs a hook that cancels mid-run; nil cancels before
+		// the call.
+		arm func(opt *Options, cancel func())
 	}{
-		{"table3", false},
-		{"table6", true},
+		{"table3", nil},
+		{"table6", func(opt *Options, cancel func()) {
+			opt.SweepObserver = func(p search.Progress) {
+				if !p.Done {
+					cancel()
+				}
+			}
+		}},
+		{"table4", func(opt *Options, cancel func()) {
+			opt.Progress = progressHook(func(line []byte) {
+				if bytes.HasPrefix(line, []byte("measure:")) {
+					cancel()
+				}
+			})
+		}},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := Options{Refs: 60_000, Context: ctx}
 		cancelled := false
-		if tc.midRun {
-			opt.SweepObserver = func(p search.Progress) {
-				if !p.Done && !cancelled {
-					cancelled = true
-					cancel()
-				}
+		cancelOnce := func() {
+			if !cancelled {
+				cancelled = true
+				cancel()
 			}
+		}
+		if tc.arm != nil {
+			tc.arm(&opt, cancelOnce)
 		} else {
-			cancel()
-			cancelled = true
+			cancelOnce()
 		}
 		_, err := Run(tc.id, opt)
 		cancel()
 		if !cancelled {
-			t.Errorf("%s: the enumeration reported no mid-run progress to cancel from", tc.id)
+			t.Errorf("%s: the run reported no mid-run progress to cancel from", tc.id)
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Run with a cancelled context returned %v, want context.Canceled", tc.id, err)
 		}
 	}
+}
+
+// progressHook is an Options.Progress writer that hands each progress
+// line to a function.
+type progressHook func(line []byte)
+
+func (h progressHook) Write(p []byte) (int, error) {
+	h(p)
+	return len(p), nil
 }
 
 // A workload sweep that fails fails the whole model. The bad spec

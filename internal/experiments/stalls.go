@@ -70,7 +70,11 @@ func table4(opt Options) (Result, error) {
 	t := report.NewTable("CPI stall components for all workloads (DECstation 3100 parameters)",
 		"Workload", "OS", "CPI", "TLB", "I-cache", "D-cache", "WriteBuf", "Other")
 	for _, v := range []osmodel.Variant{osmodel.Ultrix, osmodel.Mach} {
-		for _, row := range monitor.MeasureSuite(v, workload.All(), refs, cfg) {
+		rows, err := monitor.MeasureSuiteContext(opt.ctx(), v, workload.All(), refs, cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		for _, row := range rows {
 			breakdownRow(t, row.Workload, v.String(), row.Breakdown)
 			opt.progressf("measure: %s/%s done (CPI %.2f)", row.Workload, v, row.Breakdown.CPI)
 		}
@@ -96,7 +100,10 @@ func figure3(opt Options) (Result, error) {
 		for c := machine.CompTLB; c <= machine.CompOther; c++ {
 			series = append(series, report.Series{Label: c.String()})
 		}
-		rows := monitor.MeasureSuite(v, workload.All(), refs, cfg)
+		rows, err := monitor.MeasureSuiteContext(opt.ctx(), v, workload.All(), refs, cfg)
+		if err != nil {
+			return Result{}, err
+		}
 		opt.progressf("measure: %s suite done (%d rows)", v, len(rows))
 		for _, row := range rows {
 			for c := machine.CompTLB; c <= machine.CompOther; c++ {

@@ -78,6 +78,12 @@ func newSweepEngine(configs []area.CacheConfig, maxAssoc int, pool *groupPool) *
 	if pool == nil {
 		return e
 	}
+	// A batch runs as soon as the two streams reach poolBatch keys, so
+	// with the emitter's 1024-reference deliveries neither slice
+	// outgrows poolBatch+1024 (a trace-cache replay's larger blocks
+	// grow them once).
+	e.ikeys = make([]uint64, 0, poolBatch+1024)
+	e.dkeys = make([]uint64, 0, poolBatch+1024)
 	// Roughly heaviest first: a DataLine costs more per reference than
 	// a LineSweep of its line size (no early exit, relabel walks), and
 	// within a stream the smaller the line, the fewer references the

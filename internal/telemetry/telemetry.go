@@ -20,6 +20,11 @@
 // count and sum is read atomically, but a concurrent Observe may land
 // between reads. The discrepancy is at most the few in-flight
 // observations and vanishes at end of run.
+//
+// Registry.Absorb and Tracer.Absorb fold a finished run's private
+// instruments into another's, leaving them exactly as if the run had
+// recorded there; the stall suite measures its rows concurrently that
+// way.
 package telemetry
 
 import (
@@ -62,6 +67,7 @@ func (c *Counter) Value() uint64 {
 type Gauge struct {
 	v   uint64 // float64 bits
 	max uint64 // float64 bits
+	set uint32 // 1 once Set or Add has been called, for Registry.Absorb
 }
 
 // Set records the current value.
@@ -69,17 +75,9 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	bv := math.Float64bits(v)
-	atomic.StoreUint64(&g.v, bv)
-	for {
-		old := atomic.LoadUint64(&g.max)
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if atomic.CompareAndSwapUint64(&g.max, old, bv) {
-			return
-		}
-	}
+	g.mark()
+	atomic.StoreUint64(&g.v, math.Float64bits(v))
+	g.raiseMax(v)
 }
 
 // Add accumulates delta into the gauge (and its running maximum). It is
@@ -90,17 +88,31 @@ func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
 	}
+	g.mark()
 	for {
 		old := atomic.LoadUint64(&g.v)
 		v := math.Float64frombits(old) + delta
 		if atomic.CompareAndSwapUint64(&g.v, old, math.Float64bits(v)) {
-			for {
-				om := atomic.LoadUint64(&g.max)
-				if math.Float64frombits(om) >= v ||
-					atomic.CompareAndSwapUint64(&g.max, om, math.Float64bits(v)) {
-					return
-				}
-			}
+			g.raiseMax(v)
+			return
+		}
+	}
+}
+
+// mark records that the gauge has been written, loading first so that
+// a gauge set on every simulated store pays no repeated atomic store.
+func (g *Gauge) mark() {
+	if atomic.LoadUint32(&g.set) == 0 {
+		atomic.StoreUint32(&g.set, 1)
+	}
+}
+
+// raiseMax lifts the running maximum to v if v exceeds it.
+func (g *Gauge) raiseMax(v float64) {
+	for {
+		old := atomic.LoadUint64(&g.max)
+		if math.Float64frombits(old) >= v || atomic.CompareAndSwapUint64(&g.max, old, math.Float64bits(v)) {
+			return
 		}
 	}
 }
@@ -380,7 +392,12 @@ func register[T any](s Scope, name, typ, help string) *T {
 	}
 	s.r.mu.Lock()
 	defer s.r.mu.Unlock()
-	e := s.r.entry(name, typ, s.class, help)
+	return instrument[T](s.r.entry(name, typ, s.class, help))
+}
+
+// instrument returns e's instrument, creating it on first use. Callers
+// hold the registry's lock.
+func instrument[T any](e *entry) *T {
 	if e.inst == nil {
 		e.inst = new(T)
 	}
@@ -413,6 +430,52 @@ func (r *Registry) entry(name, typ string, class Class, help string) *entry {
 		panic(fmt.Sprintf("telemetry: %q registered as both %s %s and %s %s", name, e.class, e.typ, class, typ))
 	}
 	return e
+}
+
+// Absorb folds src into r, leaving r as if src's instruments had been
+// registered and recorded into r directly, after what r already holds:
+// counters and histograms add; a gauge src ever set takes src's last
+// value and the larger of the two maxima, and one src never set only
+// registers its name; pull-style callbacks are appended in src's
+// registration order, so a snapshot sums them in the serial order. A
+// name new to r keeps src's class and help; a name registered in both
+// as different types or classes panics, like registering it twice.
+// src must no longer be recording; r may be live. Safe to call with
+// either registry nil.
+func (r *Registry) Absorb(src *Registry) {
+	if r == nil || src == nil {
+		return
+	}
+	src.mu.Lock()
+	ents := make(map[string]entry, len(src.entries))
+	for name, e := range src.entries {
+		ents[name] = *e
+	}
+	src.mu.Unlock()
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, se := range ents {
+		e := r.entry(name, se.typ, se.class, se.help)
+		e.fns = append(e.fns, se.fns...)
+		switch in := se.inst.(type) {
+		case *Counter:
+			instrument[Counter](e).Add(in.Value())
+		case *Gauge:
+			g := instrument[Gauge](e)
+			if atomic.LoadUint32(&in.set) != 0 {
+				g.Set(in.Value())
+				g.raiseMax(in.Max())
+			}
+		case *Histogram:
+			h := instrument[Histogram](e)
+			atomic.AddUint64(&h.count, in.Count())
+			atomic.AddUint64(&h.sum, in.Sum())
+			for b := range in.buckets {
+				atomic.AddUint64(&h.buckets[b], atomic.LoadUint64(&in.buckets[b]))
+			}
+		}
+	}
 }
 
 // Snapshot returns all metrics sorted by name, for deterministic output.

@@ -52,9 +52,9 @@ type Probe interface {
 // Safe for one recorder plus any number of concurrent readers (the live
 // observability server tails the ring while the machine fills it).
 type Tracer struct {
-	mu  sync.Mutex
-	buf []Event
-	n   uint64 // events ever recorded
+	mu   sync.Mutex
+	ring []Event // the event with Seq s lives at ring[s%len(ring)]
+	n    uint64  // events ever recorded
 }
 
 // DefaultTracerDepth matches Monster's 128K-entry logic-analyzer buffer.
@@ -66,7 +66,7 @@ func NewTracer(depth int) *Tracer {
 	if depth <= 0 {
 		depth = DefaultTracerDepth
 	}
-	return &Tracer{buf: make([]Event, 0, depth)}
+	return &Tracer{ring: make([]Event, depth)}
 }
 
 // Record appends an event, evicting the oldest once the ring is full.
@@ -76,17 +76,22 @@ func (t *Tracer) Record(ev Event) {
 	}
 	t.mu.Lock()
 	ev.Seq = t.n
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, ev)
-	} else {
-		t.buf[t.n%uint64(cap(t.buf))] = ev
-	}
+	t.ring[t.n%uint64(len(t.ring))] = ev
 	t.n++
 	t.mu.Unlock()
 }
 
 // Event implements Probe.
 func (t *Tracer) Event(ev Event) { t.Record(ev) }
+
+// Depth returns how many events the ring holds at most (zero for the
+// nil instrument).
+func (t *Tracer) Depth() int {
+	if t == nil {
+		return 0
+	}
+	return len(t.ring)
+}
 
 // Total returns the number of events ever recorded (including evicted
 // ones).
@@ -106,7 +111,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return int(t.n - t.oldest())
 }
 
 // Events returns the captured window, oldest first.
@@ -119,17 +124,71 @@ func (t *Tracer) Events() []Event {
 	return t.eventsLocked()
 }
 
+// Reset empties the ring and restarts Seq at zero, keeping the storage.
+func (t *Tracer) Reset() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.n = 0
+	t.mu.Unlock()
+}
+
+// Absorb appends src's events to t as if they had been recorded into t
+// after t's own: each keeps its place, with Seq offset by t's total,
+// and t's total advances by src's, evicted events included. Since src
+// is at least as deep as t (a shallower src panics), every event src
+// evicted is too old for t's window as well, so t ends exactly as if it
+// had recorded src's events itself. src must no longer be recording
+// and must not be t. Safe to call with either tracer nil.
+func (t *Tracer) Absorb(src *Tracer) {
+	if t == nil || src == nil {
+		return
+	}
+	if len(src.ring) < len(t.ring) {
+		panic(fmt.Sprintf("telemetry: absorbing a %d-event ring into a deeper %d-event one", len(src.ring), len(t.ring)))
+	}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	base, d := t.n, uint64(len(t.ring))
+	i := (base + src.oldest()) % d
+	older, newer := src.window()
+	for _, seg := range [2][]Event{older, newer} {
+		for _, ev := range seg {
+			ev.Seq += base
+			t.ring[i] = ev
+			if i++; i == d {
+				i = 0
+			}
+		}
+	}
+	t.n = base + src.n
+}
+
+// oldest returns the Seq of the oldest event held. Callers hold t.mu.
+func (t *Tracer) oldest() uint64 { return t.n - min(t.n, uint64(len(t.ring))) }
+
+// window returns the events held, oldest first, as two runs of the
+// ring. Callers hold t.mu.
+func (t *Tracer) window() (older, newer []Event) {
+	d := uint64(len(t.ring))
+	start := t.oldest() % d
+	end := start + t.n - t.oldest()
+	if end <= d {
+		return t.ring[start:end], nil
+	}
+	return t.ring[start:], t.ring[:end-d]
+}
+
 func (t *Tracer) eventsLocked() []Event {
-	if len(t.buf) == 0 {
+	older, newer := t.window()
+	if len(older) == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(t.buf))
-	if len(t.buf) < cap(t.buf) {
-		return append(out, t.buf...)
-	}
-	head := int(t.n % uint64(cap(t.buf))) // oldest entry
-	out = append(out, t.buf[head:]...)
-	return append(out, t.buf[:head]...)
+	out := make([]Event, 0, len(older)+len(newer))
+	return append(append(out, older...), newer...)
 }
 
 // EventsSince returns the events with Seq >= since that are still in
