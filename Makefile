@@ -43,13 +43,14 @@ fuzz:
 
 # crossval pins the single-pass stack simulators, the fused sweep
 # engine, the TLB simulator and the cache's compulsory-miss set to their
-# direct-simulation or naive-model oracles, and the concurrent stall
-# suite and its telemetry fold to a serial run, under the race
-# detector: any divergence between the optimized paths and brute force
-# fails here.
+# direct-simulation or naive-model oracles, and the concurrent
+# timing-machine row runner and its telemetry fold -- the stall suite
+# and every row shape the experiments declare -- to a serial run, under
+# the race detector: any divergence between the optimized paths and
+# brute force fails here.
 crossval:
 	$(GO) test -race -count=1 \
-		-run 'CrossValidat|AgreesWithDirect|MatchesLegacy|MatchesSerial|TestTee|TestBatched|TestRefMeter|TestFusedLineMatchesDirect|TestDataLineMatchesDirect|TestTLBMatchesListModel' \
+		-run 'CrossValidat|AgreesWithDirect|MatchesLegacy|MatchesSerial|MatchSerial|TestTee|TestBatched|TestRefMeter|TestFusedLineMatchesDirect|TestDataLineMatchesDirect|TestTLBMatchesListModel' \
 		./internal/cheetah/ ./internal/experiments/ ./internal/trace/ ./internal/tlb/ \
 		./internal/cache/ ./internal/monitor/ ./internal/telemetry/
 

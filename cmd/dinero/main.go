@@ -91,12 +91,17 @@ func main() {
 	r.SkipCorrupt = *skipCorrupt
 
 	start := time.Now()
+	// The machine records into a registry of its own, absorbed after
+	// the replay so no scrape reads a running machine; the corruption
+	// count and the stall-event ring stay live.
+	var reg *telemetry.Registry
 	if *metricsFile != "" || *serveAddr != "" {
-		cfg.Metrics = telemetry.NewRegistry()
-		corrupts := cfg.Metrics.Counter("trace.corrupt_records", "corrupt trace records encountered")
+		reg = telemetry.NewRegistry()
+		corrupts := reg.Counter("trace.corrupt_records", "corrupt trace records encountered")
 		r.OnCorrupt = func(*trace.CorruptError) { corrupts.Inc() }
+		cfg.Metrics = telemetry.NewRegistry()
 	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "dinero", *spansFile, *profSpan, *profSpanOut, cfg.Metrics)
+	spanTr, drainSpans, err := spans.Setup(ctx, "dinero", *spansFile, *profSpan, *profSpanOut, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -112,7 +117,7 @@ func main() {
 	if *serveAddr != "" {
 		cfg.Tracer = telemetry.NewTracer(telemetry.DefaultTracerDepth)
 		srv := obs.New(obs.Config{
-			Registry: cfg.Metrics,
+			Registry: reg,
 			Tracer:   cfg.Tracer,
 			Manifest: man,
 			KindName: machine.KindName,
@@ -148,6 +153,7 @@ func main() {
 	// Flush and report even when interrupted: the counters below are
 	// exact for the prefix of the trace that was replayed.
 	m.FlushMetrics()
+	reg.Absorb(cfg.Metrics)
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "dinero: interrupted; statistics cover the first %d references\n", n)
 	}
@@ -181,7 +187,7 @@ func main() {
 	if *metricsFile != "" {
 		f, err := os.Create(*metricsFile)
 		if err == nil {
-			err = telemetry.WriteJSONL(f, man, cfg.Metrics.Snapshot())
+			err = telemetry.WriteJSONL(f, man, reg.Snapshot())
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -43,11 +43,10 @@ func main() {
 	defer stopSignals()
 
 	start := time.Now()
-	cfg := machine.DECstation3100()
 	var reg *telemetry.Registry
+	var tr *telemetry.Tracer
 	if *metricsFile != "" || *serveAddr != "" {
 		reg = telemetry.NewRegistry()
-		cfg.Metrics = reg
 	}
 	spanTr, drainSpans, err := spans.Setup(ctx, "monster", *spansFile, *profSpan, *profSpanOut, reg)
 	if err != nil {
@@ -63,10 +62,10 @@ func main() {
 		Labels:    map[string]string{"workload": *wl, "suite": fmt.Sprint(*suite)},
 	}
 	if *serveAddr != "" {
-		cfg.Tracer = telemetry.NewTracer(telemetry.DefaultTracerDepth)
+		tr = telemetry.NewTracer(telemetry.DefaultTracerDepth)
 		srv := obs.New(obs.Config{
 			Registry: reg,
-			Tracer:   cfg.Tracer,
+			Tracer:   tr,
 			Manifest: man,
 			KindName: machine.KindName,
 			CompName: machine.CompName,
@@ -89,8 +88,11 @@ func main() {
 	if *suite {
 		for _, v := range []osmodel.Variant{osmodel.Ultrix, osmodel.Mach} {
 			span := lane.Start("suite." + v.String())
-			rows, err := monitor.MeasureSuiteContext(ctx, v, workload.All(), *refs, cfg)
+			rows, err := monitor.MeasureRows(ctx, monitor.Suite(v, workload.All(), *refs, machine.DECstation3100()), reg, tr)
 			span.End()
+			if err == nil {
+				rows = append(rows, monitor.Average(rows))
+			}
 			for _, row := range rows {
 				printRow(row)
 			}
@@ -105,24 +107,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "monster:", err)
 			os.Exit(1)
 		}
-		measure := []struct {
-			span string
-			run  func() monitor.Row
-		}{
-			{"measure.user-only", func() monitor.Row { return monitor.MeasureUserOnly(spec, *refs, cfg) }},
-			{"measure.Ultrix", func() monitor.Row { return monitor.Measure(osmodel.Ultrix, spec, *refs, cfg) }},
-			{"measure.Mach", func() monitor.Row { return monitor.Measure(osmodel.Mach, spec, *refs, cfg) }},
-		}
-		for _, m := range measure {
-			if ctx.Err() != nil {
-				interrupted = true
-				break
-			}
-			span := lane.Start(m.span)
-			row := m.run()
-			span.End()
+		span := lane.Start("measure")
+		rows, err := monitor.MeasureRows(ctx, monitor.Conditions(spec, *refs, machine.DECstation3100()), reg, tr)
+		span.End()
+		for _, row := range rows {
 			printRow(row)
 		}
+		interrupted = err != nil
 	}
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "monster: interrupted; rows above are complete measurements")

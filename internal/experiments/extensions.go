@@ -22,6 +22,7 @@ import (
 	"onchip/internal/area"
 	"onchip/internal/atime"
 	"onchip/internal/machine"
+	"onchip/internal/monitor"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
 	"onchip/internal/search"
@@ -105,38 +106,34 @@ func extOOL(opt Options) (Result, error) {
 		{"8 KB (default)", 8 * 1024},
 		{"always (remap all)", 0},
 	}
-	var firstTLB, lastTLB, firstI, lastI float64
+	var decl []monitor.RowSpec
 	for _, spec := range []osmodel.WorkloadSpec{workload.MPEGPlay(), workload.VideoPlay()} {
-		for i, st := range settings {
-			cfg := machine.DECstation3100()
-			cfg.OtherCPI = spec.OtherCPI
-			cfg.IsServerASID = osmodel.IsServerASID
-			m := machine.New(cfg)
-			sys := osmodel.NewSystem(osmodel.Mach, spec)
-			sys.SetOOLThreshold(st.bytes)
-			gen := sys.Run(refs, m)
-			b := m.Breakdown()
-			t.Row(spec.Name, st.name, fmt.Sprintf("%.2f", b.CPI),
-				fmt.Sprintf("%.3f", b.Comp[machine.CompTLB]),
-				fmt.Sprintf("%.3f", b.Comp[machine.CompICache]),
-				fmt.Sprintf("%.3f", b.Comp[machine.CompDCache]),
-				fmt.Sprintf("%.0f", float64(gen.Instrs)/float64(gen.Calls)))
-			if spec.Name == "video_play" {
-				if i == 0 {
-					firstTLB, firstI = b.Comp[machine.CompTLB], b.Comp[machine.CompICache]
-				}
-				if i == len(settings)-1 {
-					lastTLB, lastI = b.Comp[machine.CompTLB], b.Comp[machine.CompICache]
-				}
-			}
+		for _, st := range settings {
+			decl = append(decl, monitor.Workload(osmodel.Mach, spec, refs, machine.DECstation3100(),
+				func(sys *osmodel.System) { sys.SetOOLThreshold(st.bytes) }))
 		}
 	}
+	rows, err := monitor.MeasureRows(opt.ctx(), decl, opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, row := range rows {
+		b, gen := row.Breakdown, row.Gen
+		t.Row(row.Workload, settings[i%len(settings)].name, fmt.Sprintf("%.2f", b.CPI),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompTLB]),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompICache]),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompDCache]),
+			fmt.Sprintf("%.0f", float64(gen.Instrs)/float64(gen.Calls)))
+	}
+	// video_play's rows are the last len(settings).
+	first, last := rows[len(rows)-len(settings)].Breakdown.Comp, rows[len(rows)-1].Breakdown.Comp
 	return Result{
 		Text: t.String(),
 		Notes: []string{
 			fmt.Sprintf("video_play, copy-all -> remap-all: TLB CPI %.3f -> %.3f (the section 4.3 shift toward the TLB)",
-				firstTLB, lastTLB),
-			fmt.Sprintf("per-instruction I-cache CPI also moves (%.3f -> %.3f) because remapping removes the copies'", firstI, lastI),
+				first[machine.CompTLB], last[machine.CompTLB]),
+			fmt.Sprintf("per-instruction I-cache CPI also moves (%.3f -> %.3f) because remapping removes the copies'",
+				first[machine.CompICache], last[machine.CompICache]),
 			"cheap cache-resident loop instructions from the stream; each remaining instruction carries more misses",
 		},
 	}, nil
@@ -148,24 +145,22 @@ func extServers(opt Options) (Result, error) {
 	refs := opt.refs(defaultStallRefs)
 	t := report.NewTable("Monolithic vs small-granularity servers (Mach)",
 		"Workload", "Servers", "CPI", "TLB CPI", "I-cache CPI")
+	labels := []string{"monolithic", "decomposed"}
+	var decl []monitor.RowSpec
 	for _, spec := range []osmodel.WorkloadSpec{workload.MAB(), workload.Ousterhout()} {
-		for _, decomposed := range []bool{false, true} {
-			cfg := machine.DECstation3100()
-			cfg.OtherCPI = spec.OtherCPI
-			cfg.IsServerASID = osmodel.IsServerASID
-			m := machine.New(cfg)
-			sys := osmodel.NewSystem(osmodel.Mach, spec)
-			label := "monolithic"
-			if decomposed {
-				sys.EnableDecomposedServers()
-				label = "decomposed"
-			}
-			sys.Generate(refs, m)
-			b := m.Breakdown()
-			t.Row(spec.Name, label, fmt.Sprintf("%.2f", b.CPI),
-				fmt.Sprintf("%.3f", b.Comp[machine.CompTLB]),
-				fmt.Sprintf("%.3f", b.Comp[machine.CompICache]))
-		}
+		decl = append(decl,
+			monitor.Workload(osmodel.Mach, spec, refs, machine.DECstation3100()),
+			monitor.Workload(osmodel.Mach, spec, refs, machine.DECstation3100(), (*osmodel.System).EnableDecomposedServers))
+	}
+	rows, err := monitor.MeasureRows(opt.ctx(), decl, opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, row := range rows {
+		b := row.Breakdown
+		t.Row(row.Workload, labels[i%len(labels)], fmt.Sprintf("%.2f", b.CPI),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompTLB]),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompICache]))
 	}
 	return Result{
 		Text: t.String(),

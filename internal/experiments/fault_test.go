@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"onchip/internal/osmodel"
@@ -66,6 +67,37 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Run with a cancelled context returned %v, want context.Canceled", tc.id, err)
+		}
+	}
+}
+
+// pollCancel is a context that reads as cancelled from its n-th Err
+// poll on: Run polls once before the experiment, and the row runner
+// once before each claim.
+type pollCancel struct {
+	context.Context
+	mu       sync.Mutex
+	polls, n int
+}
+
+func (c *pollCancel) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.polls++; c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// Every experiment that runs the timing machine stops between rows: a
+// context that turns cancelled after the first row is claimed stops it
+// with context.Canceled, instead of running its remaining rows.
+func TestTimingMachineExperimentsStopBetweenRows(t *testing.T) {
+	for _, id := range []string{"table3", "table4", "fig3", "ext-l2", "ext-prefetch", "ext-wbuf", "ext-ool",
+		"ext-servers", "ext-multi", "ext-multiapi", "ext-unified", "ext-wpolicy"} {
+		ctx := &pollCancel{Context: context.Background(), n: 3}
+		if _, err := Run(id, Options{Refs: 20_000, Context: ctx}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Run returned %v once cancelled after its first row, want context.Canceled", id, err)
 		}
 	}
 }

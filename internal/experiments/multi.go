@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"onchip/internal/machine"
+	"onchip/internal/monitor"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
 	"onchip/internal/workload"
@@ -23,23 +24,24 @@ func extMulti(opt Options) (Result, error) {
 	t := report.NewTable("Multiprogramming interference, DECstation 3100 parameters (Mach)",
 		"Condition", "CPI", "TLB CPI", "I-cache CPI", "D-cache CPI")
 
-	// Alone.
-	alone := machine.New(suiteMachineCfg(workload.MPEGPlay()))
-	osmodel.NewSystem(osmodel.Mach, workload.MPEGPlay()).Generate(refs, alone)
-	ab := alone.Breakdown()
-	t.Row("mpeg_play alone", fmt.Sprintf("%.2f", ab.CPI),
-		fmt.Sprintf("%.3f", ab.Comp[machine.CompTLB]),
-		fmt.Sprintf("%.3f", ab.Comp[machine.CompICache]),
-		fmt.Sprintf("%.3f", ab.Comp[machine.CompDCache]))
-
-	// Time-sliced with mab.
-	shared := machine.New(suiteMachineCfg(workload.MPEGPlay()))
-	osmodel.NewMulti(osmodel.Mach, workload.MPEGPlay(), workload.MAB()).Generate(2*refs, shared)
-	sb := shared.Breakdown()
-	t.Row("mpeg_play + mab (time-sliced)", fmt.Sprintf("%.2f", sb.CPI),
-		fmt.Sprintf("%.3f", sb.Comp[machine.CompTLB]),
-		fmt.Sprintf("%.3f", sb.Comp[machine.CompICache]),
-		fmt.Sprintf("%.3f", sb.Comp[machine.CompDCache]))
+	// mpeg_play alone, then time-sliced with mab for twice the
+	// references on the same machine, still charged mpeg_play's
+	// interlock density.
+	alone := monitor.Workload(osmodel.Mach, workload.MPEGPlay(), refs, machine.DECstation3100())
+	shared := monitor.Multi("mpeg_play + mab", alone.Config, 2*refs, func() *osmodel.Multi {
+		return osmodel.NewMulti(osmodel.Mach, workload.MPEGPlay(), workload.MAB())
+	})
+	rows, err := monitor.MeasureRows(opt.ctx(), []monitor.RowSpec{alone, shared}, opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, label := range []string{"mpeg_play alone", "mpeg_play + mab (time-sliced)"} {
+		b := rows[i].Breakdown
+		t.Row(label, fmt.Sprintf("%.2f", b.CPI),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompTLB]),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompICache]),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompDCache]))
+	}
 
 	return Result{
 		Text: t.String(),
@@ -49,13 +51,4 @@ func extMulti(opt Options) (Result, error) {
 			"(the combined row mixes both workloads' instructions, so compare stall components, not CPI alone)",
 		},
 	}, nil
-}
-
-// suiteMachineCfg builds the DECstation configuration with the
-// workload's interlock density.
-func suiteMachineCfg(spec osmodel.WorkloadSpec) machine.Config {
-	cfg := machine.DECstation3100()
-	cfg.OtherCPI = spec.OtherCPI
-	cfg.IsServerASID = osmodel.IsServerASID
-	return cfg
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"onchip/internal/machine"
+	"onchip/internal/monitor"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
 	"onchip/internal/workload"
@@ -25,19 +26,24 @@ func extMultiAPI(opt Options) (Result, error) {
 
 	t := report.NewTable("Shared vs per-application API servers (mpeg_play + mab, Mach, time-sliced)",
 		"API servers", "CPI", "TLB CPI", "I-cache CPI", "D-cache CPI")
-	run := func(label string, multi *osmodel.Multi) {
-		cfg := machine.DECstation3100()
-		cfg.IsServerASID = osmodel.IsServerASID
-		m := machine.New(cfg)
-		multi.Generate(2*refs, m)
-		b := m.Breakdown()
-		t.Row(label, fmt.Sprintf("%.2f", b.CPI),
+	// Both rows run twice the references, time-sliced, with no
+	// interlock density charged.
+	cfg := machine.DECstation3100()
+	cfg.IsServerASID = osmodel.IsServerASID
+	rows, err := monitor.MeasureRows(opt.ctx(), []monitor.RowSpec{
+		monitor.Multi("one shared server", cfg, 2*refs, func() *osmodel.Multi { return osmodel.NewMulti(osmodel.Mach, specs...) }),
+		monitor.Multi("one server per app", cfg, 2*refs, func() *osmodel.Multi { return osmodel.NewMultiAPI(osmodel.Mach, specs...) }),
+	}, opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, row := range rows {
+		b := row.Breakdown
+		t.Row(row.Workload, fmt.Sprintf("%.2f", b.CPI),
 			fmt.Sprintf("%.3f", b.Comp[machine.CompTLB]),
 			fmt.Sprintf("%.3f", b.Comp[machine.CompICache]),
 			fmt.Sprintf("%.3f", b.Comp[machine.CompDCache]))
 	}
-	run("one shared server", osmodel.NewMulti(osmodel.Mach, specs[0], specs[1]))
-	run("one server per app", osmodel.NewMultiAPI(osmodel.Mach, specs[0], specs[1]))
 
 	return Result{
 		Text: t.String(),

@@ -34,22 +34,19 @@ func breakdownRow(t *report.Table, name, os string, b machine.Breakdown) {
 // under Ultrix and under Mach, all on DECstation 3100 memory parameters.
 func table3(opt Options) (Result, error) {
 	refs := opt.refs(defaultStallRefs)
-	cfg := machine.DECstation3100()
-	cfg.Metrics = opt.Metrics
-	cfg.Tracer = opt.Tracer
 	spec := workload.MPEGPlay()
+	rows, err := monitor.MeasureRows(opt.ctx(), monitor.Conditions(spec, refs, machine.DECstation3100()), opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
 
 	t := report.NewTable("CPU stall components, mpeg_play on DECstation 3100 parameters",
 		"Workload", "OS", "CPI", "TLB", "I-cache", "D-cache", "WriteBuf", "Other")
-	none := monitor.MeasureUserOnly(spec, refs, cfg)
-	breakdownRow(t, spec.Name, "None", none.Breakdown)
-	opt.progressf("measure: %s/None done (CPI %.2f)", spec.Name, none.Breakdown.CPI)
-	ult := monitor.Measure(osmodel.Ultrix, spec, refs, cfg)
-	breakdownRow(t, spec.Name, "Ultrix", ult.Breakdown)
-	opt.progressf("measure: %s/Ultrix done (CPI %.2f)", spec.Name, ult.Breakdown.CPI)
-	mach := monitor.Measure(osmodel.Mach, spec, refs, cfg)
-	breakdownRow(t, spec.Name, "Mach", mach.Breakdown)
-	opt.progressf("measure: %s/Mach done (CPI %.2f)", spec.Name, mach.Breakdown.CPI)
+	for _, row := range rows {
+		breakdownRow(t, row.Workload, row.OS, row.Breakdown)
+		opt.progressf("measure: %s/%s done (CPI %.2f)", row.Workload, row.OS, row.Breakdown.CPI)
+	}
+	mach := rows[2]
 
 	return Result{
 		Text: t.String(),
@@ -64,17 +61,14 @@ func table3(opt Options) (Result, error) {
 // table4 runs the whole suite under both operating systems.
 func table4(opt Options) (Result, error) {
 	refs := opt.refs(defaultStallRefs)
-	cfg := machine.DECstation3100()
-	cfg.Metrics = opt.Metrics
-	cfg.Tracer = opt.Tracer
 	t := report.NewTable("CPI stall components for all workloads (DECstation 3100 parameters)",
 		"Workload", "OS", "CPI", "TLB", "I-cache", "D-cache", "WriteBuf", "Other")
 	for _, v := range []osmodel.Variant{osmodel.Ultrix, osmodel.Mach} {
-		rows, err := monitor.MeasureSuiteContext(opt.ctx(), v, workload.All(), refs, cfg)
+		rows, err := monitor.MeasureRows(opt.ctx(), monitor.Suite(v, workload.All(), refs, machine.DECstation3100()), opt.Metrics, opt.Tracer)
 		if err != nil {
 			return Result{}, err
 		}
-		for _, row := range rows {
+		for _, row := range append(rows, monitor.Average(rows)) {
 			breakdownRow(t, row.Workload, v.String(), row.Breakdown)
 			opt.progressf("measure: %s/%s done (CPI %.2f)", row.Workload, v, row.Breakdown.CPI)
 		}
@@ -91,19 +85,17 @@ func table4(opt Options) (Result, error) {
 // figure3 is Table 4 rendered as stacked components.
 func figure3(opt Options) (Result, error) {
 	refs := opt.refs(defaultStallRefs)
-	cfg := machine.DECstation3100()
-	cfg.Metrics = opt.Metrics
-	cfg.Tracer = opt.Tracer
 	var b strings.Builder
 	for _, v := range []osmodel.Variant{osmodel.Ultrix, osmodel.Mach} {
 		var series []report.Series
 		for c := machine.CompTLB; c <= machine.CompOther; c++ {
 			series = append(series, report.Series{Label: c.String()})
 		}
-		rows, err := monitor.MeasureSuiteContext(opt.ctx(), v, workload.All(), refs, cfg)
+		rows, err := monitor.MeasureRows(opt.ctx(), monitor.Suite(v, workload.All(), refs, machine.DECstation3100()), opt.Metrics, opt.Tracer)
 		if err != nil {
 			return Result{}, err
 		}
+		rows = append(rows, monitor.Average(rows))
 		opt.progressf("measure: %s suite done (%d rows)", v, len(rows))
 		for _, row := range rows {
 			for c := machine.CompTLB; c <= machine.CompOther; c++ {

@@ -44,32 +44,30 @@ func extL2(opt Options) (Result, error) {
 		area.CacheConfig{CapacityBytes: 8 << 10, LineWords: 8, Assoc: 2},
 		area.CacheConfig{CapacityBytes: 8 << 10, LineWords: 8, Assoc: 2}, true}
 
-	for _, o := range []org{big, small} {
-		var avg machine.Breakdown
-		for _, spec := range workload.All() {
-			cfg := machine.DECstation3100()
-			cfg.ICache = cache.Config{CacheConfig: o.i}
-			cfg.DCache = cache.Config{CacheConfig: o.d}
-			cfg.OtherCPI = spec.OtherCPI
-			cfg.IsServerASID = osmodel.IsServerASID
-			if o.withL2 {
-				cfg.L2 = &cache.Config{CacheConfig: area.CacheConfig{
-					CapacityBytes: 256 << 10, LineWords: 8, Assoc: 4}, WriteAllocate: true}
-				cfg.L2HitCycles = 5
-			}
-			m := machine.New(cfg)
-			osmodel.NewSystem(osmodel.Mach, spec).Generate(refs, m)
-			b := m.Breakdown()
-			avg.CPI += b.CPI
-			for c := range b.Comp {
-				avg.Comp[c] += b.Comp[c]
-			}
+	orgs := []org{big, small}
+	var decl []monitor.RowSpec
+	for _, o := range orgs {
+		cfg := machine.DECstation3100()
+		cfg.ICache = cache.Config{CacheConfig: o.i}
+		cfg.DCache = cache.Config{CacheConfig: o.d}
+		if o.withL2 {
+			cfg.L2 = &cache.Config{CacheConfig: area.CacheConfig{
+				CapacityBytes: 256 << 10, LineWords: 8, Assoc: 4}, WriteAllocate: true}
+			cfg.L2HitCycles = 5
 		}
-		n := float64(len(workload.All()))
+		decl = append(decl, monitor.Suite(osmodel.Mach, workload.All(), refs, cfg)...)
+	}
+	rows, err := monitor.MeasureRows(opt.ctx(), decl, opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
+	n := len(workload.All())
+	for i, o := range orgs {
+		avg := monitor.Average(rows[i*n : (i+1)*n]).Breakdown
 		onchip := am.CacheArea(o.i) + am.CacheArea(o.d)
-		t.Row(o.name, fmt.Sprintf("%.2f", avg.CPI/n),
-			fmt.Sprintf("%.3f", avg.Comp[machine.CompICache]/n),
-			fmt.Sprintf("%.3f", avg.Comp[machine.CompDCache]/n),
+		t.Row(o.name, fmt.Sprintf("%.2f", avg.CPI),
+			fmt.Sprintf("%.3f", avg.Comp[machine.CompICache]),
+			fmt.Sprintf("%.3f", avg.Comp[machine.CompDCache]),
 			fmt.Sprintf("%.0f", onchip))
 	}
 	return Result{
@@ -94,26 +92,30 @@ func extPrefetch(opt Options) (Result, error) {
 		line     int
 		prefetch bool
 	}
-	for _, o := range []org{
+	orgs := []org{
 		{"4-word lines", 4, false},
 		{"4-word lines + next-line prefetch", 4, true},
 		{"8-word lines", 8, false},
 		{"16-word lines", 16, false},
-	} {
-		icfg := area.CacheConfig{CapacityBytes: 8 << 10, LineWords: o.line, Assoc: 1}
-		var icpi float64
-		for _, spec := range workload.All() {
-			cfg := machine.DECstation3100()
-			cfg.ICache = cache.Config{CacheConfig: icfg}
-			cfg.IPrefetchNextLine = o.prefetch
-			cfg.OtherCPI = spec.OtherCPI
-			cfg.IsServerASID = osmodel.IsServerASID
-			m := machine.New(cfg)
-			osmodel.NewSystem(osmodel.Mach, spec).Generate(refs, m)
-			icpi += m.Breakdown().Comp[machine.CompICache]
-		}
-		t.Row(o.name, fmt.Sprintf("%.3f", icpi/float64(len(workload.All()))),
-			fmt.Sprintf("%.0f", am.CacheArea(icfg)))
+	}
+	icfg := func(o org) area.CacheConfig {
+		return area.CacheConfig{CapacityBytes: 8 << 10, LineWords: o.line, Assoc: 1}
+	}
+	var decl []monitor.RowSpec
+	for _, o := range orgs {
+		cfg := machine.DECstation3100()
+		cfg.ICache = cache.Config{CacheConfig: icfg(o)}
+		cfg.IPrefetchNextLine = o.prefetch
+		decl = append(decl, monitor.Suite(osmodel.Mach, workload.All(), refs, cfg)...)
+	}
+	rows, err := monitor.MeasureRows(opt.ctx(), decl, opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
+	n := len(workload.All())
+	for i, o := range orgs {
+		t.Row(o.name, fmt.Sprintf("%.3f", monitor.Average(rows[i*n : (i+1)*n]).Breakdown.Comp[machine.CompICache]),
+			fmt.Sprintf("%.0f", am.CacheArea(icfg(o))))
 	}
 	return Result{
 		Text: t.String(),
@@ -132,16 +134,22 @@ func extWBuf(opt Options) (Result, error) {
 	am := area.Default()
 	t := report.NewTable("Write-buffer depth: stall cycles vs area (IOzone + video_play under Mach)",
 		"Entries", "WB CPI", "Area (rbe)", "CPI saved per 1k rbe vs previous")
+	depths := []int{1, 2, 4, 8, 16}
+	specs := []osmodel.WorkloadSpec{workload.IOzone(), workload.VideoPlay()}
+	var decl []monitor.RowSpec
+	for _, entries := range depths {
+		cfg := machine.DECstation3100()
+		cfg.WB = wbuf.Config{Entries: entries, WriteCycles: 5}
+		decl = append(decl, monitor.Suite(osmodel.Mach, specs, refs, cfg)...)
+	}
+	rows, err := monitor.MeasureRows(opt.ctx(), decl, opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
+	n := len(specs)
 	prevCPI, prevArea := 0.0, 0.0
-	for i, entries := range []int{1, 2, 4, 8, 16} {
-		var wbCPI float64
-		for _, spec := range []osmodel.WorkloadSpec{workload.IOzone(), workload.VideoPlay()} {
-			cfg := machine.DECstation3100()
-			cfg.WB = wbuf.Config{Entries: entries, WriteCycles: 5}
-			r := monitor.Measure(osmodel.Mach, spec, refs, cfg)
-			wbCPI += r.Breakdown.Comp[machine.CompWB]
-		}
-		wbCPI /= 2
+	for i, entries := range depths {
+		wbCPI := monitor.Average(rows[i*n : (i+1)*n]).Breakdown.Comp[machine.CompWB]
 		a := am.WriteBufferArea(entries)
 		marginal := "-"
 		if i > 0 && a > prevArea {

@@ -6,6 +6,7 @@ import (
 	"onchip/internal/area"
 	"onchip/internal/cache"
 	"onchip/internal/machine"
+	"onchip/internal/monitor"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
 	"onchip/internal/workload"
@@ -26,34 +27,30 @@ func extUnified(opt Options) (Result, error) {
 
 	t := report.NewTable("Split 8+8 KB vs unified 16 KB (4-word lines, 2-way), mpeg_play",
 		"OS", "Organization", "CPI", "I-cache CPI", "D-cache CPI", "Area (rbe)")
+	splitCfg, uniCfg := machine.DECstation3100(), machine.DECstation3100()
+	splitCfg.ICache = cache.Config{CacheConfig: split}
+	splitCfg.DCache = cache.Config{CacheConfig: split}
+	uniCfg.ICache = cache.Config{CacheConfig: unified}
+	uniCfg.Unified = true
 	spec := workload.MPEGPlay()
+	var decl []monitor.RowSpec
 	for _, v := range []osmodel.Variant{osmodel.Ultrix, osmodel.Mach} {
-		for _, uni := range []bool{false, true} {
-			cfg := machine.DECstation3100()
-			cfg.OtherCPI = spec.OtherCPI
-			cfg.IsServerASID = osmodel.IsServerASID
-			var areaRBE float64
-			if uni {
-				cfg.ICache = cache.Config{CacheConfig: unified}
-				cfg.Unified = true
-				areaRBE = am.CacheArea(unified)
-			} else {
-				cfg.ICache = cache.Config{CacheConfig: split}
-				cfg.DCache = cache.Config{CacheConfig: split}
-				areaRBE = 2 * am.CacheArea(split)
-			}
-			m := machine.New(cfg)
-			osmodel.NewSystem(v, spec).Generate(refs, m)
-			b := m.Breakdown()
-			label := "split 8+8"
-			if uni {
-				label = "unified 16"
-			}
-			t.Row(v.String(), label, fmt.Sprintf("%.2f", b.CPI),
-				fmt.Sprintf("%.3f", b.Comp[machine.CompICache]),
-				fmt.Sprintf("%.3f", b.Comp[machine.CompDCache]),
-				fmt.Sprintf("%.0f", areaRBE))
+		decl = append(decl, monitor.Workload(v, spec, refs, splitCfg), monitor.Workload(v, spec, refs, uniCfg))
+	}
+	rows, err := monitor.MeasureRows(opt.ctx(), decl, opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, row := range rows {
+		label, areaRBE := "split 8+8", 2*am.CacheArea(split)
+		if i%2 == 1 {
+			label, areaRBE = "unified 16", am.CacheArea(unified)
 		}
+		b := row.Breakdown
+		t.Row(row.OS, label, fmt.Sprintf("%.2f", b.CPI),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompICache]),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompDCache]),
+			fmt.Sprintf("%.0f", areaRBE))
 	}
 	return Result{
 		Text: t.String(),

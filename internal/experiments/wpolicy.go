@@ -6,6 +6,7 @@ import (
 	"onchip/internal/area"
 	"onchip/internal/cache"
 	"onchip/internal/machine"
+	"onchip/internal/monitor"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
 	"onchip/internal/workload"
@@ -26,26 +27,30 @@ func extWPolicy(opt Options) (Result, error) {
 	t := report.NewTable("Write policy for an 8-KB 4-word-line 2-way D-cache (Mach)",
 		"Workload", "Policy", "CPI", "D-cache CPI", "WriteBuf CPI", "Mem writes/1k instrs")
 	dcCfg := area.CacheConfig{CapacityBytes: 8 << 10, LineWords: 4, Assoc: 2}
+	var decl []monitor.RowSpec
 	for _, spec := range []osmodel.WorkloadSpec{workload.IOzone(), workload.VideoPlay()} {
 		for _, writeBack := range []bool{false, true} {
 			cfg := machine.DECstation3100()
 			cfg.DCache = cache.Config{CacheConfig: dcCfg, WriteBack: writeBack}
-			cfg.OtherCPI = spec.OtherCPI
-			cfg.IsServerASID = osmodel.IsServerASID
-			m := machine.New(cfg)
-			osmodel.NewSystem(osmodel.Mach, spec).Generate(refs, m)
-			b := m.Breakdown()
-			label := "write-through"
-			memWrites := m.DCache().Stats().Writes // every store reaches memory
-			if writeBack {
-				label = "write-back"
-				memWrites = m.DCache().Stats().Writebacks * uint64(dcCfg.LineWords)
-			}
-			t.Row(spec.Name, label, fmt.Sprintf("%.2f", b.CPI),
-				fmt.Sprintf("%.3f", b.Comp[machine.CompDCache]),
-				fmt.Sprintf("%.3f", b.Comp[machine.CompWB]),
-				fmt.Sprintf("%.1f", 1000*float64(memWrites)/float64(b.Instrs)))
+			decl = append(decl, monitor.Workload(osmodel.Mach, spec, refs, cfg))
 		}
+	}
+	rows, err := monitor.MeasureRows(opt.ctx(), decl, opt.Metrics, opt.Tracer)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, row := range rows {
+		b := row.Breakdown
+		label := "write-through"
+		memWrites := row.DCache.Writes // every store reaches memory
+		if writeBack := i%2 == 1; writeBack {
+			label = "write-back"
+			memWrites = row.DCache.Writebacks * uint64(dcCfg.LineWords)
+		}
+		t.Row(row.Workload, label, fmt.Sprintf("%.2f", b.CPI),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompDCache]),
+			fmt.Sprintf("%.3f", b.Comp[machine.CompWB]),
+			fmt.Sprintf("%.1f", 1000*float64(memWrites)/float64(b.Instrs)))
 	}
 	return Result{
 		Text: t.String(),

@@ -93,11 +93,12 @@ type Config struct {
 	// the long cache lines Mach favors. The prefetched line fills in
 	// the shadow of the demand miss and costs no extra stall.
 	IPrefetchNextLine bool
-	// Metrics, when non-nil, registers the machine's telemetry: per-
-	// component stall counters, per-stream miss-cost histograms, a
-	// write-buffer depth gauge, and the cache/TLB/write-buffer counter
-	// sets under the "machine." prefix. Nil (the default) costs the hot
-	// path nothing beyond inlined nil checks.
+	// Metrics, when non-nil, registers the machine's telemetry under
+	// the "machine." prefix: pull-style stall, instruction and cycle
+	// counters over the machine's own fields, per-stream miss-cost
+	// histograms (published by FlushMetrics), and the cache/TLB/
+	// write-buffer stats; none is meant to be read mid-run. Nil (the
+	// default) costs the hot path nothing beyond inlined nil checks.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records every stall charge (reference kind,
 	// address, component, cycles) into the bounded event ring -- the
@@ -147,17 +148,10 @@ type Machine struct {
 	l2Hit        uint64
 
 	// Telemetry. All nil (no-op) unless Config.Metrics/Tracer are set.
-	stallC     [nComponents]*telemetry.Counter
-	instrC     *telemetry.Counter
-	cycleC     *telemetry.Counter
-	pendInstrs uint64 // counts batched locally, pushed every
-	pendCycles uint64 // counterFlushBatch refs (see Ref/FlushMetrics)
-	pendRefs   uint32
-	iMissHist  *telemetry.Histogram
-	dMissHist  *telemetry.Histogram
-	wbDepth    *telemetry.Gauge
-	tracer     *telemetry.Tracer
-	cur        trace.Ref // reference being simulated, for event attribution
+	iMiss  *telemetry.Tally // per-miss fill cost, published by FlushMetrics
+	dMiss  *telemetry.Tally
+	tracer *telemetry.Tracer
+	cur    trace.Ref // reference being simulated, for event attribution
 }
 
 // New assembles a machine; it panics on invalid component configs.
@@ -215,17 +209,16 @@ func NewE(cfg Config) (*Machine, error) {
 	}
 	m.tracer = cfg.Tracer
 	if reg := cfg.Metrics; reg != nil {
-		// Other is a fractional per-instruction density, not whole
-		// cycles; publish it pull-style instead of as a counter.
 		for c := CompTLB; c < CompOther; c++ {
-			m.stallC[c] = reg.Counter("machine.stall_cycles."+c.slug(),
-				"stall cycles charged to "+c.String())
+			reg.CounterFunc("machine.stall_cycles."+c.slug(), "stall cycles charged to "+c.String(),
+				func() uint64 { return m.stalls[c] })
 		}
+		// Other is a fractional per-instruction density, not whole
+		// cycles, so it is a gauge.
 		reg.GaugeFunc("machine.stall_cycles.other", "interlock stall cycles (fractional)",
 			func() float64 { return m.otherStall })
-		m.iMissHist = reg.Histogram("machine.icache.miss_cost_cycles", "per-miss fill cost, instruction stream")
-		m.dMissHist = reg.Histogram("machine.dcache.miss_cost_cycles", "per-miss fill cost, data stream")
-		m.wbDepth = reg.Gauge("machine.wbuf.depth", "write-buffer entries queued after each store")
+		m.iMiss = reg.Tally("machine.icache.miss_cost_cycles", "per-miss fill cost, instruction stream")
+		m.dMiss = reg.Tally("machine.dcache.miss_cost_cycles", "per-miss fill cost, data stream")
 		m.ic.Describe(reg, "machine.icache")
 		if !cfg.Unified {
 			m.dc.Describe(reg, "machine.dcache")
@@ -235,12 +228,8 @@ func NewE(cfg Config) (*Machine, error) {
 		}
 		m.tlb.Describe(reg, "machine.tlb")
 		m.wb.Describe(reg, "machine.wbuf")
-		// Instructions and cycles are push-style (unlike the component
-		// stats above) so a live /metrics scrape mid-run reads them
-		// without racing the simulation loop; Ref batches the pushes
-		// and FlushMetrics makes the totals exact at run end.
-		m.instrC = reg.Counter("machine.instructions", "instructions retired")
-		m.cycleC = reg.Counter("machine.cycles", "machine cycles")
+		reg.CounterFunc("machine.instructions", "instructions retired", func() uint64 { return m.instrs })
+		reg.CounterFunc("machine.cycles", "machine cycles", func() uint64 { return m.cycles })
 	}
 	return m, nil
 }
@@ -259,6 +248,14 @@ func (c Component) slug() string {
 	default:
 		return "other"
 	}
+}
+
+// charge books p stall cycles to component c: the clock advances, the
+// component's tally grows, and the tracer, if any, records the event.
+func (m *Machine) charge(c Component, p uint64) {
+	m.cycles += p
+	m.stalls[c] += p
+	m.event(c, p)
 }
 
 // event records one stall charge into the tracer; a nil tracer makes
@@ -306,54 +303,25 @@ func (m *Machine) Cycles() uint64 { return m.cycles }
 // Instructions returns instructions retired.
 func (m *Machine) Instructions() uint64 { return m.instrs }
 
-// counterFlushBatch is how many references accumulate locally before
-// the instruction/cycle totals are pushed into the shared (atomic)
-// telemetry counters: small enough that a live scrape lags the
-// simulation by microseconds, large enough that the atomic traffic
-// vanishes from the per-reference cost.
-const counterFlushBatch = 4096
+// FlushMetrics publishes what the machine tallied privately during the
+// run -- the miss-cost and write-buffer histograms and the write-buffer
+// depth gauge -- into its registry; the counters are pull-style and
+// need no flush. The run loops call it after the last reference; a
+// second call adds nothing, and it is a no-op with metrics off.
+func (m *Machine) FlushMetrics() {
+	m.iMiss.Publish()
+	m.dMiss.Publish()
+	m.wb.FlushMetrics()
+}
 
 // Ref implements trace.Sink: simulate one reference.
 func (m *Machine) Ref(r trace.Ref) {
-	if m.cycleC == nil {
-		m.step(r)
-		return
-	}
-	c0, i0 := m.cycles, m.instrs
-	m.step(r)
-	m.pendCycles += m.cycles - c0
-	m.pendInstrs += m.instrs - i0
-	if m.pendRefs++; m.pendRefs >= counterFlushBatch {
-		m.FlushMetrics()
-	}
-}
-
-// FlushMetrics publishes the batched instruction/cycle counts into the
-// telemetry counters. The run loops that snapshot the registry call it
-// after the last reference so end-of-run metrics are exact; it is a
-// no-op with metrics off.
-func (m *Machine) FlushMetrics() {
-	if m.cycleC == nil {
-		return
-	}
-	m.cycleC.Add(m.pendCycles)
-	m.instrC.Add(m.pendInstrs)
-	m.pendCycles, m.pendInstrs, m.pendRefs = 0, 0, 0
-}
-
-// step simulates one reference; Ref wraps it to mirror the cycle and
-// instruction counts into the push-style telemetry counters when
-// metrics are on.
-func (m *Machine) step(r trace.Ref) {
 	if m.tracer != nil {
 		m.cur = r
 	}
 	// Address translation applies to every mapped reference.
 	if stall := m.tlb.Translate(r.Addr, r.ASID); stall > 0 {
-		m.cycles += stall
-		m.stalls[CompTLB] += stall
-		m.stallC[CompTLB].Add(stall)
-		m.event(CompTLB, stall)
+		m.charge(CompTLB, stall)
 	}
 	key := vm.CacheKey(r.Addr, r.ASID)
 	switch r.Kind {
@@ -362,11 +330,8 @@ func (m *Machine) step(r trace.Ref) {
 		m.cycles++ // base CPI of 1
 		if !m.ic.Access(key, false) {
 			p := m.missCost(key, m.cfg.ICache.LineWords)
-			m.cycles += p
-			m.stalls[CompICache] += p
-			m.stallC[CompICache].Add(p)
-			m.iMissHist.Observe(p)
-			m.event(CompICache, p)
+			m.charge(CompICache, p)
+			m.iMiss.Observe(p)
 			if m.cfg.IPrefetchNextLine {
 				// Fill the next sequential line in the shadow of the
 				// demand fill.
@@ -383,20 +348,14 @@ func (m *Machine) step(r trace.Ref) {
 	case trace.Load:
 		if vm.SegmentOf(r.Addr) == vm.Kseg1 {
 			// Uncached I/O-space load.
-			m.cycles += m.uncachedLoad
-			m.stalls[CompDCache] += m.uncachedLoad
-			m.stallC[CompDCache].Add(m.uncachedLoad)
-			m.event(CompDCache, m.uncachedLoad)
+			m.charge(CompDCache, m.uncachedLoad)
 			return
 		}
 		hit, writeback := m.dc.AccessWB(key, false)
 		if !hit {
 			p := m.missCost(key, m.cfg.DCache.LineWords)
-			m.cycles += p
-			m.stalls[CompDCache] += p
-			m.stallC[CompDCache].Add(p)
-			m.dMissHist.Observe(p)
-			m.event(CompDCache, p)
+			m.charge(CompDCache, p)
+			m.dMiss.Observe(p)
 		}
 		if writeback {
 			m.lineWriteback()
@@ -414,11 +373,8 @@ func (m *Machine) step(r trace.Ref) {
 			// evictions.
 			if !hit {
 				p := m.missCost(key, m.cfg.DCache.LineWords)
-				m.cycles += p
-				m.stalls[CompDCache] += p
-				m.stallC[CompDCache].Add(p)
-				m.dMissHist.Observe(p)
-				m.event(CompDCache, p)
+				m.charge(CompDCache, p)
+				m.dMiss.Observe(p)
 			}
 			if writeback {
 				m.lineWriteback()
@@ -450,13 +406,7 @@ func (m *Machine) L2Cache() *cache.Cache { return m.l2 }
 // stall.
 func (m *Machine) wbWrite() {
 	if stall := m.wb.Write(m.cycles); stall > 0 {
-		m.cycles += stall
-		m.stalls[CompWB] += stall
-		m.stallC[CompWB].Add(stall)
-		m.event(CompWB, stall)
-	}
-	if m.wbDepth != nil {
-		m.wbDepth.Set(float64(m.wb.Depth()))
+		m.charge(CompWB, stall)
 	}
 }
 

@@ -7,6 +7,7 @@ package monitor
 // cannot silently break the reproduction.
 
 import (
+	"context"
 	"testing"
 
 	"onchip/internal/area"
@@ -23,7 +24,11 @@ const calRefs = 400_000
 func suiteRows(t *testing.T, v osmodel.Variant) map[string]Row {
 	t.Helper()
 	rows := map[string]Row{}
-	for _, r := range MeasureSuite(v, workload.All(), calRefs, machine.DECstation3100()) {
+	suite, err := MeasureRows(context.Background(), Suite(v, workload.All(), calRefs, machine.DECstation3100()), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append(suite, Average(suite)) {
 		rows[r.Workload] = r
 	}
 	return rows

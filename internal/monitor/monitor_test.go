@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"testing"
 
 	"onchip/internal/machine"
@@ -41,7 +42,7 @@ func TestMachShiftsStallProfile(t *testing.T) {
 func TestUserOnlyUnderestimates(t *testing.T) {
 	cfg := machine.DECstation3100()
 	spec := workload.MPEGPlay()
-	none := MeasureUserOnly(spec, testRefs, cfg)
+	none := measure(Conditions(spec, testRefs, cfg)[0])
 	ult := Measure(osmodel.Ultrix, spec, testRefs, cfg)
 	if none.OS != "None" {
 		t.Errorf("OS label = %q", none.OS)
@@ -75,7 +76,11 @@ func TestMachTimeSplit(t *testing.T) {
 }
 
 func TestMeasureSuiteShapes(t *testing.T) {
-	rows := MeasureSuite(osmodel.Mach, workload.All(), 100_000, machine.DECstation3100())
+	rows, err := MeasureRows(context.Background(), Suite(osmodel.Mach, workload.All(), 100_000, machine.DECstation3100()), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, Average(rows))
 	if len(rows) != 7 {
 		t.Fatalf("got %d rows, want 6 workloads + average", len(rows))
 	}

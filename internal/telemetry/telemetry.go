@@ -15,16 +15,17 @@
 // Instruments use atomic updates, so a single instrument may be shared
 // across goroutines (the design-space sweep runs workloads concurrently,
 // and the live observability server snapshots the registry while
-// simulators are still observing). Histogram snapshots taken mid-run are
+// sweeps are still counting). Histogram snapshots taken mid-run are
 // per-word consistent rather than globally consistent: each bucket,
 // count and sum is read atomically, but a concurrent Observe may land
-// between reads. The discrepancy is at most the few in-flight
-// observations and vanishes at end of run.
+// between reads. A simulator that observes per event uses a Tally
+// instead: a plain single-owner histogram it publishes once, at the end
+// of its run.
 //
 // Registry.Absorb and Tracer.Absorb fold a finished run's private
 // instruments into another's, leaving them exactly as if the run had
-// recorded there; the stall suite measures its rows concurrently that
-// way.
+// recorded there; the timing-machine row runner (package monitor)
+// measures its rows concurrently that way.
 package telemetry
 
 import (
@@ -75,7 +76,7 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.mark()
+	atomic.StoreUint32(&g.set, 1)
 	atomic.StoreUint64(&g.v, math.Float64bits(v))
 	g.raiseMax(v)
 }
@@ -88,7 +89,7 @@ func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
 	}
-	g.mark()
+	atomic.StoreUint32(&g.set, 1)
 	for {
 		old := atomic.LoadUint64(&g.v)
 		v := math.Float64frombits(old) + delta
@@ -96,14 +97,6 @@ func (g *Gauge) Add(delta float64) {
 			g.raiseMax(v)
 			return
 		}
-	}
-}
-
-// mark records that the gauge has been written, loading first so that
-// a gauge set on every simulated store pays no repeated atomic store.
-func (g *Gauge) mark() {
-	if atomic.LoadUint32(&g.set) == 0 {
-		atomic.StoreUint32(&g.set, 1)
 	}
 }
 
@@ -138,10 +131,10 @@ func (g *Gauge) Max() float64 {
 // [2^(i-1), 2^i).
 const nHistBuckets = 65
 
-// Histogram accumulates a distribution in log2 buckets: cheap enough for
-// per-miss observation, coarse enough to need no configuration. The nil
-// *Histogram is a valid no-op instrument. Updates are atomic, so a
-// histogram may be observed by one goroutine while another snapshots it.
+// Histogram accumulates a distribution in log2 buckets, coarse enough to
+// need no configuration. The nil *Histogram is a valid no-op instrument.
+// Updates are atomic, so a histogram may be observed by one goroutine
+// while another snapshots it.
 type Histogram struct {
 	count   uint64
 	sum     uint64
@@ -203,6 +196,53 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		}
 	}
 	return 1<<63 - 1
+}
+
+// add folds count observations summing to sum, bucketed as buckets,
+// into h: the one bucket-add routine behind Registry.Absorb and
+// Tally.Publish.
+func (h *Histogram) add(count, sum uint64, buckets *[nHistBuckets]uint64) {
+	atomic.AddUint64(&h.count, count)
+	atomic.AddUint64(&h.sum, sum)
+	for b, n := range buckets {
+		if n != 0 {
+			atomic.AddUint64(&h.buckets[b], n)
+		}
+	}
+}
+
+// Tally is a plain, single-owner log2 histogram: a simulator observes
+// into it per event, with no atomic traffic, and publishes it into the
+// registry Histogram it was made for (Registry.Tally) when the run is
+// over. The nil *Tally is a valid no-op. It is not safe for concurrent
+// use.
+type Tally struct {
+	h       *Histogram
+	count   uint64
+	sum     uint64
+	buckets [nHistBuckets]uint64
+}
+
+// Observe records one value.
+func (t *Tally) Observe(v uint64) {
+	if t == nil {
+		return
+	}
+	t.count++
+	t.sum += v
+	t.buckets[bits.Len64(v)]++
+}
+
+// Publish adds everything observed since the last Publish into the
+// tally's histogram and clears the tally, so publishing again adds
+// nothing until more is observed.
+func (t *Tally) Publish() {
+	if t == nil {
+		return
+	}
+	t.h.add(t.count, t.sum, &t.buckets)
+	h := t.h
+	*t = Tally{h: h}
 }
 
 // Bucket is one non-empty log2 bucket of a histogram snapshot: Count
@@ -349,6 +389,17 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return r.In(Result).Histogram(name, help)
 }
 
+// Tally returns a new single-owner tally that publishes into the Result
+// histogram registered under name. A nil registry returns a nil (no-op)
+// tally.
+func (r *Registry) Tally(name, help string) *Tally {
+	h := r.Histogram(name, help)
+	if h == nil {
+		return nil
+	}
+	return &Tally{h: h}
+}
+
 // CounterFunc registers a pull-style Result counter evaluated at
 // snapshot time. Registering several functions under one name sums
 // them, which lets every simulator in a sweep publish its existing
@@ -468,12 +519,7 @@ func (r *Registry) Absorb(src *Registry) {
 				g.raiseMax(in.Max())
 			}
 		case *Histogram:
-			h := instrument[Histogram](e)
-			atomic.AddUint64(&h.count, in.Count())
-			atomic.AddUint64(&h.sum, in.Sum())
-			for b := range in.buckets {
-				atomic.AddUint64(&h.buckets[b], atomic.LoadUint64(&in.buckets[b]))
-			}
+			instrument[Histogram](e).add(in.Count(), in.Sum(), &in.buckets)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +81,39 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if q := h.Quantile(1); q != 511 {
 		t.Errorf("p100 = %d, want 511", q)
+	}
+}
+
+// A tally published into its histogram must leave exactly what
+// observing the same values into the histogram directly leaves, across
+// several publishes into one histogram; publishing again with nothing
+// new observed adds nothing, and the nil tally is a no-op.
+func TestTallyPublishMatchesObserve(t *testing.T) {
+	runs := [][]uint64{{0, 1, 1, 6, 7, 13, 400}, {}, {1 << 40, 2, 0}}
+	direct, tallied := NewRegistry(), NewRegistry()
+	h := direct.Histogram("cost", "per-miss cost")
+	for _, run := range runs {
+		tl := tallied.Tally("cost", "per-miss cost")
+		for _, v := range run {
+			h.Observe(v)
+			tl.Observe(v)
+		}
+		tl.Publish()
+		if !reflect.DeepEqual(tallied.Snapshot(), direct.Snapshot()) {
+			t.Fatalf("published tally %v, want the observed histogram %v", tallied.Snapshot(), direct.Snapshot())
+		}
+		tl.Publish()
+		if !reflect.DeepEqual(tallied.Snapshot(), direct.Snapshot()) {
+			t.Fatalf("a second Publish changed the histogram: %v, want %v", tallied.Snapshot(), direct.Snapshot())
+		}
+	}
+
+	var nilReg *Registry
+	tl := nilReg.Tally("cost", "")
+	tl.Observe(3)
+	tl.Publish()
+	if tl != nil {
+		t.Error("a nil registry must hand out the nil tally")
 	}
 }
 

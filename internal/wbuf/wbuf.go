@@ -32,12 +32,14 @@ type Buffer struct {
 	retire []uint64
 	stalls uint64
 	writes uint64
+	peak   int // most entries ever queued after a store
 
-	// Optional telemetry (nil-safe no-ops when unset): occupancy is the
-	// queue depth seen by each arriving store, retireDelay the cycles
-	// from enqueue to retirement.
-	occupancy   *telemetry.Histogram
-	retireDelay *telemetry.Histogram
+	// Telemetry, set by Describe (nil no-ops otherwise) and published by
+	// FlushMetrics: occupancy tallies the queue depth seen by each
+	// arriving store, retireDelay the cycles from enqueue to retirement.
+	occupancy   *telemetry.Tally
+	retireDelay *telemetry.Tally
+	depth       *telemetry.Gauge
 }
 
 // New returns a Buffer for cfg; it panics on non-positive parameters.
@@ -82,26 +84,38 @@ func (b *Buffer) Write(now uint64) uint64 {
 	}
 	retireAt := start + uint64(b.cfg.WriteCycles)
 	b.retire = append(b.retire, retireAt)
+	b.peak = max(b.peak, len(b.retire))
 	b.retireDelay.Observe(retireAt - now)
 	b.stalls += stall
 	return stall
 }
 
-// Describe attaches occupancy and retire-delay histograms under prefix
-// (e.g. "machine.wbuf") and publishes the buffer's counters. Safe to
-// call with a nil registry (the histograms stay nil no-ops).
+// Describe registers the buffer's telemetry under prefix (e.g.
+// "machine.wbuf"): occupancy and retire-delay histograms, a gauge of
+// the entries queued after each store, and the buffer's counters. Safe
+// to call with a nil registry.
 func (b *Buffer) Describe(reg *telemetry.Registry, prefix string) {
-	if reg != nil {
-		b.occupancy = reg.Histogram(prefix+".occupancy", "queue depth seen by arriving stores")
-		b.retireDelay = reg.Histogram(prefix+".retire_delay_cycles", "cycles from enqueue to retirement")
-	}
+	b.occupancy = reg.Tally(prefix+".occupancy", "queue depth seen by arriving stores")
+	b.retireDelay = reg.Tally(prefix+".retire_delay_cycles", "cycles from enqueue to retirement")
+	b.depth = reg.Gauge(prefix+".depth", "write-buffer entries queued after each store")
 	reg.CounterFunc(prefix+".writes", "stores buffered", func() uint64 { return b.writes })
 	reg.CounterFunc(prefix+".stall_cycles", "full-buffer stall cycles", func() uint64 { return b.stalls })
 }
 
-// Depth returns the number of entries currently queued, without
-// draining; the machine model publishes it as a gauge after each store.
-func (b *Buffer) Depth() int { return len(b.retire) }
+// FlushMetrics publishes the histograms and the depth gauge Describe
+// registered, once the run is over. The gauge ends as if it had been
+// set after every store: its maximum is the peak depth, its last value
+// the depth now -- the depth after the last store, unless Pending has
+// drained the buffer since. Calling it again adds nothing; it is a
+// no-op without Describe.
+func (b *Buffer) FlushMetrics() {
+	b.occupancy.Publish()
+	b.retireDelay.Publish()
+	if b.writes > 0 {
+		b.depth.Set(float64(b.peak)) // raises the gauge's maximum
+		b.depth.Set(float64(len(b.retire)))
+	}
+}
 
 // drain removes entries that have retired by cycle now.
 func (b *Buffer) drain(now uint64) {
@@ -131,4 +145,5 @@ func (b *Buffer) Reset() {
 	b.retire = b.retire[:0]
 	b.stalls = 0
 	b.writes = 0
+	b.peak = 0
 }
