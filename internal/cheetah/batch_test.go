@@ -183,7 +183,7 @@ func TestFusedLineMatchesDirect(t *testing.T) {
 		forBatchModes(func(batch int, mixed bool) {
 			name := fmt.Sprintf("%s batch=%d mixed=%v", tc.name, batch, mixed)
 			sw := NewSweep(tc.configs, 8)
-			feedBatches(keys, batch, mixed, sw.Access, sw.AccessKeys)
+			feedBatches(keys, batch, mixed, func(k uint64) { sw.AccessKeys([]uint64{k}) }, sw.AccessKeys)
 			if got := sw.Accesses(); got != uint64(len(keys)) {
 				t.Errorf("%s: accesses %d, want %d", name, got, len(keys))
 			}

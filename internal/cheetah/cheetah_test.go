@@ -156,7 +156,7 @@ func TestSweepSharesSimulators(t *testing.T) {
 	}
 	for i := 0; i < 30000; i++ {
 		key := uint64(rng.Intn(1 << 15))
-		sw.Access(key)
+		sw.AccessKeys([]uint64{key})
 		for _, d := range direct {
 			d.Access(key, false)
 		}

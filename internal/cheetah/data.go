@@ -371,13 +371,6 @@ func NewDataSweep(configs []area.CacheConfig) *DataSweep {
 	return s
 }
 
-// Access processes one data reference for every line size.
-func (s *DataSweep) Access(key uint64, write bool) {
-	for _, l := range s.lines {
-		l.Access(key, write)
-	}
-}
-
 // AccessPacked processes a batch of packed references (see PackRef)
 // for every line size, one DataLine at a time so each loop stays tight
 // over the shared batch.

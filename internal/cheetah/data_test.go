@@ -185,7 +185,7 @@ func TestDataSweepCrossValidatesTable5(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	randomDataTrace(rng, 40000, 1<<16, 35, func(addr uint64, write bool) {
-		sw.Access(addr, write)
+		sw.AccessPacked([]uint64{PackRef(addr, write)})
 		for _, d := range direct {
 			d.Access(addr, write)
 		}
@@ -252,7 +252,7 @@ func TestSetCountInclusionFailsForStores(t *testing.T) {
 		}
 	}
 	for _, r := range refs {
-		sw.Access(r.key, r.write)
+		sw.AccessPacked([]uint64{PackRef(r.key, r.write)})
 	}
 	// Five loads: four compulsory misses at both set counts, and the
 	// last load of V hits only at 1 set.
@@ -316,7 +316,7 @@ func promoteIntoLast(rng *rand.Rand, out []uint64) []uint64 {
 // which shares no code with the stack simulator. Every configuration's
 // read misses must match, over all of Table 5 and a randomized set
 // with several widths per line size and a fully-associative group, in
-// batches of 1, 7 and 1024, alone and interleaved with per-key Access.
+// batches of 1, 7 and 1024, alone and interleaved with one-key batches.
 func TestDataLineMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for _, tc := range oracleConfigSets(rng) {
@@ -335,7 +335,7 @@ func TestDataLineMatchesDirect(t *testing.T) {
 		forBatchModes(func(batch int, mixed bool) {
 			name := fmt.Sprintf("%s batch=%d mixed=%v", tc.name, batch, mixed)
 			sw := NewDataSweep(tc.configs)
-			feedBatches(packed, batch, mixed, func(kv uint64) { sw.Access(kv>>1, kv&1 != 0) }, sw.AccessPacked)
+			feedBatches(packed, batch, mixed, func(kv uint64) { sw.AccessPacked([]uint64{kv}) }, sw.AccessPacked)
 			if got := sw.Reads(); got != loads {
 				t.Errorf("%s: reads %d, want %d", name, got, loads)
 			}

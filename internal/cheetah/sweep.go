@@ -69,14 +69,6 @@ func byLineSize(specs []groupSpec) [][]groupSpec {
 	return lines
 }
 
-// Access processes one reference for every line size.
-func (s *Sweep) Access(key uint64) {
-	s.accesses++
-	for _, l := range s.lines {
-		l.Access(key)
-	}
-}
-
 // AccessKeys processes a batch of references for every line size, one
 // LineSweep at a time so each fused loop stays tight over the shared
 // batch.

@@ -47,10 +47,13 @@ func init() {
 // error names the first failed workload in spec order, so the message
 // does not depend on which sweep finished first.
 func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Space, refsEach int, opt Options) (*search.Measured, error) {
-	tot, err := sweepSuite(v, specs, space, refsEach, opt, runtime.NumCPU())
+	cacheCfgs := space.CacheConfigs()
+	plan := sweepPlan{icache: cacheCfgs, dcache: cacheCfgs, tlbs: space.TLBConfigs()}
+	recs, err := sweepSuite(v, specs, plan, refsEach, opt, runtime.NumCPU())
 	if err != nil {
 		return nil, err
 	}
+	tot := plan.sum(recs)
 	// The paper's Table 6/7 totals are 1.0 plus the TLB, I-cache and
 	// D-cache contributions computed from miss ratios and fixed miss
 	// penalties (its best CPI of 1.333 leaves no room for the ~0.3 of
@@ -58,46 +61,88 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	// configuration-independent components are evidently excluded).
 	m := search.NewMeasured(1)
 	n := float64(tot.instrs)
-	for c, misses := range tot.iMiss {
-		m.IC[c] = float64(misses) * float64(cache.MissPenalty(c.LineWords)) / n
+	for i, c := range cacheCfgs {
+		penalty := float64(cache.MissPenalty(c.LineWords))
+		m.IC[c] = float64(tot.iMiss[i]) * penalty / n
+		m.DC[c] = float64(tot.dMiss[i]) * penalty / n
 	}
-	for c, misses := range tot.dMiss {
-		m.DC[c] = float64(misses) * float64(cache.MissPenalty(c.LineWords)) / n
-	}
-	for c, cycles := range tot.tlbCycles {
-		m.TLB[c] = float64(cycles) / n
+	for i, c := range plan.tlbs {
+		s := tot.tlb[i].Service
+		m.TLB[c] = float64(s.Cycles[tlb.UserMiss]+s.Cycles[tlb.KernelMiss]) / n
 	}
 	return m, nil
 }
 
-// sweepTotals are a suite sweep's sums over its workloads: each cache
-// configuration's I-stream misses and D-stream read misses, each TLB
-// configuration's miss-service cycles, and the instructions simulated.
-type sweepTotals struct {
-	iMiss, dMiss map[area.CacheConfig]uint64
-	tlbCycles    map[area.TLBConfig]uint64
-	instrs       uint64
+// sweepPlan is what a suite sweep prices: I-stream and D-stream cache
+// configurations and TLBs. Any of the three lists may be empty; the
+// sweep feeds only the simulators its plan prices.
+type sweepPlan struct {
+	icache, dcache []area.CacheConfig
+	tlbs           []area.TLBConfig
 }
 
-// sweepSuite runs buildMeasuredModel's sweep over a pool of the given
-// width. At most min(workers, workloads) workload sweeps run at once,
-// each on a slot that owns one engine and resets it between workloads;
-// workers <= 0 sweeps the workloads one at a time on a serial engine.
-func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Space, refsEach int, opt Options, workers int) (*sweepTotals, error) {
-	cacheCfgs := space.CacheConfigs()
-	tlbCfgs := space.TLBConfigs()
+// workloadSweep is one workload's sweep record.
+type workloadSweep struct {
+	// iMiss and dMiss are the I-stream misses and D-stream read misses
+	// of each configuration, indexed like the plan's icache and dcache.
+	iMiss, dMiss []uint64
+	// tlb is the Tapeworm result of each of the plan's TLBs.
+	tlb []tapeworm.Result
+	// instrs and loads count the instructions and cached loads of the
+	// cache window; loads is zero when the plan prices no D-cache.
+	instrs, loads uint64
+	// tlbInstrs counts the instructions of Tapeworm's measured window.
+	tlbInstrs uint64
+}
+
+// sum adds the records of a sweep over the plan into suite totals.
+// Every count is a uint64, so the totals do not depend on the order of
+// the records.
+func (p sweepPlan) sum(recs []workloadSweep) workloadSweep {
+	tot := workloadSweep{
+		iMiss: make([]uint64, len(p.icache)),
+		dMiss: make([]uint64, len(p.dcache)),
+		tlb:   make([]tapeworm.Result, len(p.tlbs)),
+	}
+	for _, r := range recs {
+		for i, n := range r.iMiss {
+			tot.iMiss[i] += n
+		}
+		for i, n := range r.dMiss {
+			tot.dMiss[i] += n
+		}
+		for i, res := range r.tlb {
+			tot.tlb[i].Config = res.Config
+			s := &tot.tlb[i].Service
+			for k := range s.Cycles {
+				s.Count[k] += res.Service.Count[k]
+				s.Cycles[k] += res.Service.Cycles[k]
+			}
+		}
+		tot.instrs += r.instrs
+		tot.loads += r.loads
+		tot.tlbInstrs += r.tlbInstrs
+	}
+	return tot
+}
+
+// sweepSuite prices the plan against each workload's reference stream
+// over a pool of the given width and returns one record per workload,
+// in spec order. At most min(workers, workloads) workload sweeps run
+// at once, each on a slot that owns one engine and resets it between
+// workloads; workers <= 0 sweeps the workloads one at a time on a
+// serial engine. It is the one path by which an experiment prices a
+// generated stream against caches or TLBs.
+func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, plan sweepPlan, refsEach int, opt Options, workers int) ([]workloadSweep, error) {
+	caches := len(plan.icache)+len(plan.dcache) > 0
 	var tlbConfigs []tlb.Config
-	for _, c := range tlbCfgs {
+	for _, c := range plan.tlbs {
 		tlbConfigs = append(tlbConfigs, tlb.Config{TLBConfig: c})
 	}
-	opt.progressf("sweep: %d workloads x (%d cache + %d TLB) configs, %d refs each",
-		len(specs), len(cacheCfgs), len(tlbCfgs), refsEach)
+	opt.progressf("sweep: %d workloads x (%d I-cache + %d D-cache + %d TLB) configs, %d refs each",
+		len(specs), len(plan.icache), len(plan.dcache), len(plan.tlbs), refsEach)
 
-	tot := &sweepTotals{
-		iMiss:     make(map[area.CacheConfig]uint64),
-		dMiss:     make(map[area.CacheConfig]uint64),
-		tlbCycles: make(map[area.TLBConfig]uint64),
-	}
+	recs := make([]workloadSweep, len(specs))
 	var workloadsDone int
 
 	// Register the sweep's instruments up front so a live /metrics
@@ -123,12 +168,17 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Sp
 	// NumCPU/len(specs) split idled most of the machine through the tail
 	// of the sweep. More workload sweeps than workers add no throughput,
 	// only simulator state, so min(workers, workloads) slots each own
-	// one engine and take the workloads in spec order.
+	// one engine and take the workloads in spec order. A plan without
+	// caches runs no engine, so it needs no pool.
+	width := 0
+	if caches {
+		width = max(workers, 0)
+	}
 	arrangement.Gauge("sweep.workers",
-		"simulation workers in the shared sweep pool").Set(float64(max(workers, 0)))
+		"simulation workers in the shared sweep pool").Set(float64(width))
 	var pool *groupPool
-	if workers > 0 {
-		pool = newGroupPool(workers, opt.Spans, "sweep")
+	if width > 0 {
+		pool = newGroupPool(width, opt.Spans, "sweep")
 		defer pool.close()
 	}
 	slots := max(1, min(workers, len(specs)))
@@ -151,14 +201,18 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Sp
 	// sinks attached, the TLB service counters reset there, phase 2 runs
 	// to E with both sinks, and phase 3 runs the tapeworm-only tail to
 	// E2. Every simulator sees byte-for-byte the stream it saw before.
+	// A plan without TLBs stops after phase 2, the end of the cache
+	// window.
+	//
 	// A warm trace cache short-circuits all of that generation: the
 	// recorded stream carries the two phase boundaries as segment marks,
 	// so a replay reproduces the exact three windows without running the
 	// OS model at all. A corrupt entry is discarded mid-replay -- the
 	// simulators have then seen a partial stream, so the whole attempt
 	// (engine reset included) falls back to live generation, which also
-	// re-records the entry.
-	sweepWorkload := func(spec osmodel.WorkloadSpec, slot **sweepEngine) (results []tapeworm.Result, err error) {
+	// re-records the entry. Only plans that price TLBs use the cache: an
+	// entry always holds the three phases.
+	sweepWorkload := func(spec osmodel.WorkloadSpec, slot **sweepEngine) (rec workloadSweep, err error) {
 		defer func() {
 			if v := recover(); v != nil {
 				err = fmt.Errorf("panic: %v", v)
@@ -172,48 +226,73 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Sp
 		wl := lane.Start("sweep.workload")
 		defer wl.End()
 
-		attempt := func(entry *tracecache.Entry, rec *tracecache.Writer) (results []tapeworm.Result, err error) {
+		attempt := func(entry *tracecache.Entry, w *tracecache.Writer) (rec workloadSweep, err error) {
 			// The slot's engine is built on first use, inside this
 			// workload's recover like any other failure, and reset before
 			// every later stream: the next workload's, or the
 			// regeneration after a corrupt replay.
-			if *slot == nil {
-				*slot = newSweepEngine(cacheCfgs, 8, pool)
-			} else {
-				(*slot).reset()
+			var sinks trace.Tee
+			var engine *sweepEngine
+			if caches {
+				if *slot == nil {
+					*slot = newSweepEngine(plan.icache, plan.dcache, pool)
+				} else {
+					(*slot).reset()
+				}
+				engine = *slot
+				sinks = append(sinks, engine)
 			}
-			engine := *slot
-			hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
-			tw := tapeworm.Attach(hw, tlbConfigs...)
-			tsink := &tlbOnly{hw: hw}
-			both := meterRefs(trace.Tee{engine, tsink}, refsStreamed)
-			tail := meterRefs(trace.Sink(tsink), refsStreamed)
-			reset := func() {
-				hw.ResetService()
-				tw.ResetServices()
-				tsink.instrs = 0
+			var tw *tapeworm.Tapeworm
+			var tsink *tlbOnly
+			var tail trace.Sink
+			reset := func() {}
+			if len(tlbConfigs) > 0 {
+				hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
+				tw = tapeworm.Attach(hw, tlbConfigs...)
+				tsink = &tlbOnly{hw: hw}
+				sinks = append(sinks, tsink)
+				tail = meterRefs(tsink, refsStreamed)
+				reset = func() {
+					hw.ResetService()
+					tw.ResetServices()
+					tsink.instrs = 0
+				}
 			}
+			both := meterRefs(sinks, refsStreamed)
 			if entry != nil {
 				err = replayPhases(ctx, entry, both, tail, reset, lane)
 			} else {
-				sys := osmodel.NewSystem(v, spec)
-				err = generatePhases(ctx, sys, refsEach, both, tail, reset, rec, lane)
+				err = generatePhases(ctx, osmodel.NewSystem(v, spec), refsEach, both, tail, reset, w, lane)
 			}
 			flushMeter(both)
 			flushMeter(tail)
 			if err != nil {
-				return nil, err
+				return rec, err
 			}
-			engine.flush()
-			return tw.Results(), nil
+			if engine != nil {
+				engine.flush()
+				rec.iMiss = make([]uint64, len(plan.icache))
+				for i, c := range plan.icache {
+					rec.iMiss[i] = engine.iMisses(c)
+				}
+				rec.dMiss = make([]uint64, len(plan.dcache))
+				for i, c := range plan.dcache {
+					rec.dMiss[i] = engine.dReadMisses(c)
+				}
+				rec.instrs, rec.loads = engine.instrs, engine.d.Reads()
+			}
+			if tw != nil {
+				rec.tlb, rec.tlbInstrs = tw.Results(), tsink.instrs
+			}
+			return rec, nil
 		}
 
-		if opt.TraceCache == nil {
+		if opt.TraceCache == nil || len(tlbConfigs) == 0 {
 			return attempt(nil, nil)
 		}
 		key := sweepTraceKey(v, spec, refsEach)
 		if entry := opt.TraceCache.OpenEntry(key); entry != nil {
-			results, err = attempt(entry, nil)
+			rec, err = attempt(entry, nil)
 			entry.Close()
 			if err == nil || !errors.Is(err, tracecache.ErrCorrupt) {
 				return
@@ -224,15 +303,15 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Sp
 			// regeneration below re-records it.
 			opt.TraceCache.Evict(key)
 		}
-		rec, werr := opt.TraceCache.NewWriter(key)
+		w, werr := opt.TraceCache.NewWriter(key)
 		if werr != nil {
 			opt.progressf("sweep: %s trace recording disabled: %v", spec.Name, werr)
 			return attempt(nil, nil)
 		}
-		defer rec.Abort() // no-op once committed
-		results, err = attempt(nil, rec)
+		defer w.Abort() // no-op once committed
+		rec, err = attempt(nil, w)
 		if err == nil {
-			if cerr := rec.Commit(); cerr != nil {
+			if cerr := w.Commit(); cerr != nil {
 				opt.progressf("sweep: %s trace not cached: %v", spec.Name, cerr)
 			}
 		}
@@ -240,9 +319,9 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Sp
 	}
 
 	// The per-workload sweeps are independent; the slots run them
-	// concurrently and merge the counts under a lock. Each simulator is
-	// deterministic and the merged sums are order-independent, so
-	// parallel runs give bit-identical models.
+	// concurrently, each record landing in its workload's place. Each
+	// simulator is deterministic, so parallel runs give bit-identical
+	// records.
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	var claimed atomic.Int64
@@ -258,27 +337,19 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Sp
 					return
 				}
 				spec := specs[w]
-				results, err := sweepWorkload(spec, &engine)
+				rec, err := sweepWorkload(spec, &engine)
 				if err != nil {
 					errs[w] = err
 					opt.progressf("sweep: %s failed: %v", spec.Name, err)
 					continue
 				}
+				recs[w] = rec
 
 				mu.Lock()
-				for _, c := range cacheCfgs {
-					tot.iMiss[c] += engine.iMisses(c)
-					tot.dMiss[c] += engine.dReadMisses(c)
-				}
-				tot.instrs += engine.instrs
-				for i, c := range tlbCfgs {
-					s := results[i].Service
-					tot.tlbCycles[c] += s.Cycles[tlb.UserMiss] + s.Cycles[tlb.KernelMiss]
-				}
 				workloadsDone++
 				opt.progressf("sweep: %s done (%d/%d workloads)", spec.Name, workloadsDone, len(specs))
 				wlDone.Inc()
-				sweepInstrs.Add(engine.instrs)
+				sweepInstrs.Add(rec.instrs)
 				mu.Unlock()
 			}
 		}()
@@ -292,7 +363,7 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Sp
 			return nil, fmt.Errorf("workload %s: %w", specs[w].Name, err)
 		}
 	}
-	return tot, nil
+	return recs, nil
 }
 
 // sweepTraceKey content-addresses one workload's generated stream for
@@ -310,11 +381,12 @@ func sweepTraceKey(v osmodel.Variant, spec osmodel.WorkloadSpec, refs int) trace
 }
 
 // generatePhases drives the three-phase generation plan (see the
-// window-reproduction comment in buildMeasuredModel) into the sweep
-// sinks: phases 1-2 feed both (cache engine + TLB), phase 3 feeds only
-// tail. reset runs at the warm-up boundary E1. A non-nil rec records
-// the stream with the two phase boundaries as segment marks, so
-// replayPhases can reproduce the exact windows later.
+// window-reproduction comment in sweepSuite) into the sweep sinks:
+// phases 1-2 feed both (cache engine and TLB, or either alone), phase
+// 3 feeds only tail, and a nil tail (no TLB) skips it. reset runs at
+// the warm-up boundary E1. A non-nil rec records the stream with the
+// two phase boundaries as segment marks, so replayPhases can reproduce
+// the exact windows later.
 func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both, tail trace.Sink, reset func(), rec *tracecache.Writer, lane *spans.Lane) error {
 	if rec != nil {
 		both = trace.Tee{both, rec}
@@ -345,6 +417,10 @@ func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both
 	}
 	if rec != nil {
 		rec.EndSegment()
+	}
+
+	if tail == nil {
+		return nil
 	}
 
 	// Phase 3: tapeworm-only tail to its measurement boundary E2.

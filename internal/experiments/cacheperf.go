@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"onchip/internal/area"
 	"onchip/internal/cache"
-	"onchip/internal/cheetah"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
-	"onchip/internal/trace"
-	"onchip/internal/vm"
 	"onchip/internal/workload"
 )
 
@@ -21,119 +19,23 @@ func init() {
 
 const defaultSweepRefs = 1_000_000
 
-// icacheSweep measures instruction-stream miss counts for a family of
-// set-associative configurations via cheetah.Sweep: configurations
-// sharing a (set count, line size) pair share one single-pass
-// all-associativity stack group, and each line size's groups run as
-// one fused cheetah.LineSweep.
-type icacheSweep struct {
-	sweep  *cheetah.Sweep
-	instrs uint64
-	keys   []uint64 // per-batch key buffer, reused
-}
-
-func newICacheSweep(configs []area.CacheConfig, maxAssoc int) *icacheSweep {
-	return &icacheSweep{sweep: cheetah.NewSweep(configs, maxAssoc)}
-}
-
-// Ref implements trace.Sink: only instruction fetches touch the I-cache.
-func (s *icacheSweep) Ref(r trace.Ref) {
-	if r.Kind != trace.IFetch {
-		return
+// sweepSuiteI sweeps the I-stream of the whole suite under the OS
+// variant and returns aggregate miss ratios and CPI contributions per
+// configuration.
+func sweepSuiteI(v osmodel.Variant, configs []area.CacheConfig, refsEach int, opt Options) (ratio, cpi map[area.CacheConfig]float64, err error) {
+	plan := sweepPlan{icache: configs}
+	recs, err := sweepSuite(v, workload.All(), plan, refsEach, opt, runtime.NumCPU())
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s sweep: %w", v, err)
 	}
-	s.instrs++
-	s.sweep.Access(vm.CacheKey(r.Addr, r.ASID))
-}
-
-// Refs implements trace.BatchSink: the cache keys are computed once
-// into a shared buffer, then each line size's fused loop runs over it.
-func (s *icacheSweep) Refs(refs []trace.Ref) {
-	s.keys = s.keys[:0]
-	for _, r := range refs {
-		if r.Kind == trace.IFetch {
-			s.keys = append(s.keys, vm.CacheKey(r.Addr, r.ASID))
-		}
-	}
-	s.instrs += uint64(len(s.keys))
-	s.sweep.AccessKeys(s.keys)
-}
-
-// misses returns the exact miss count for one configuration.
-func (s *icacheSweep) misses(c area.CacheConfig) uint64 {
-	return s.sweep.Misses(c)
-}
-
-// dcacheSweep measures data-stream behaviour with the write-policy-aware
-// single-pass stack simulator (cheetah.DataSweep): the no-write-allocate
-// store policy is carried down the stack Thompson-Smith style, so one
-// simulator per (set count, line size) pair replaces the direct
-// simulation of every configuration that this sweep originally ran.
-// Direct simulation survives in the tests as the cross-validation
-// oracle (the two agree bit-for-bit).
-type dcacheSweep struct {
-	sweep  *cheetah.DataSweep
-	instrs uint64
-	keys   []uint64 // per-batch packed-reference buffer, reused
-}
-
-func newDCacheSweep(configs []area.CacheConfig) *dcacheSweep {
-	return &dcacheSweep{sweep: cheetah.NewDataSweep(configs)}
-}
-
-// Ref implements trace.Sink.
-func (s *dcacheSweep) Ref(r trace.Ref) {
-	switch r.Kind {
-	case trace.IFetch:
-		s.instrs++
-	case trace.Load, trace.Store:
-		if vm.SegmentOf(r.Addr) == vm.Kseg1 {
-			return // uncached
-		}
-		s.sweep.Access(vm.CacheKey(r.Addr, r.ASID), r.Kind == trace.Store)
-	}
-}
-
-// Refs implements trace.BatchSink.
-func (s *dcacheSweep) Refs(refs []trace.Ref) {
-	s.keys = s.keys[:0]
-	for _, r := range refs {
-		if r.Kind == trace.IFetch {
-			s.instrs++
-		} else if vm.SegmentOf(r.Addr) != vm.Kseg1 {
-			s.keys = append(s.keys, cheetah.PackRef(vm.CacheKey(r.Addr, r.ASID), r.Kind == trace.Store))
-		}
-	}
-	s.sweep.AccessPacked(s.keys)
-}
-
-// readMisses returns the exact load miss count for one configuration.
-func (s *dcacheSweep) readMisses(c area.CacheConfig) uint64 {
-	return s.sweep.ReadMisses(c)
-}
-
-// loads returns the number of cached (non-Kseg1) loads seen.
-func (s *dcacheSweep) loads() uint64 { return s.sweep.Reads() }
-
-// sweepSuiteI runs the whole suite under the OS variant and returns
-// aggregate I-stream miss ratios and CPI contributions per config.
-func sweepSuiteI(v osmodel.Variant, configs []area.CacheConfig, refsEach, maxAssoc int) (ratio, cpi map[area.CacheConfig]float64) {
-	missTotal := make(map[area.CacheConfig]uint64)
-	var instrs uint64
-	for _, spec := range workload.All() {
-		sweep := newICacheSweep(configs, maxAssoc)
-		osmodel.NewSystem(v, spec).Generate(refsEach, sweep)
-		for _, c := range configs {
-			missTotal[c] += sweep.misses(c)
-		}
-		instrs += sweep.instrs
-	}
+	tot := plan.sum(recs)
 	ratio = make(map[area.CacheConfig]float64, len(configs))
 	cpi = make(map[area.CacheConfig]float64, len(configs))
-	for _, c := range configs {
-		ratio[c] = float64(missTotal[c]) / float64(instrs)
-		cpi[c] = float64(missTotal[c]) * float64(cache.MissPenalty(c.LineWords)) / float64(instrs)
+	for i, c := range configs {
+		ratio[c] = float64(tot.iMiss[i]) / float64(tot.instrs)
+		cpi[c] = float64(tot.iMiss[i]) * float64(cache.MissPenalty(c.LineWords)) / float64(tot.instrs)
 	}
-	return ratio, cpi
+	return ratio, cpi, nil
 }
 
 // figure9 sweeps direct-mapped I-caches over size x line size for both
@@ -156,7 +58,10 @@ func figure9(opt Options) (Result, error) {
 		"under Ultrix large lines pollute small caches; CPI turns up at 16-word lines for the 6+1-per-word penalty",
 	}
 	for _, v := range []osmodel.Variant{osmodel.Ultrix, osmodel.Mach} {
-		ratio, cpi := sweepSuiteI(v, configs, refs, 1)
+		ratio, cpi, err := sweepSuiteI(v, configs, refs, opt)
+		if err != nil {
+			return Result{}, err
+		}
 		var rSeries, cSeries []report.Series
 		for _, l := range lines {
 			rs := report.Series{Label: fmt.Sprintf("%d-word line", l)}
@@ -192,7 +97,10 @@ func figure10(opt Options) (Result, error) {
 
 	var b strings.Builder
 	for _, v := range []osmodel.Variant{osmodel.Ultrix, osmodel.Mach} {
-		ratio, cpi := sweepSuiteI(v, configs, refs, 8)
+		ratio, cpi, err := sweepSuiteI(v, configs, refs, opt)
+		if err != nil {
+			return Result{}, err
+		}
 		var rSeries, cSeries []report.Series
 		for _, a := range assocs {
 			rs := report.Series{Label: fmt.Sprintf("%d-way", a)}

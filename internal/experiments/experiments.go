@@ -52,7 +52,8 @@ type Options struct {
 	// context's error. Nil means run to completion.
 	Context context.Context
 	// TraceCache, when non-nil, short-circuits workload reference
-	// generation in the model-building sweeps: a warm run replays the
+	// generation in the sweeps that price TLBs (table6, table7,
+	// ext-atime, fig7, fig8 and the advisor's): a warm run replays the
 	// compressed on-disk stream (byte-identical to a live generation, so
 	// the tables do not change), a cold run records it. Corrupt entries
 	// fall back to regeneration.

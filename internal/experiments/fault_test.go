@@ -73,7 +73,7 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 
 // pollCancel is a context that reads as cancelled from its n-th Err
 // poll on: Run polls once before the experiment, and the row runner
-// once before each claim.
+// and the suite sweep once before each claim.
 type pollCancel struct {
 	context.Context
 	mu       sync.Mutex
@@ -98,6 +98,19 @@ func TestTimingMachineExperimentsStopBetweenRows(t *testing.T) {
 		ctx := &pollCancel{Context: context.Background(), n: 3}
 		if _, err := Run(id, Options{Refs: 20_000, Context: ctx}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Run returned %v once cancelled after its first row, want context.Canceled", id, err)
+		}
+	}
+}
+
+// Every experiment that prices a stream through the suite sweep stops
+// between workloads: a context that turns cancelled when the sweep
+// first claims a workload stops it with context.Canceled, instead of
+// sweeping the suite.
+func TestSweepExperimentsStopBetweenWorkloads(t *testing.T) {
+	for _, id := range []string{"fig7", "fig8", "fig9", "fig9d", "fig10", "sampling", "table6", "table7", "ext-atime"} {
+		ctx := &pollCancel{Context: context.Background(), n: 2}
+		if _, err := Run(id, Options{Refs: 20_000, Context: ctx}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Run returned %v once cancelled at its first workload, want context.Canceled", id, err)
 		}
 	}
 }

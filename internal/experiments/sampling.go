@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"onchip/internal/area"
 	"onchip/internal/cache"
@@ -23,16 +24,23 @@ func init() {
 // windows and compare against complete-stream simulation; the paper
 // found the error to be under 10%.
 func samplingExperiment(opt Options) (Result, error) {
-	cfg := cache.Config{CacheConfig: area.CacheConfig{CapacityBytes: 8 << 10, LineWords: 4, Assoc: 1}}
+	ic := area.CacheConfig{CapacityBytes: 8 << 10, LineWords: 4, Assoc: 1}
 	plan := sampling.Plan{Samples: 50, WindowRefs: 40_000, GapRefs: 80_000, Seed: 0x5a317}
 	fullRefs := opt.refs(6_000_000)
+
+	// Full-trace reference values.
+	specs := workload.All()
+	full, err := sweepSuite(osmodel.Mach, specs, sweepPlan{icache: []area.CacheConfig{ic}}, fullRefs, opt, runtime.NumCPU())
+	if err != nil {
+		return Result{}, err
+	}
 
 	t := report.NewTable("Trace-sampling accuracy, 8-KB direct-mapped I-cache under Mach",
 		"Workload", "Sampled miss ratio", "CI95 rel", "Full-trace miss ratio", "Rel error")
 	worst := 0.0
-	for _, spec := range workload.All() {
+	for w, spec := range specs {
 		// Sampled estimate.
-		c := cache.New(cfg)
+		c := cache.New(cache.Config{CacheConfig: ic})
 		target := &sampling.CacheTarget{Access: func(r trace.Ref) (bool, bool) {
 			if r.Kind != trace.IFetch {
 				return false, false
@@ -44,19 +52,7 @@ func samplingExperiment(opt Options) (Result, error) {
 			return Result{}, err
 		}
 
-		// Full-trace reference value.
-		full := cache.New(cfg)
-		var instrs, misses uint64
-		osmodel.NewSystem(osmodel.Mach, spec).Generate(fullRefs, trace.SinkFunc(func(r trace.Ref) {
-			if r.Kind != trace.IFetch {
-				return
-			}
-			instrs++
-			if !full.Access(vm.CacheKey(r.Addr, r.ASID), false) {
-				misses++
-			}
-		}))
-		ref := stats.Ratio(misses, instrs)
+		ref := stats.Ratio(full[w].iMiss[0], full[w].instrs)
 		relErr := stats.RelativeError(est.Mean, ref)
 		if relErr > worst {
 			worst = relErr

@@ -52,7 +52,7 @@ func TestSweepChromeTraceGolden(t *testing.T) {
 		lane := tr.Lane("workload/" + spec.Name)
 		wl := lane.Start("sweep.workload")
 		pool := newGroupPool(4, tr, "sweep/"+spec.Name)
-		engine := newSweepEngine(cacheCfgs, 8, pool)
+		engine := newSweepEngine(cacheCfgs, cacheCfgs, pool)
 		sys := osmodel.NewSystem(osmodel.Mach, spec)
 		warm := lane.Start("generate.warmup")
 		sys.Generate(5_000, engine)

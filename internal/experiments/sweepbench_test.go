@@ -40,7 +40,8 @@ func replay(b *testing.B, stream []trace.Ref, sink trace.Sink) {
 // the full Table 5 cache space.
 func BenchmarkSweepEngine(b *testing.B) {
 	stream := recordStream(200_000)
-	engine := newSweepEngine(search.Table5().CacheConfigs(), 8, nil)
+	cfgs := search.Table5().CacheConfigs()
+	engine := newSweepEngine(cfgs, cfgs, nil)
 	replay(b, stream, engine)
 }
 
@@ -50,7 +51,8 @@ func BenchmarkSweepEngineParallel(b *testing.B) {
 	stream := recordStream(200_000)
 	pool := newGroupPool(runtime.NumCPU(), nil, "")
 	defer pool.close()
-	engine := newSweepEngine(search.Table5().CacheConfigs(), 8, pool)
+	cfgs := search.Table5().CacheConfigs()
+	engine := newSweepEngine(cfgs, cfgs, pool)
 	replay(b, stream, engine)
 }
 
@@ -60,5 +62,5 @@ func BenchmarkSweepEngineParallel(b *testing.B) {
 func BenchmarkSweepLegacyDirect(b *testing.B) {
 	stream := recordStream(200_000)
 	direct := newDirectDCacheSweep(search.Table5().CacheConfigs())
-	replay(b, stream, unbatched{direct})
+	replay(b, stream, direct)
 }

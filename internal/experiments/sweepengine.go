@@ -12,9 +12,9 @@ import (
 	"onchip/internal/vm"
 )
 
-// sweepEngine is the fused fast path of the model-building sweep: one
-// pass over a workload's reference stream prices the whole Table 5
-// cache design space for both streams at once. Per batch it translates
+// sweepEngine is the fused fast path of the suite sweep: one pass over
+// a workload's reference stream prices every I-stream and D-stream
+// cache configuration of the sweep's plan at once. Per batch it translates
 // the references exactly once -- instruction fetches into I-stream
 // cache keys, cached loads and stores into packed D-stream keys -- and
 // feeds the shared key slices to the single-pass stack simulators
@@ -67,12 +67,13 @@ type groupUnit struct {
 	d *cheetah.DataLine
 }
 
-// newSweepEngine builds the fused engine over the configurations. A nil
-// pool gives the serial engine.
-func newSweepEngine(configs []area.CacheConfig, maxAssoc int, pool *groupPool) *sweepEngine {
+// newSweepEngine builds the fused engine over the I-stream and D-stream
+// configurations, either list possibly empty, pricing up to 8 ways. A
+// nil pool gives the serial engine.
+func newSweepEngine(icache, dcache []area.CacheConfig, pool *groupPool) *sweepEngine {
 	e := &sweepEngine{
-		i:    cheetah.NewSweep(configs, maxAssoc),
-		d:    cheetah.NewDataSweep(configs),
+		i:    cheetah.NewSweep(icache, 8),
+		d:    cheetah.NewDataSweep(dcache),
 		pool: pool,
 	}
 	if pool == nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"onchip/internal/area"
@@ -19,6 +20,33 @@ import (
 	"onchip/internal/vm"
 	"onchip/internal/workload"
 )
+
+// directICacheSweep is the I-stream cross-validation oracle: one LRU
+// cache simulated directly per configuration over the instruction
+// fetches.
+type directICacheSweep struct {
+	caches []*cache.Cache
+	instrs uint64
+}
+
+func newDirectICacheSweep(configs []area.CacheConfig) *directICacheSweep {
+	s := &directICacheSweep{}
+	for _, c := range configs {
+		s.caches = append(s.caches, cache.New(cache.Config{CacheConfig: c}))
+	}
+	return s
+}
+
+func (s *directICacheSweep) Ref(r trace.Ref) {
+	if r.Kind != trace.IFetch {
+		return
+	}
+	s.instrs++
+	key := vm.CacheKey(r.Addr, r.ASID)
+	for _, c := range s.caches {
+		c.Access(key, false)
+	}
+}
 
 // directDCacheSweep is the retired hot-path D-stream sweep, kept as the
 // cross-validation oracle: one write-through, no-write-allocate LRU
@@ -47,78 +75,73 @@ func (s *directDCacheSweep) Ref(r trace.Ref) {
 	}
 }
 
-// unbatched hides a sink's batch capability, forcing the generator down
-// the per-reference delivery path of the original sweep.
-type unbatched struct{ s trace.Sink }
-
-func (u unbatched) Ref(r trace.Ref) { u.s.Ref(r) }
-
 // TestFusedSweepMatchesLegacyPasses is the end-to-end equivalence proof
-// for the fused engine: one generation through sweepEngine + tlbOnly
-// with the phased warm-up/measure plan must reproduce, exactly, what
-// the original three independent generations produced -- single-pass
-// I-stream sweep, direct per-configuration D-cache simulation, and the
-// tapeworm warm-up-then-measure run.
+// for the fused sweep: one generation through sweepSuite's engine and
+// TLB sink, with the phased warm-up/measure plan, must reproduce
+// exactly what three independent generations produce -- one direct
+// cache simulation per configuration on each stream, delivered one
+// reference at a time, and Tapeworm warmed up on a third of the
+// references and then measured on the next refsEach.
 func TestFusedSweepMatchesLegacyPasses(t *testing.T) {
 	const refsEach = 90_000
 	spec := workload.VideoPlay()
-	var cacheCfgs []area.CacheConfig
+	var plan sweepPlan
 	for _, size := range []int{2 << 10, 8 << 10, 32 << 10} {
 		for _, line := range []int{4, 16} {
 			for _, assoc := range []int{1, 2, 8} {
-				cacheCfgs = append(cacheCfgs, area.CacheConfig{CapacityBytes: size, LineWords: line, Assoc: assoc})
+				plan.icache = append(plan.icache, area.CacheConfig{CapacityBytes: size, LineWords: line, Assoc: assoc})
 			}
 		}
 	}
-	tlbConfigs := []tlb.Config{
-		{TLBConfig: area.TLBConfig{Entries: 64, Assoc: 2}},
-		{TLBConfig: area.TLBConfig{Entries: 128, Assoc: area.FullyAssociative}},
+	plan.dcache = plan.icache
+	plan.tlbs = []area.TLBConfig{{Entries: 64, Assoc: 2}, {Entries: 128, Assoc: area.FullyAssociative}}
+
+	// Legacy: three generations, per-reference delivery.
+	isweep := newDirectICacheSweep(plan.icache)
+	osmodel.NewSystem(osmodel.Mach, spec).Generate(refsEach, isweep)
+	dsweep := newDirectDCacheSweep(plan.dcache)
+	osmodel.NewSystem(osmodel.Mach, spec).Generate(refsEach, dsweep)
+	var tlbConfigs []tlb.Config
+	for _, c := range plan.tlbs {
+		tlbConfigs = append(tlbConfigs, tlb.Config{TLBConfig: c})
 	}
-
-	// Legacy: three generations, per-reference delivery, direct D-sim.
-	isweep := newICacheSweep(cacheCfgs, 8)
-	osmodel.NewSystem(osmodel.Mach, spec).Generate(refsEach, unbatched{isweep})
-	direct := newDirectDCacheSweep(cacheCfgs)
-	osmodel.NewSystem(osmodel.Mach, spec).Generate(refsEach, unbatched{direct})
-	legacyTW, _ := runTapeworm(osmodel.Mach, spec, refsEach, tlbConfigs)
-
-	// Fused: one generation, batched, parallel simulator groups.
-	pool := newGroupPool(4, nil, "")
-	defer pool.close()
-	engine := newSweepEngine(cacheCfgs, 8, pool)
 	hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
 	tw := tapeworm.Attach(hw, tlbConfigs...)
 	tsink := &tlbOnly{hw: hw}
 	sys := osmodel.NewSystem(osmodel.Mach, spec)
-	tee := trace.Tee{engine, tsink}
-	e1 := sys.Generate(refsEach/3, tee)
+	sys.Generate(refsEach/3, tsink)
 	hw.ResetService()
 	tw.ResetServices()
 	tsink.instrs = 0
-	total := e1
-	if refsEach > total {
-		total += sys.Generate(refsEach-total, tee)
-	}
-	if n := e1 + refsEach - total; n > 0 {
-		sys.Generate(n, tsink)
-	}
+	sys.Generate(refsEach, tsink)
 
-	if engine.instrs != isweep.instrs {
-		t.Errorf("instrs: fused %d, legacy %d", engine.instrs, isweep.instrs)
+	// Fused: one generation, batched, on a pool of simulator units.
+	recs, err := sweepSuite(osmodel.Mach, []osmodel.WorkloadSpec{spec}, plan, refsEach, Options{}, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range cacheCfgs {
-		if got, want := engine.iMisses(c), isweep.misses(c); got != want {
-			t.Errorf("%v: I-misses fused %d, legacy %d", c, got, want)
+	rec := recs[0]
+	if rec.instrs != isweep.instrs {
+		t.Errorf("instrs: fused %d, direct %d", rec.instrs, isweep.instrs)
+	}
+	if want := dsweep.caches[0].Stats().Reads; rec.loads != want {
+		t.Errorf("cached loads: fused %d, direct %d", rec.loads, want)
+	}
+	for i, c := range plan.icache {
+		if got, want := rec.iMiss[i], isweep.caches[i].Stats().ReadMisses; got != want {
+			t.Errorf("%v: I-misses fused %d, direct %d", c, got, want)
 		}
-		if got, want := engine.dReadMisses(c), direct.caches[i].Stats().ReadMisses; got != want {
+		if got, want := rec.dMiss[i], dsweep.caches[i].Stats().ReadMisses; got != want {
 			t.Errorf("%v: D-read-misses fused %d, direct %d", c, got, want)
 		}
 	}
-	fusedTW := tw.Results()
+	if rec.tlbInstrs != tsink.instrs {
+		t.Errorf("Tapeworm window instrs: fused %d, legacy %d", rec.tlbInstrs, tsink.instrs)
+	}
+	legacyTW := tw.Results()
 	for i := range tlbConfigs {
-		a, b := fusedTW[i].Service, legacyTW[i].Service
-		if a != b {
-			t.Errorf("%v: tapeworm service fused %+v, legacy %+v", tlbConfigs[i].TLBConfig, a, b)
+		if a, b := rec.tlb[i].Service, legacyTW[i].Service; a != b {
+			t.Errorf("%v: tapeworm service fused %+v, legacy %+v", plan.tlbs[i], a, b)
 		}
 	}
 }
@@ -137,14 +160,15 @@ func TestSweepEngineParallelMatchesSerial(t *testing.T) {
 		return p
 	}
 	shared := pool(3, nil, "")
-	serial := newSweepEngine(cacheCfgs, 8, nil)
+	engine := func(p *groupPool) *sweepEngine { return newSweepEngine(cacheCfgs, cacheCfgs, p) }
+	serial := engine(nil)
 	variants := map[string]*sweepEngine{
-		"traced-4":   newSweepEngine(cacheCfgs, 8, pool(4, tracer, "sweep/mab")),
-		"pool-6":     newSweepEngine(cacheCfgs, 8, pool(6, nil, "")),
-		"pool-4":     newSweepEngine(cacheCfgs, 8, pool(4, nil, "")),
-		"pool-2":     newSweepEngine(cacheCfgs, 8, pool(2, nil, "")),
-		"shared-3-a": newSweepEngine(cacheCfgs, 8, shared),
-		"shared-3-b": newSweepEngine(cacheCfgs, 8, shared),
+		"traced-4":   engine(pool(4, tracer, "sweep/mab")),
+		"pool-6":     engine(pool(6, nil, "")),
+		"pool-4":     engine(pool(4, nil, "")),
+		"pool-2":     engine(pool(2, nil, "")),
+		"shared-3-a": engine(shared),
+		"shared-3-b": engine(shared),
 	}
 	sinks := trace.Tee{serial}
 	for _, e := range variants {
@@ -201,71 +225,76 @@ func TestRefMeterFlush(t *testing.T) {
 
 // TestSlotSweepMatchesSerial pins the suite sweep's schedule --
 // min(workers, workloads) slots, each reusing one engine, and workers
-// claiming units within each batch -- to serial engines: pool widths 1,
-// 2 and 6 over the suite give exactly the totals of one fresh serial
-// engine per workload. At width 1 a single engine sweeps every
-// workload in turn. A slot whose engine has seen a corrupt cache
-// entry's partial replay, after sweeping two workloads, must still
-// give the uncached totals.
+// claiming units within each batch -- to serial engines: for every plan
+// shape (caches and TLBs, I-stream only, D-stream only, TLBs only),
+// widths 0, 1, 2 and 6 over the suite give, workload by workload,
+// exactly the record of one fresh serial sweep of that workload alone.
+// At widths 0 and 1 a single engine sweeps every workload in turn. A
+// plan without TLBs leaves the trace cache alone. A slot whose engine
+// has seen a corrupt cache entry's partial replay, after sweeping two
+// workloads, must still give the uncached records.
 func TestSlotSweepMatchesSerial(t *testing.T) {
 	const refs = 30_000
 	specs := workload.All()
 	space := search.Table5()
-	suite := func(specs []osmodel.WorkloadSpec, opt Options, workers int) *sweepTotals {
+	cacheCfgs := space.CacheConfigs()
+	full := sweepPlan{icache: cacheCfgs, dcache: cacheCfgs, tlbs: space.TLBConfigs()}
+	suite := func(specs []osmodel.WorkloadSpec, plan sweepPlan, opt Options, workers int) []workloadSweep {
 		t.Helper()
-		tot, err := sweepSuite(osmodel.Mach, specs, space, refs, opt, workers)
+		recs, err := sweepSuite(osmodel.Mach, specs, plan, refs, opt, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tot
+		return recs
 	}
-	want := &sweepTotals{
-		iMiss:     map[area.CacheConfig]uint64{},
-		dMiss:     map[area.CacheConfig]uint64{},
-		tlbCycles: map[area.TLBConfig]uint64{},
+	serial := func(plan sweepPlan) []workloadSweep {
+		var want []workloadSweep
+		for _, spec := range specs {
+			want = append(want, suite([]osmodel.WorkloadSpec{spec}, plan, Options{}, 0)...)
+		}
+		return want
 	}
-	for _, spec := range specs {
-		one := suite([]osmodel.WorkloadSpec{spec}, Options{}, 0)
-		for c, n := range one.iMiss {
-			want.iMiss[c] += n
-		}
-		for c, n := range one.dMiss {
-			want.dMiss[c] += n
-		}
-		for c, n := range one.tlbCycles {
-			want.tlbCycles[c] += n
-		}
-		want.instrs += one.instrs
-	}
-	same := func(name string, got *sweepTotals) {
+	same := func(name string, got, want []workloadSweep) {
 		t.Helper()
-		if got.instrs != want.instrs {
-			t.Errorf("%s: instrs %d, serial %d", name, got.instrs, want.instrs)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records, want %d", name, len(got), len(want))
 		}
-		for _, c := range space.CacheConfigs() {
-			if got.iMiss[c] != want.iMiss[c] || got.dMiss[c] != want.dMiss[c] {
-				t.Errorf("%s %v: I/D misses %d/%d, serial %d/%d", name, c, got.iMiss[c], got.dMiss[c], want.iMiss[c], want.dMiss[c])
-			}
-		}
-		for _, c := range space.TLBConfigs() {
-			if got.tlbCycles[c] != want.tlbCycles[c] {
-				t.Errorf("%s %v: TLB cycles %d, serial %d", name, c, got.tlbCycles[c], want.tlbCycles[c])
+		for w := range want {
+			if !reflect.DeepEqual(got[w], want[w]) {
+				t.Errorf("%s: %s's record differs from its serial sweep's", name, specs[w].Name)
 			}
 		}
 	}
-	for _, workers := range []int{1, 2, 6} {
-		same(fmt.Sprintf("width %d", workers), suite(specs, Options{}, workers))
+	for _, shape := range []struct {
+		name string
+		plan sweepPlan
+	}{
+		{"caches and TLBs", full},
+		{"I-stream", sweepPlan{icache: cacheCfgs}},
+		{"D-stream", sweepPlan{dcache: cacheCfgs}},
+		{"TLBs", sweepPlan{tlbs: full.tlbs}},
+	} {
+		want := serial(shape.plan)
+		for _, workers := range []int{0, 1, 2, 6} {
+			same(fmt.Sprintf("%s, width %d", shape.name, workers), suite(specs, shape.plan, Options{}, workers), want)
+		}
+	}
+	want := serial(full)
+
+	cache, err := tracecache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite(specs[:1], sweepPlan{icache: cacheCfgs, dcache: cacheCfgs}, Options{TraceCache: cache}, 1)
+	if entries, _ := filepath.Glob(filepath.Join(cache.Dir(), "*.octc")); len(entries) != 0 {
+		t.Fatalf("a sweep without TLBs recorded %v", entries)
 	}
 
 	// Record the third workload's stream, then cut its entry short: the
 	// warm-up and measure segments still replay whole into the reused
 	// engine before the tail fails, so only a reset before the
-	// regeneration keeps them out of the totals.
-	cache, err := tracecache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	suite(specs[2:3], Options{TraceCache: cache}, 1)
+	// regeneration keeps them out of the records.
+	suite(specs[2:3], full, Options{TraceCache: cache}, 1)
 	entries, err := filepath.Glob(filepath.Join(cache.Dir(), "*.octc"))
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("recorded entries %v (%v), want one", entries, err)
@@ -279,7 +308,7 @@ func TestSlotSweepMatchesSerial(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	cache.Describe(reg)
-	same("width 1 over a corrupt entry", suite(specs, Options{TraceCache: cache, Metrics: reg}, 1))
+	same("width 1 over a corrupt entry", suite(specs, full, Options{TraceCache: cache, Metrics: reg}, 1), want)
 	corrupt := -1.0
 	for _, m := range reg.Snapshot() {
 		if m.Name == "tracecache.corrupt" {

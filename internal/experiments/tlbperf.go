@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"onchip/internal/area"
 	"onchip/internal/machine"
 	"onchip/internal/osmodel"
 	"onchip/internal/report"
-	"onchip/internal/tapeworm"
 	"onchip/internal/tlb"
 	"onchip/internal/trace"
 	"onchip/internal/workload"
@@ -44,45 +44,31 @@ func (s *tlbOnly) Refs(refs []trace.Ref) {
 	}
 }
 
-// runTapeworm generates refs references of the workload under the OS
-// variant, with the given TLB configurations simulated Tapeworm-style
-// from the hardware (R2000) TLB's miss events. It returns per-config
-// results and the scale factor to the workload's nominal full run.
-func runTapeworm(v osmodel.Variant, spec osmodel.WorkloadSpec, refs int, configs []tlb.Config) ([]tapeworm.Result, float64) {
-	hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
-	tw := tapeworm.Attach(hw, configs...)
-	sink := &tlbOnly{hw: hw}
-	sys := osmodel.NewSystem(v, spec)
-	// Warm up: run a third of the budget to populate the page
-	// first-touch set and the TLBs, then measure steady-state rates
-	// (scaling a cold-start transient to the full run would grossly
-	// overstate the compulsory/page-fault floor).
-	sys.Generate(refs/3, sink)
-	hw.ResetService()
-	tw.ResetServices()
-	sink.instrs = 0
-	sys.Generate(refs, sink)
-	scale := float64(spec.FullRunInstrs) / float64(sink.instrs)
-	return tw.Results(), scale
-}
-
 // figure7 sums scaled TLB service time for fully-associative TLBs of
 // 32-512 entries across the whole suite under Mach, split into the
 // paper's categories.
 func figure7(opt Options) (Result, error) {
 	refs := opt.refs(defaultStallRefs)
 	sizes := []int{32, 64, 128, 256, 512}
-	var configs []tlb.Config
+	var plan sweepPlan
 	for _, n := range sizes {
-		configs = append(configs, tlb.Config{TLBConfig: area.TLBConfig{Entries: n, Assoc: area.FullyAssociative}})
+		plan.tlbs = append(plan.tlbs, area.TLBConfig{Entries: n, Assoc: area.FullyAssociative})
+	}
+	specs := workload.All()
+	recs, err := sweepSuite(osmodel.Mach, specs, plan, refs, opt, runtime.NumCPU())
+	if err != nil {
+		return Result{}, err
 	}
 
+	// Each workload's service time scales to its nominal full run by
+	// the instructions of Tapeworm's measured window, summed in suite
+	// order.
 	user := make([]float64, len(sizes))
 	kernel := make([]float64, len(sizes))
 	other := make([]float64, len(sizes))
-	for _, spec := range workload.All() {
-		results, scale := runTapeworm(osmodel.Mach, spec, refs, configs)
-		for i, r := range results {
+	for w, rec := range recs {
+		scale := float64(specs[w].FullRunInstrs) / float64(rec.tlbInstrs)
+		for i, r := range rec.tlb {
 			user[i] += float64(r.Service.Cycles[tlb.UserMiss]) * scale / machine.ClockHz
 			kernel[i] += float64(r.Service.Cycles[tlb.KernelMiss]) * scale / machine.ClockHz
 			other[i] += float64(r.Service.Cycles[tlb.OtherMiss]) * scale / machine.ClockHz
@@ -115,15 +101,18 @@ func figure8(opt Options) (Result, error) {
 	refs := opt.refs(defaultStallRefs)
 	sizes := []int{64, 128, 256, 512}
 	assocs := []int{1, 2, 4, 8}
-	var configs []tlb.Config
-	configs = append(configs, tlb.Config{TLBConfig: area.TLBConfig{Entries: 256, Assoc: area.FullyAssociative}})
+	plan := sweepPlan{tlbs: []area.TLBConfig{{Entries: 256, Assoc: area.FullyAssociative}}}
 	for _, a := range assocs {
 		for _, n := range sizes {
-			configs = append(configs, tlb.Config{TLBConfig: area.TLBConfig{Entries: n, Assoc: a}})
+			plan.tlbs = append(plan.tlbs, area.TLBConfig{Entries: n, Assoc: a})
 		}
 	}
 
-	results, _ := runTapeworm(osmodel.Mach, workload.VideoPlay(), refs, configs)
+	recs, err := sweepSuite(osmodel.Mach, []osmodel.WorkloadSpec{workload.VideoPlay()}, plan, refs, opt, runtime.NumCPU())
+	if err != nil {
+		return Result{}, err
+	}
+	results := recs[0].tlb
 	baseline := float64(results[0].Service.TotalCycles())
 	var series []report.Series
 	idx := 1

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 
 	"onchip/internal/area"
 	"onchip/internal/cache"
@@ -79,26 +81,22 @@ func figure9D(opt Options) (Result, error) {
 		}
 	}
 
+	plan := sweepPlan{dcache: configs}
 	out := ""
 	for _, v := range []osmodel.Variant{osmodel.Ultrix, osmodel.Mach} {
-		miss := make(map[area.CacheConfig]uint64)
-		var loads uint64
-		for _, spec := range workload.All() {
-			sweep := newDCacheSweep(configs)
-			osmodel.NewSystem(v, spec).Generate(refs, sweep)
-			for _, c := range configs {
-				miss[c] += sweep.readMisses(c)
-			}
-			loads += sweep.loads()
+		recs, err := sweepSuite(v, workload.All(), plan, refs, opt, runtime.NumCPU())
+		if err != nil {
+			return Result{}, fmt.Errorf("%s sweep: %w", v, err)
 		}
+		tot := plan.sum(recs)
 		var series []report.Series
 		for _, l := range lines {
 			s := report.Series{Label: fmt.Sprintf("%d-word line", l)}
 			for _, size := range sizes {
-				c := area.CacheConfig{CapacityBytes: size, LineWords: l, Assoc: 1}
+				i := slices.Index(configs, area.CacheConfig{CapacityBytes: size, LineWords: l, Assoc: 1})
 				s.Points = append(s.Points, report.Point{
 					X: fmt.Sprintf("%dK", size>>10),
-					Y: float64(miss[c]) / float64(loads),
+					Y: float64(tot.dMiss[i]) / float64(tot.loads),
 				})
 			}
 			series = append(series, s)

@@ -66,10 +66,13 @@ func Workload(v osmodel.Variant, spec osmodel.WorkloadSpec, refs int, cfg machin
 
 // Multi declares a row that time-slices the workloads of the
 // multiprogrammed system build returns, for refs references in all, on
-// cfg as declared. It reports no generation statistics.
+// cfg as declared, OS telemetry on. It reports no generation
+// statistics.
 func Multi(label string, cfg machine.Config, refs int, build func() *osmodel.Multi) RowSpec {
-	return RowSpec{Workload: label, Config: cfg, Source: func(sink trace.Sink, _ *telemetry.Registry) osmodel.GenStats {
-		build().Generate(refs, sink)
+	return RowSpec{Workload: label, Config: cfg, Source: func(sink trace.Sink, reg *telemetry.Registry) osmodel.GenStats {
+		m := build()
+		m.SetMetrics(reg)
+		m.Generate(refs, sink)
 		return osmodel.GenStats{}
 	}}
 }

@@ -174,7 +174,8 @@ func systemCase(spec osmodel.WorkloadSpec, refs int, cfg machine.Config, setup f
 }
 
 // multiCase declares a time-sliced mpeg_play + mab row on cfg, as
-// declared, for 2*refs references, and writes it out by hand.
+// declared, for 2*refs references, and writes it out by hand with the
+// OS model's telemetry on.
 func multiCase(refs int, cfg machine.Config, build func(osmodel.Variant, ...osmodel.WorkloadSpec) *osmodel.Multi) rowCase {
 	specs := []osmodel.WorkloadSpec{workload.MPEGPlay(), workload.MAB()}
 	return rowCase{
@@ -183,7 +184,9 @@ func multiCase(refs int, cfg machine.Config, build func(osmodel.Variant, ...osmo
 			c := cfg
 			c.Metrics, c.Tracer = reg, tr
 			m := machine.New(c)
-			build(osmodel.Mach, specs...).Generate(2*refs, m)
+			multi := build(osmodel.Mach, specs...)
+			multi.SetMetrics(reg)
+			multi.Generate(2*refs, m)
 			m.FlushMetrics()
 			return Row{Workload: "multi", Breakdown: m.Breakdown(), DCache: m.DCache().Stats()}
 		},

@@ -3,6 +3,7 @@ package osmodel
 import (
 	"fmt"
 
+	"onchip/internal/telemetry"
 	"onchip/internal/trace"
 )
 
@@ -81,6 +82,15 @@ func (m *Multi) Generate(n int, sink trace.Sink) int {
 		emitted += sys.Generate(m.QuantumRefs, sink)
 	}
 	return emitted
+}
+
+// SetMetrics attaches a telemetry registry to every time-sliced system
+// (see System.SetMetrics), so counters of the same name add up across
+// the workloads. Safe to call with nil.
+func (m *Multi) SetMetrics(reg *telemetry.Registry) {
+	for _, sys := range m.systems {
+		sys.SetMetrics(reg)
+	}
 }
 
 // Stats returns the per-workload generation statistics.
