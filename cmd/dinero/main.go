@@ -25,15 +25,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"onchip/internal/area"
 	"onchip/internal/cache"
 	"onchip/internal/lifecycle"
 	"onchip/internal/machine"
 	"onchip/internal/obs"
-	"onchip/internal/spans"
 	"onchip/internal/telemetry"
 	"onchip/internal/tlb"
 	"onchip/internal/trace"
@@ -41,6 +38,12 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
+	var of obs.Flags
+	of.Register(flag.CommandLine)
 	in := flag.String("i", "", "input trace file (required)")
 	isize := flag.Int("isize", 8192, "I-cache capacity in bytes")
 	iline := flag.Int("iline", 4, "I-cache line size in words")
@@ -53,17 +56,12 @@ func main() {
 	tlbEntries := flag.Int("tlb", 64, "TLB entries")
 	tlbAssoc := flag.Int("tlbassoc", 0, "TLB associativity (0 = fully associative)")
 	wbEntries := flag.Int("wb", 4, "write buffer entries")
-	metricsFile := flag.String("metrics", "", "write run manifest and metrics as JSONL to this file")
-	serveAddr := flag.String("serve", "", "serve live observability endpoints on this address (e.g. :6060)")
-	spansFile := flag.String("spans", "", "write execution spans as Chrome trace-event JSON to this file (Perfetto-loadable)")
-	profSpan := flag.String("prof-span", "", "capture a CPU profile bracketed by the first span with this name (e.g. trace.replay)")
-	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
 	skipCorrupt := flag.Bool("skip-corrupt", false, "skip corrupt trace records (counted and reported) instead of aborting")
 	flag.Parse()
 
 	if *in == "" {
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 	cfg := machine.Config{
 		ICache:  cache.Config{CacheConfig: area.CacheConfig{CapacityBytes: *isize, LineWords: *iline, Assoc: *iassoc}},
@@ -79,67 +77,49 @@ func main() {
 	f, err := os.Open(*in)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dinero:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer f.Close()
 
 	r, err := trace.NewReader(f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dinero:", err)
-		os.Exit(1)
+		return 1
 	}
 	r.SkipCorrupt = *skipCorrupt
 
-	start := time.Now()
+	sess, err := of.Start(ctx, obs.Binary{
+		Name:    "dinero",
+		Labels:  map[string]string{"trace": *in},
+		Machine: true,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer sess.Close()
 	// The machine records into a registry of its own, absorbed after
 	// the replay so no scrape reads a running machine; the corruption
 	// count and the stall-event ring stay live.
-	var reg *telemetry.Registry
-	if *metricsFile != "" || *serveAddr != "" {
-		reg = telemetry.NewRegistry()
+	reg := sess.Registry
+	if reg != nil {
 		corrupts := reg.Counter("trace.corrupt_records", "corrupt trace records encountered")
 		r.OnCorrupt = func(*trace.CorruptError) { corrupts.Inc() }
 		cfg.Metrics = telemetry.NewRegistry()
 	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "dinero", *spansFile, *profSpan, *profSpanOut, reg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer drainSpans()
-	man := &telemetry.Manifest{
-		Command:   "dinero",
-		Args:      os.Args[1:],
-		Start:     start.Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Labels:    map[string]string{"trace": *in},
-	}
-	if *serveAddr != "" {
-		cfg.Tracer = telemetry.NewTracer(telemetry.DefaultTracerDepth)
-		srv := obs.New(obs.Config{
-			Registry: reg,
-			Tracer:   cfg.Tracer,
-			Manifest: man,
-			KindName: machine.KindName,
-			CompName: machine.CompName,
-			Spans:    spanTr,
-		})
-		bound, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dinero: serve:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "dinero: observability plane on http://%s/\n", bound)
-	}
+	cfg.Tracer = sess.Events
 	m, err := machine.NewE(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dinero:", err)
-		os.Exit(2)
+		return sess.Exit(2)
 	}
-	replaySpan := spanTr.Lane("main").Start("trace.replay")
+	replaySpan := sess.Spans.Lane("main").Start("trace.replay")
 	n, err := r.DrainContext(ctx, m)
 	replaySpan.End()
+	// Flush even on a failed or interrupted replay: the counters are
+	// exact for the prefix of the trace that was replayed.
+	m.FlushMetrics()
+	reg.Absorb(cfg.Metrics)
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		var ce *trace.CorruptError
@@ -148,12 +128,8 @@ func main() {
 		} else {
 			fmt.Fprintln(os.Stderr, "dinero:", err)
 		}
-		os.Exit(1)
+		return sess.Exit(1)
 	}
-	// Flush and report even when interrupted: the counters below are
-	// exact for the prefix of the trace that was replayed.
-	m.FlushMetrics()
-	reg.Absorb(cfg.Metrics)
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "dinero: interrupted; statistics cover the first %d references\n", n)
 	}
@@ -183,22 +159,8 @@ func main() {
 		svc.Count[tlb.UserMiss], svc.Count[tlb.KernelMiss], svc.Count[tlb.OtherMiss], float64(svc.TotalCycles()))
 	fmt.Printf("\n%v\n", m.Breakdown())
 	fmt.Printf("simulated time at %.2f MHz: %.3f s\n", machine.ClockHz/1e6, m.Breakdown().Seconds())
-
-	if *metricsFile != "" {
-		f, err := os.Create(*metricsFile)
-		if err == nil {
-			err = telemetry.WriteJSONL(f, man, reg.Snapshot())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dinero:", err)
-			os.Exit(1)
-		}
-	}
 	if interrupted {
-		drainSpans() // os.Exit skips defers; the trace still lands
-		os.Exit(lifecycle.InterruptExit)
+		return sess.Exit(lifecycle.InterruptExit)
 	}
+	return sess.Exit(0)
 }

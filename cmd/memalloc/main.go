@@ -24,24 +24,27 @@
 //	                  model fitted to the sweep output
 //
 // Observability flags (all off by default; the default output is
-// byte-identical to an uninstrumented run):
+// byte-identical to an uninstrumented run). -metrics, -serve, -spans,
+// -prof-span and -prof-span-out are the flags every simulation binary
+// shares (internal/obs):
 //
 //	-metrics FILE   write a JSONL run manifest plus every collected
 //	                metric (one JSON object per line; arrangement and
 //	                wall-clock metrics, such as the span.*_us timings,
-//	                name their class) to FILE
+//	                name their class) to FILE; "memalloc compare"
+//	                diffs two such files
 //	-trace FILE     capture the machine's stall-event window (a
 //	                Monster-style logic-analyzer ring) and dump it as
 //	                JSONL to FILE
-//	-progress       stream live progress lines to stderr: measurements
-//	                as they finish, sweep and search progress with ETA
+//	-progress       stream live progress lines to stderr: timing-
+//	                machine measurements and workload sweeps as they
+//	                finish
 //	-pprof ADDR     serve net/http/pprof on ADDR (e.g. localhost:6060)
 //	                for the duration of the run
 //	-serve ADDR     serve the live observability plane on ADDR for the
 //	                duration of the run: GET /metrics (Prometheus),
 //	                /snapshot (JSON), /events (SSE tail of the stall-
-//	                event ring), /sweep (enumeration progress) and
-//	                /spans (execution-span summary)
+//	                event ring) and /spans (execution-span summary)
 //	-spans FILE     record hierarchical execution spans (per-workload
 //	                generation phases, per-worker sweep jobs and search)
 //	                and write them as Chrome trace-event JSON to FILE on
@@ -66,14 +69,11 @@
 // telemetry flushes, partial results are written, and the process
 // exits with status 130. A second signal aborts immediately.
 //
-// Run history (see EXPERIMENTS.md "Live monitoring"):
+// Regression comparison (see EXPERIMENTS.md "Live monitoring"):
 //
-//	memalloc history [-refs N] [-o FILE] <experiment>...
-//	                persist the end-of-run metric snapshot as
-//	                BENCH_<runid>.json
-//	memalloc compare [-threshold F] <a.json> <b.json>
-//	                diff the result-class metrics of two snapshots;
-//	                non-zero exit on regression
+//	memalloc compare [-threshold F] <a.jsonl> <b.jsonl>
+//	                diff the result-class metrics of two -metrics
+//	                files; non-zero exit on regression
 package main
 
 import (
@@ -84,14 +84,12 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"runtime"
 	"time"
 
 	"onchip/internal/experiments"
 	"onchip/internal/lifecycle"
 	"onchip/internal/machine"
 	"onchip/internal/obs"
-	"onchip/internal/spans"
 	"onchip/internal/telemetry"
 	"onchip/internal/tracecache"
 )
@@ -101,16 +99,13 @@ func main() {
 }
 
 func run() int {
+	var of obs.Flags
+	of.Register(flag.CommandLine)
 	refs := flag.Int("refs", 0, "simulated references per workload run (0 = experiment default)")
 	spacePreset := flag.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid, priced exhaustively) or big (>=1M triples, searched pruned; off-grid configurations priced by the power-law miss model)")
-	metricsFile := flag.String("metrics", "", "write run manifest and metrics (span timings included) as JSONL to this file")
 	traceFile := flag.String("trace", "", "write the machine stall-event window as JSONL to this file")
 	progress := flag.Bool("progress", false, "stream live progress lines to stderr")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	serveAddr := flag.String("serve", "", "serve live observability endpoints on this address (e.g. :6060)")
-	spansFile := flag.String("spans", "", "write the run's execution spans as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
-	profSpan := flag.String("prof-span", "", "capture a CPU profile bracketed by the first span with this name (e.g. sweep.model, search.enumerate)")
-	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
 	traceCacheDir := flag.String("trace-cache", "", "cache generated workload reference streams (compressed, content-addressed) under this directory; warm runs replay instead of regenerating")
 	flag.Usage = usage
 	flag.Parse()
@@ -130,8 +125,6 @@ func run() int {
 			fmt.Printf("  %-9s %s\n", id, experiments.Title(id))
 		}
 		return 0
-	case "history":
-		return runHistory(args[1:], *refs)
 	case "compare":
 		return runCompare(args[1:])
 	}
@@ -155,64 +148,42 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "memalloc: pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
-	opt := experiments.Options{Refs: *refs, Context: ctx}
-	opt.SpacePreset = *spacePreset
-	if *metricsFile != "" || *serveAddr != "" {
-		opt.Metrics = telemetry.NewRegistry()
+	sess, err := of.Start(ctx, obs.Binary{
+		Name:    "memalloc",
+		Labels:  map[string]string{"experiments": fmt.Sprint(ids)},
+		Machine: true,
+		Ring:    *traceFile != "",
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer sess.Close()
+	opt := experiments.Options{
+		Refs:        *refs,
+		Metrics:     sess.Registry,
+		Tracer:      sess.Events,
+		Spans:       sess.Spans,
+		Context:     ctx,
+		SpacePreset: *spacePreset,
 	}
 	if *traceCacheDir != "" {
 		tc, err := tracecache.Open(*traceCacheDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "memalloc:", err)
-			return 1
+			return sess.Exit(1)
 		}
 		tc.Describe(opt.Metrics)
 		tc.SetLogWriter(os.Stderr) // corrupt entries log their content address
 		opt.TraceCache = tc
 	}
-	if *traceFile != "" || *serveAddr != "" {
-		opt.Tracer = telemetry.NewTracer(telemetry.DefaultTracerDepth)
-	}
 	if *progress {
 		opt.Progress = os.Stderr
 	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "memalloc", *spansFile, *profSpan, *profSpanOut, opt.Metrics)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	defer drainSpans()
-	opt.Spans = spanTr
 
-	start := time.Now()
-	man := &telemetry.Manifest{
-		Command:   "memalloc",
-		Args:      os.Args[1:],
-		Start:     start.Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Labels:    map[string]string{"experiments": fmt.Sprint(ids)},
-	}
-	if *serveAddr != "" {
-		srv := obs.New(obs.Config{
-			Registry: opt.Metrics,
-			Tracer:   opt.Tracer,
-			Manifest: man,
-			KindName: machine.KindName,
-			CompName: machine.CompName,
-			Spans:    spanTr,
-		})
-		bound, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memalloc: serve:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "memalloc: observability plane on http://%s/\n", bound)
-		defer srv.Close()
-		opt.SweepObserver = srv.ObserveSweep
-	}
 	failed := false
 	interrupted := false
-	mainLane := spanTr.Lane("main")
+	mainLane := opt.Spans.Lane("main")
 	for _, id := range ids {
 		t0 := time.Now()
 		expSpan := mainLane.Start("experiment." + id)
@@ -238,37 +209,19 @@ func run() int {
 	// Partial results still land on disk after an interrupt: the metric
 	// snapshot reflects everything flushed before cancellation, and the
 	// trace file holds the captured event window.
-	if *metricsFile != "" {
-		if err := writeMetrics(*metricsFile, man, opt.Metrics.Snapshot()); err != nil {
-			fmt.Fprintln(os.Stderr, "memalloc:", err)
-			failed = true
-		}
-	}
 	if *traceFile != "" {
 		if err := writeTrace(*traceFile, opt.Tracer); err != nil {
 			fmt.Fprintln(os.Stderr, "memalloc:", err)
 			failed = true
 		}
 	}
-	if interrupted {
-		return lifecycle.InterruptExit
+	switch {
+	case interrupted:
+		return sess.Exit(lifecycle.InterruptExit)
+	case failed:
+		return sess.Exit(1)
 	}
-	if failed {
-		return 1
-	}
-	return 0
-}
-
-func writeMetrics(path string, m *telemetry.Manifest, metrics []telemetry.Metric) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteJSONL(f, m, metrics); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return sess.Exit(0)
 }
 
 func writeTrace(path string, tr *telemetry.Tracer) error {
@@ -283,16 +236,80 @@ func writeTrace(path string, tr *telemetry.Tracer) error {
 	return f.Close()
 }
 
+// resolveExperiments expands and validates the experiment arguments.
+// It returns the ids and -1, or a nil list with the exit code to
+// return.
+func resolveExperiments(args []string) ([]string, int) {
+	if args[0] == "all" {
+		if len(args) > 1 {
+			fmt.Fprintf(os.Stderr, "memalloc: \"all\" takes no further arguments (got %q)\n", args[1:])
+			return nil, 2
+		}
+		return experiments.IDs(), -1
+	}
+	// Validate every id up front so a typo after valid ids fails fast,
+	// names the offender, and runs nothing.
+	for _, id := range args {
+		if experiments.Title(id) == "" {
+			fmt.Fprintf(os.Stderr, "memalloc: unknown experiment %q (run \"memalloc list\" for the catalog)\n", id)
+			return nil, 2
+		}
+	}
+	return args, -1
+}
+
+// runCompare implements `memalloc compare`: diff two -metrics snapshots
+// and exit non-zero when any metric moved beyond the threshold, so CI
+// can gate on simulator regressions.
+func runCompare(args []string) int {
+	fs := flag.NewFlagSet("memalloc compare", flag.ExitOnError)
+	threshold := fs.Float64("threshold", 0.01, "relative change beyond which a metric is flagged")
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, `usage: memalloc compare [-threshold F] <a.jsonl> <b.jsonl>
+
+Diffs two -metrics files, from any of the simulation binaries. Exits 0
+when every result-class counter, gauge, histogram and the derived CPI
+agree within the threshold, 1 when any regressed or is missing from
+one run, 2 on usage or read errors (so CI can tell a regression from a
+missing or unreadable file). Arrangement metrics (pool width,
+trace-cache and advisor traffic) and wall-clock metrics (span timings)
+carry their class in the file and are never compared; a metric line
+without a class is a result metric.`)
+		fs.PrintDefaults()
+	}
+	fs.Parse(args)
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
+	}
+	var runs [2]obs.Run
+	for i := range runs {
+		r, err := obs.ReadRunFile(fs.Arg(i))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "memalloc:", err)
+			return 2
+		}
+		runs[i] = r
+	}
+	deltas := obs.Compare(runs[0], runs[1], *threshold)
+	if len(deltas) == 0 {
+		fmt.Printf("%s and %s agree: no metric moved more than %.3g%%\n",
+			fs.Arg(0), fs.Arg(1), 100**threshold)
+		return 0
+	}
+	fmt.Print(obs.FormatDeltas(deltas))
+	fmt.Printf("\n%d metric(s) beyond the %.3g%% threshold\n", len(deltas), 100**threshold)
+	return 1
+}
+
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: memalloc [flags] list | all | <experiment>...
-       memalloc history [-refs N] [-dir DIR | -o FILE] <experiment>... | all
-       memalloc compare [-threshold F] <a.json> <b.json>
+       memalloc compare [-threshold F] <a.jsonl> <b.jsonl>
 
 Reproduces the evaluation of "Optimal Allocation of On-chip Memory for
 Multiple-API Operating Systems" (ISCA 1994). Run "memalloc list" for the
-experiment catalog. "history" persists an end-of-run metric snapshot as
-BENCH_<runid>.json; "compare" diffs the result-class metrics of two
-snapshots and exits non-zero on regression.
+experiment catalog. "compare" diffs the result-class metrics of two
+-metrics files and exits non-zero on regression.
 
 Failures: a failed workload sweep fails its experiment with an error
 naming the workload (exit status 1). SIGINT/SIGTERM shuts down

@@ -13,17 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"onchip/internal/area"
 	"onchip/internal/lifecycle"
 	"onchip/internal/machine"
 	"onchip/internal/obs"
 	"onchip/internal/osmodel"
-	"onchip/internal/spans"
 	"onchip/internal/tapeworm"
-	"onchip/internal/telemetry"
 	"onchip/internal/tlb"
 	"onchip/internal/trace"
 	"onchip/internal/workload"
@@ -52,20 +48,21 @@ func generateCtx(ctx context.Context, sys *osmodel.System, n int, sink trace.Sin
 }
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
+	var of obs.Flags
+	of.Register(flag.CommandLine)
 	wl := flag.String("workload", "video_play", "workload name")
 	osName := flag.String("os", "Mach", "operating system: Ultrix or Mach")
 	refs := flag.Int("refs", 2_000_000, "references to simulate")
-	metricsFile := flag.String("metrics", "", "write run manifest and metrics as JSONL to this file")
-	serveAddr := flag.String("serve", "", "serve live observability endpoints on this address (e.g. :6060)")
-	spansFile := flag.String("spans", "", "write execution spans as Chrome trace-event JSON to this file (Perfetto-loadable)")
-	profSpan := flag.String("prof-span", "", "capture a CPU profile bracketed by the first span with this name (e.g. generate.measure)")
-	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
 	flag.Parse()
 
 	spec, err := workload.ByName(*wl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tapeworm:", err)
-		os.Exit(1)
+		return 1
 	}
 	var v osmodel.Variant
 	switch *osName {
@@ -75,7 +72,7 @@ func main() {
 		v = osmodel.Mach
 	default:
 		fmt.Fprintf(os.Stderr, "tapeworm: unknown OS %q\n", *osName)
-		os.Exit(1)
+		return 1
 	}
 
 	// The Table 5 TLB design space plus the small fully-associative
@@ -92,37 +89,19 @@ func main() {
 
 	ctx, stopSignals := lifecycle.Notify(context.Background(), "tapeworm", nil)
 	defer stopSignals()
-
-	start := time.Now()
-	hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
-	var reg *telemetry.Registry
-	if *metricsFile != "" || *serveAddr != "" {
-		reg = telemetry.NewRegistry()
-		hw.Describe(reg, "tapeworm.hw_tlb")
-	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "tapeworm", *spansFile, *profSpan, *profSpanOut, reg)
+	sess, err := of.Start(ctx, obs.Binary{
+		Name:   "tapeworm",
+		Labels: map[string]string{"workload": spec.Name, "os": v.String()},
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
-	defer drainSpans()
-	man := &telemetry.Manifest{
-		Command:   "tapeworm",
-		Args:      os.Args[1:],
-		Start:     start.Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Labels:    map[string]string{"workload": spec.Name, "os": v.String()},
-	}
-	if *serveAddr != "" {
-		srv := obs.New(obs.Config{Registry: reg, Manifest: man, Spans: spanTr})
-		bound, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tapeworm: serve:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "tapeworm: observability plane on http://%s/\n", bound)
-	}
+	defer sess.Close()
+	reg := sess.Registry
+
+	hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
+	hw.Describe(reg, "tapeworm.hw_tlb")
 	tw := tapeworm.Attach(hw, configs...)
 	instrC := reg.Counter("tapeworm.instructions", "instructions in the measured window")
 	reg.Counter("tapeworm.configs", "TLB configurations simulated simultaneously").
@@ -139,7 +118,7 @@ func main() {
 		hw.Translate(r.Addr, r.ASID)
 	})
 	sys := osmodel.NewSystem(v, spec)
-	lane := spanTr.Lane("main")
+	lane := sess.Spans.Lane("main")
 	warm := lane.Start("generate.warmup")
 	interrupted := !generateCtx(ctx, sys, *refs/3, sink) // warm-up
 	warm.End()
@@ -152,12 +131,12 @@ func main() {
 		interrupted = !generateCtx(ctx, sys, *refs, sink)
 		meas.End()
 	}
-	if instrs == 0 {
-		// Interrupted before the measured window opened: there is
-		// nothing meaningful to scale or print.
+	if !measuring || instrs == 0 {
+		// Interrupted before the measured window opened: the counts so
+		// far are the warm-up's, with nothing meaningful to scale or
+		// print.
 		fmt.Fprintln(os.Stderr, "tapeworm: interrupted during warm-up; no measurements")
-		drainSpans() // os.Exit skips defers; the trace still lands
-		os.Exit(lifecycle.InterruptExit)
+		return sess.Exit(lifecycle.InterruptExit)
 	}
 	if interrupted {
 		fmt.Fprintf(os.Stderr, "tapeworm: interrupted; results below cover the %d instructions measured so far\n", instrs)
@@ -174,22 +153,8 @@ func main() {
 			r.Service.Count[tlb.UserMiss], r.Service.Count[tlb.KernelMiss], r.Service.Count[tlb.OtherMiss],
 			secs)
 	}
-
-	if *metricsFile != "" {
-		f, err := os.Create(*metricsFile)
-		if err == nil {
-			err = telemetry.WriteJSONL(f, man, reg.Snapshot())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tapeworm:", err)
-			os.Exit(1)
-		}
-	}
 	if interrupted {
-		drainSpans() // os.Exit skips defers; the trace still lands
-		os.Exit(lifecycle.InterruptExit)
+		return sess.Exit(lifecycle.InterruptExit)
 	}
+	return sess.Exit(0)
 }

@@ -14,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"onchip/internal/lifecycle"
 	"onchip/internal/obs"
@@ -27,6 +25,12 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+func run() int {
+	var of obs.Flags
+	of.Register(flag.CommandLine)
 	wl := flag.String("workload", "mpeg_play", "workload name (see -list)")
 	osName := flag.String("os", "Mach", "operating system: Ultrix or Mach")
 	refs := flag.Int("refs", 1_000_000, "references to generate")
@@ -34,84 +38,44 @@ func main() {
 	stat := flag.String("stat", "", "inspect an existing trace file instead of generating")
 	skipCorrupt := flag.Bool("skip-corrupt", false, "with -stat: skip corrupt records (counted) instead of aborting")
 	list := flag.Bool("list", false, "list workload names")
-	metricsFile := flag.String("metrics", "", "write run manifest and metrics as JSONL to this file")
-	serveAddr := flag.String("serve", "", "serve live observability endpoints on this address (e.g. :6060)")
-	spansFile := flag.String("spans", "", "write execution spans as Chrome trace-event JSON to this file (Perfetto-loadable)")
-	profSpan := flag.String("prof-span", "", "capture a CPU profile bracketed by the first span with this name (e.g. generate)")
-	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
 	flag.Parse()
 
 	if *list {
 		for _, n := range workload.Names() {
 			fmt.Println(n)
 		}
-		return
+		return 0
 	}
 	if *stat != "" {
 		if err := statFile(*stat, *skipCorrupt); err != nil {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	ctx, stopSignals := lifecycle.Notify(context.Background(), "tracegen", nil)
 	defer stopSignals()
-
-	start := time.Now()
-	var reg *telemetry.Registry
-	if *metricsFile != "" || *serveAddr != "" {
-		reg = telemetry.NewRegistry()
-	}
-	spanTr, drainSpans, err := spans.Setup(ctx, "tracegen", *spansFile, *profSpan, *profSpanOut, reg)
+	sess, err := of.Start(ctx, obs.Binary{
+		Name:   "tracegen",
+		Labels: map[string]string{"workload": *wl, "os": *osName},
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
-	defer drainSpans()
-	man := &telemetry.Manifest{
-		Command:   "tracegen",
-		Args:      os.Args[1:],
-		Start:     start.Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Labels:    map[string]string{"workload": *wl, "os": *osName},
-	}
-	if *serveAddr != "" {
-		srv := obs.New(obs.Config{Registry: reg, Manifest: man, Spans: spanTr})
-		bound, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen: serve:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "tracegen: observability plane on http://%s/\n", bound)
-	}
-	genErr := generate(ctx, *wl, *osName, *refs, *out, reg, spanTr.Lane("main"))
-	interrupted := errors.Is(genErr, context.Canceled)
-	if genErr != nil && !interrupted {
-		fmt.Fprintln(os.Stderr, "tracegen:", genErr)
-		os.Exit(1)
-	}
+	defer sess.Close()
 	// The metrics snapshot is still written after an interrupt: it
 	// covers exactly the records that made it into the (valid) partial
 	// trace file.
-	if *metricsFile != "" {
-		f, err := os.Create(*metricsFile)
-		if err == nil {
-			err = telemetry.WriteJSONL(f, man, reg.Snapshot())
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
+	switch err := generate(ctx, *wl, *osName, *refs, *out, sess.Registry, sess.Spans.Lane("main")); {
+	case errors.Is(err, context.Canceled):
+		return sess.Exit(lifecycle.InterruptExit)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		return sess.Exit(1)
 	}
-	if interrupted {
-		drainSpans() // os.Exit skips defers; the trace still lands
-		os.Exit(lifecycle.InterruptExit)
-	}
+	return sess.Exit(0)
 }
 
 func variant(name string) (osmodel.Variant, error) {

@@ -562,18 +562,6 @@ func runAllocation(opt Options, grid search.Space, title string, extraNotes []st
 	var pstats search.PruneStats
 	if big {
 		searchOpts = append(searchOpts, search.WithPruneStats(&pstats))
-		opt.progressf("search: big preset, %d of %d triples on the measured grid; off-grid priced by the power-law fit",
-			grid.Triples(), space.Triples())
-	}
-	if opt.Progress != nil || opt.SweepObserver != nil {
-		searchOpts = append(searchOpts, search.WithProgress(0, func(p search.Progress) {
-			if opt.Progress != nil {
-				opt.progressf("search: %s", p)
-			}
-			if opt.SweepObserver != nil {
-				opt.SweepObserver(p)
-			}
-		}))
 	}
 	searchSpan := lane.Start("search.enumerate")
 	ranking, err := search.Rank(space, area.Default(), area.BudgetRBE, model, allocTableDepth, searchOpts...)

@@ -11,7 +11,6 @@ import (
 	"io"
 	"sort"
 
-	"onchip/internal/search"
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
 	"onchip/internal/tracecache"
@@ -38,14 +37,9 @@ type Options struct {
 	// and keeps the hot paths untouched.
 	Spans *spans.Tracer
 	// Progress, when non-nil, receives live progress lines (one per
-	// write, newline-terminated): suite measurements as they finish and
-	// design-space sweep/enumeration progress with ETA.
+	// write, newline-terminated): timing-machine measurements and
+	// workload sweeps as they finish.
 	Progress io.Writer
-	// SweepObserver, when non-nil, receives structured design-space
-	// enumeration progress (the same snapshots Progress renders as
-	// text). The observability server installs itself here so a sweep
-	// in flight can be watched over GET /sweep.
-	SweepObserver func(search.Progress)
 	// Context, when non-nil, makes long-running experiments
 	// cancellable: sweep workers stop at the next stage boundary, the
 	// enumeration loop stops between pricing steps, and Run returns the

@@ -17,12 +17,12 @@ import (
 )
 
 // A cancelled run must return context.Canceled, whether the context
-// is cancelled before the call, mid-enumeration (from the search's
-// progress callback, after the model-building sweep) or between stall
-// suites (from table4's first progress line, printed once the Ultrix
-// suite is measured, so the Mach suite claims no row): memalloc relies
-// on it, through the experiment's wrapped error, to report an
-// interrupt and exit 130.
+// is cancelled before the call, mid-sweep (from table6's first "sweep:
+// ... done" progress line, once one workload is swept, so the rest
+// claim none) or between stall suites (from table4's first progress
+// line, printed once the Ultrix suite is measured, so the Mach suite
+// claims no row): memalloc relies on it, through the experiment's
+// wrapped error, to report an interrupt and exit 130.
 func TestRunHonorsCancelledContext(t *testing.T) {
 	for _, tc := range []struct {
 		id string
@@ -32,11 +32,11 @@ func TestRunHonorsCancelledContext(t *testing.T) {
 	}{
 		{"table3", nil},
 		{"table6", func(opt *Options, cancel func()) {
-			opt.SweepObserver = func(p search.Progress) {
-				if !p.Done {
+			opt.Progress = progressHook(func(line []byte) {
+				if bytes.HasPrefix(line, []byte("sweep:")) && bytes.Contains(line, []byte(" done (")) {
 					cancel()
 				}
-			}
+			})
 		}},
 		{"table4", func(opt *Options, cancel func()) {
 			opt.Progress = progressHook(func(line []byte) {

@@ -265,6 +265,7 @@ func TestSlotSweepMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+	wants := map[string][]workloadSweep{}
 	for _, shape := range []struct {
 		name string
 		plan sweepPlan
@@ -275,11 +276,23 @@ func TestSlotSweepMatchesSerial(t *testing.T) {
 		{"TLBs", sweepPlan{tlbs: full.tlbs}},
 	} {
 		want := serial(shape.plan)
+		wants[shape.name] = want
 		for _, workers := range []int{0, 1, 2, 6} {
 			same(fmt.Sprintf("%s, width %d", shape.name, workers), suite(specs, shape.plan, Options{}, workers), want)
 		}
 	}
-	want := serial(full)
+	// A one-stream plan, which translates only its own stream, prices it
+	// exactly as the full plan does and counts the same instructions.
+	want := wants["caches and TLBs"]
+	for w, rec := range want {
+		i, d := wants["I-stream"][w], wants["D-stream"][w]
+		if !reflect.DeepEqual(i.iMiss, rec.iMiss) || i.instrs != rec.instrs {
+			t.Errorf("%s: the I-stream plan's misses or instructions differ from the full plan's", specs[w].Name)
+		}
+		if !reflect.DeepEqual(d.dMiss, rec.dMiss) || d.instrs != rec.instrs || d.loads != rec.loads {
+			t.Errorf("%s: the D-stream plan's misses, instructions or loads differ from the full plan's", specs[w].Name)
+		}
+	}
 
 	cache, err := tracecache.Open(t.TempDir())
 	if err != nil {

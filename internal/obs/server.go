@@ -1,10 +1,10 @@
-// Package obs is the reproduction's live observability plane: an
-// embeddable HTTP server that exposes the telemetry layer of a running
-// simulation (Prometheus metrics, JSON snapshots, a server-sent-events
-// tail of the Monster-style stall-event ring, design-space sweep
-// progress and the execution-span summary), and a run-history
-// comparator that diffs persisted end-of-run snapshots so CI can gate
-// on simulator regressions.
+// Package obs is the reproduction's observability front end: the
+// flags and run session every simulation binary shares (session.go),
+// an embeddable HTTP server that exposes the telemetry layer of a
+// running simulation (Prometheus metrics, JSON snapshots, a
+// server-sent-events tail of the Monster-style stall-event ring and the
+// execution-span summary), and a comparator that diffs two -metrics
+// snapshots so CI can gate on simulator regressions.
 //
 // Where internal/telemetry alone is one-shot and in-process — capture
 // during the run, dump at exit — this package is the serving side: the
@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"onchip/internal/search"
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
 )
@@ -106,15 +105,10 @@ func ExtendWriteDeadline(w http.ResponseWriter, d time.Duration) {
 }
 
 // Server is the embeddable observability endpoint. Create one with New,
-// mount Handler on any mux or call Start to listen-and-serve, feed
-// sweep progress through ObserveSweep, and Close when the run ends.
+// mount Handler on any mux or call Start to listen-and-serve, and Close
+// when the run ends.
 type Server struct {
 	cfg Config
-
-	mu      sync.Mutex
-	sweep   search.Progress
-	sweepOK bool
-	sweepAt time.Time
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -129,14 +123,6 @@ func New(cfg Config) *Server {
 		cfg:  cfg,
 		done: make(chan struct{}),
 	}
-}
-
-// ObserveSweep records the latest design-space enumeration progress for
-// /sweep. It matches the experiments.Options.SweepObserver signature.
-func (s *Server) ObserveSweep(p search.Progress) {
-	s.mu.Lock()
-	s.sweep, s.sweepOK, s.sweepAt = p, true, time.Now()
-	s.mu.Unlock()
 }
 
 // Start listens on addr (":6060", "localhost:0", ...) and serves the
@@ -171,7 +157,6 @@ func (s *Server) Close() error {
 //	GET /metrics   Prometheus text exposition of the registry
 //	GET /snapshot  manifest + full metric snapshot as JSON
 //	GET /events    server-sent-events tail of the stall-event ring
-//	GET /sweep     latest design-space enumeration progress
 //	GET /spans     execution-span summary or Chrome trace
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -179,7 +164,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/snapshot", s.handleSnapshot)
 	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/sweep", s.handleSweep)
 	mux.HandleFunc("/spans", s.handleSpans)
 	return mux
 }
@@ -194,7 +178,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /metrics   Prometheus text exposition
   /snapshot  run manifest + metric snapshot (JSON)
   /events    stall-event ring tail (SSE; ?since=SEQ, ?n=MAX)
-  /sweep     design-space enumeration progress (JSON)
   /spans     execution-span summary: phase self-time, worker utilization,
              worker imbalance, open spans (?format=chrome downloads the trace)
 `)
@@ -210,20 +193,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 		Manifest *telemetry.Manifest `json:"manifest,omitempty"`
 		Metrics  []telemetry.Metric  `json:"metrics"`
 	}{s.cfg.Manifest, s.cfg.Registry.Snapshot()})
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	p, ok, at := s.sweep, s.sweepOK, s.sweepAt
-	s.mu.Unlock()
-	var body struct {
-		Sweep         *search.Progress `json:"sweep"`
-		UpdatedUnixMs int64            `json:"updated_unix_ms,omitempty"`
-	}
-	if ok {
-		body.Sweep, body.UpdatedUnixMs = &p, at.UnixMilli()
-	}
-	writeJSON(w, body)
 }
 
 // handleSpans serves the execution-span tracer: the default JSON body

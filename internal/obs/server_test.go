@@ -8,9 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"onchip/internal/search"
 	"onchip/internal/telemetry"
 )
 
@@ -145,31 +143,6 @@ func TestHandleSnapshot(t *testing.T) {
 	}
 	if len(body.Metrics) != 1 || body.Metrics[0].Name != "refs" || body.Metrics[0].Value != 7 {
 		t.Errorf("metrics = %+v", body.Metrics)
-	}
-}
-
-func TestHandleSweep(t *testing.T) {
-	srv, _, _ := testServer(t)
-	h := srv.Handler()
-	rec := get(t, h, "/sweep")
-	if !strings.Contains(rec.Body.String(), `"sweep": null`) {
-		t.Errorf("before any progress: body = %q, want null sweep", rec.Body.String())
-	}
-	srv.ObserveSweep(search.Progress{Priced: 10, Total: 100, Kept: 4, Elapsed: 2 * time.Second, ETA: 18 * time.Second})
-	rec = get(t, h, "/sweep")
-	var body struct {
-		Sweep *struct {
-			Priced, Total, Kept int
-			ElapsedSeconds      float64 `json:"elapsed_seconds"`
-		} `json:"sweep"`
-		UpdatedUnixMs int64 `json:"updated_unix_ms"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Sweep == nil || body.Sweep.Priced != 10 || body.Sweep.Total != 100 ||
-		body.Sweep.Kept != 4 || body.Sweep.ElapsedSeconds != 2 || body.UpdatedUnixMs == 0 {
-		t.Errorf("sweep body = %+v", body)
 	}
 }
 

@@ -1,9 +1,6 @@
 package search
 
-import (
-	"container/heap"
-	"time"
-)
+import "container/heap"
 
 // Pruned search: price million-point design spaces without touching
 // most of them. Three mechanisms compose, each provably unable to
@@ -190,31 +187,7 @@ func enumeratePruned(tlbs []pricedTLB, caches []pricedCache, base, budget float6
 		}
 	}
 
-	every := o.progressEvery
-	if every <= 0 {
-		every = 1 << 16
-	}
-	start := time.Now()
 	var top allocHeap
-	nextReport := every
-	report := func(done bool) {
-		if o.progress == nil {
-			return
-		}
-		p := Progress{
-			Priced:  st.Priced,
-			Pruned:  st.Pruned(),
-			Total:   st.Composed,
-			Kept:    len(top),
-			Elapsed: time.Since(start),
-			Done:    done,
-		}
-		if covered := p.Covered(); !done && covered > 0 {
-			p.ETA = time.Duration(float64(p.Elapsed) * float64(p.Total-covered) / float64(covered))
-		}
-		o.progress(p)
-	}
-
 	var done <-chan struct{}
 	if o.ctx != nil {
 		done = o.ctx.Done()
@@ -285,13 +258,8 @@ func enumeratePruned(tlbs []pricedTLB, caches []pricedCache, base, budget float6
 					heap.Fix(&top, 0)
 				}
 			}
-			if covered := st.Priced + st.Pruned(); covered >= nextReport {
-				report(false)
-				nextReport = covered + every
-			}
 		}
 	}
-	report(true)
 	return finish(), nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"onchip/internal/area"
@@ -82,68 +81,6 @@ func TestPrunedAccountingInvariant(t *testing.T) {
 	}
 	if st.PrunedFrontier != st.Composed-st.FrontierTLB*st.FrontierIC*st.FrontierDC {
 		t.Errorf("frontier accounting off: %+v", st)
-	}
-}
-
-// Satellite: Progress under pruning. Total must stay the pre-prune
-// composed size (the same space reports the same Total under either
-// strategy), Pruned must be reported, and coverage (priced + pruned)
-// must converge on Total so progress views don't stall.
-func TestPrunedProgress(t *testing.T) {
-	space := Table5()
-	var reports []Progress
-	allocs, err := EnumerateE(space, area.Default(), area.BudgetRBE, MachLike(),
-		WithPruning(10),
-		WithProgress(1000, func(p Progress) { reports = append(reports, p) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) < 2 {
-		t.Fatalf("got %d progress reports, want at least an interim and a final", len(reports))
-	}
-	final := reports[len(reports)-1]
-	if !final.Done {
-		t.Error("last report should have Done set")
-	}
-	if want := space.Triples(); final.Total != want {
-		t.Errorf("Total = %d, want pre-prune composed size %d", final.Total, want)
-	}
-	if final.Covered() != final.Total {
-		t.Errorf("final Covered = %d (priced %d + pruned %d), want Total %d",
-			final.Covered(), final.Priced, final.Pruned, final.Total)
-	}
-	if final.Pruned == 0 {
-		t.Error("final Pruned = 0, want most of the space dismissed")
-	}
-	if final.Kept != len(allocs) {
-		t.Errorf("final Kept = %d, want %d", final.Kept, len(allocs))
-	}
-	for i, p := range reports {
-		if i > 0 && p.Covered() < reports[i-1].Covered() {
-			t.Errorf("coverage went backwards at report %d", i)
-		}
-		if p.String() == "" {
-			t.Error("empty progress string")
-		}
-		if !p.Done && p.ETA < 0 {
-			t.Errorf("negative ETA at report %d", i)
-		}
-	}
-	// The interim reports must show real coverage, not a bar stalled
-	// near zero: with pruning, covered quickly dwarfs priced.
-	interim := reports[0]
-	if interim.Covered() <= interim.Priced {
-		t.Errorf("interim coverage %d not ahead of priced %d; Pruned missing from progress",
-			interim.Covered(), interim.Priced)
-	}
-	b, err := final.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"pruned":`, `"priced":`, `"total":`} {
-		if s := string(b); !strings.Contains(s, key) {
-			t.Errorf("progress JSON missing %s: %s", key, s)
-		}
 	}
 }
 
@@ -309,7 +246,7 @@ func TestPrunedRefusesBadK(t *testing.T) {
 // Both strategies, and Rank, stop on cancellation and report
 // context.Canceled: a context cancelled before the call, and -- on the
 // exhaustive path, whose loop runs long enough to interrupt -- one
-// cancelled from a progress callback mid-run.
+// cancelled mid-run from a WithFilter hook that accepts every triple.
 func TestEnumerateCancellation(t *testing.T) {
 	full := Enumerate(Table5(), area.Default(), area.BudgetRBE, MachLike())
 	for _, tc := range []struct {
@@ -332,11 +269,12 @@ func TestEnumerateCancellation(t *testing.T) {
 				opts = append(opts, WithPruning(10))
 			}
 			if tc.midRun {
-				opts = append(opts, WithProgress(10_000, func(p Progress) {
-					if p.Done {
-						t.Error("enumeration ran to completion after cancellation")
+				seen := 0
+				opts = append(opts, WithFilter(func(area.TLBConfig, area.CacheConfig, area.CacheConfig) bool {
+					if seen++; seen == 10_000 {
+						cancel()
 					}
-					cancel()
+					return true
 				}))
 			} else {
 				cancel()

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"onchip/internal/area"
 )
@@ -69,8 +68,7 @@ func Big() Space {
 }
 
 // Triples returns the size of the composed TLB x I-cache x D-cache
-// space: the denominator of every progress report and the "configs"
-// in configs/sec throughput numbers.
+// space.
 func (s Space) Triples() int {
 	nc := len(s.CacheConfigs())
 	return len(s.TLBConfigs()) * nc * nc
@@ -140,74 +138,14 @@ func (a Allocation) String() string {
 		a.TLB, a.ICache, a.DCache, a.AreaRBE, a.CPI)
 }
 
-// Progress is a snapshot of a running enumeration, delivered to the
-// callback installed with WithProgress.
-type Progress struct {
-	// Priced is the number of TLB x I-cache x D-cache combinations
-	// actually considered so far; Total is the size of the whole
-	// composed space (pre-pruning, so the same space reports the same
-	// Total under either strategy).
-	Priced, Total int
-	// Pruned is the number of combinations dismissed without pricing:
-	// zero under exhaustive enumeration; under the pruned strategy, the
-	// triples removed by the Pareto frontier reduction plus the
-	// subtrees skipped by the branch-and-bound cuts. Priced+Pruned
-	// converges on Total, so progress views stay live even when almost
-	// nothing is individually priced.
-	Pruned int
-	// Kept is the number of feasible combinations so far -- within the
-	// area budget and accepted by any WithFilter predicate (under
-	// pruning, the current top-K candidate count).
-	Kept int
-	// Elapsed is the wall time since enumeration began; ETA the
-	// estimated remaining time, extrapolated from the coverage rate
-	// (priced plus pruned, not priced alone).
-	Elapsed, ETA time.Duration
-	// Done marks the final report (Priced+Pruned == Total).
-	Done bool
-}
-
-// Covered is the portion of the composed space accounted for so far,
-// priced or pruned. It is the numerator of every rate and percentage
-// Progress reports; using Priced alone would show a pruned search
-// stalled at a fraction of a percent while it is in fact nearly done.
-func (p Progress) Covered() int { return p.Priced + p.Pruned }
-
-// MarshalJSON emits the snapshot with durations in seconds, the shape
-// served by the observability plane's /sweep endpoint.
-func (p Progress) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf(
-		`{"priced":%d,"pruned":%d,"total":%d,"kept":%d,"elapsed_seconds":%.3f,"eta_seconds":%.3f,"done":%v}`,
-		p.Priced, p.Pruned, p.Total, p.Kept, p.Elapsed.Seconds(), p.ETA.Seconds(), p.Done)), nil
-}
-
-func (p Progress) String() string {
-	if p.Pruned > 0 {
-		if p.Done {
-			return fmt.Sprintf("priced %d + pruned %d of %d configs, %d kept, %.2fs",
-				p.Priced, p.Pruned, p.Total, p.Kept, p.Elapsed.Seconds())
-		}
-		return fmt.Sprintf("priced %d + pruned %d of %d configs (%.0f%%), %d kept, ETA %.1fs",
-			p.Priced, p.Pruned, p.Total, 100*float64(p.Covered())/float64(p.Total), p.Kept, p.ETA.Seconds())
-	}
-	if p.Done {
-		return fmt.Sprintf("priced %d/%d configs, %d within budget, %.2fs",
-			p.Priced, p.Total, p.Kept, p.Elapsed.Seconds())
-	}
-	return fmt.Sprintf("priced %d/%d configs (%.0f%%), %d within budget, ETA %.1fs",
-		p.Priced, p.Total, 100*float64(p.Priced)/float64(p.Total), p.Kept, p.ETA.Seconds())
-}
-
 // Option configures an enumeration.
 type Option func(*options)
 
 type options struct {
-	progress      func(Progress)
-	progressEvery int
-	ctx           context.Context
-	pruneTopK     int
-	pruneStats    *PruneStats
-	keep          func(tlb area.TLBConfig, icache, dcache area.CacheConfig) bool
+	ctx        context.Context
+	pruneTopK  int
+	pruneStats *PruneStats
+	keep       func(tlb area.TLBConfig, icache, dcache area.CacheConfig) bool
 }
 
 // newOptions applies opts and refuses the combinations no strategy can
@@ -248,16 +186,6 @@ func WithPruning(topK int) Option {
 // completes. Exhaustive runs leave st untouched.
 func WithPruneStats(st *PruneStats) Option {
 	return func(o *options) { o.pruneStats = st }
-}
-
-// WithProgress installs a callback that receives sweep progress roughly
-// every `every` combinations (0 selects a default granularity) and once
-// more with Done set when enumeration completes.
-func WithProgress(every int, f func(Progress)) Option {
-	return func(o *options) {
-		o.progress = f
-		o.progressEvery = every
-	}
 }
 
 // WithContext makes the enumeration cancellable: the loop polls ctx
@@ -328,30 +256,9 @@ func (ps *pricedSpace) within(budget float64) int {
 // order, and passes the component indexes into ps with the triple's
 // total area and CPI. The float expressions are part of the contract:
 // a different addition order changes last bits, and with them ranks.
-// scan reports progress and polls the context between (TLB, I-cache)
-// pairs; once cancelled it stops and returns ctx's error.
+// scan polls the context between (TLB, I-cache) pairs; once cancelled
+// it stops and returns ctx's error.
 func (ps *pricedSpace) scan(budget float64, o *options, visit func(t, ic, dc int, total, cpi float64)) error {
-	// Progress accounting: a (TLB, I-cache) pair over budget prunes all
-	// |caches| D-cache combinations at once; count them as priced so
-	// Priced converges on Total.
-	spaceSize := len(ps.tlbs) * len(ps.caches) * len(ps.caches)
-	every := o.progressEvery
-	if every <= 0 {
-		every = 1 << 16
-	}
-	priced, kept, nextReport := 0, 0, every
-	start := time.Now()
-	report := func(done bool) {
-		if o.progress == nil {
-			return
-		}
-		p := Progress{Priced: priced, Total: spaceSize, Kept: kept, Elapsed: time.Since(start), Done: done}
-		if !done && priced > 0 {
-			p.ETA = time.Duration(float64(p.Elapsed) * float64(spaceSize-priced) / float64(priced))
-		}
-		o.progress(p)
-	}
-
 	var done <-chan struct{}
 	if o.ctx != nil {
 		done = o.ctx.Done()
@@ -372,18 +279,11 @@ func (ps *pricedSpace) scan(budget float64, o *options, visit func(t, ic, dc int
 					if total > budget || o.keep != nil && !o.keep(t.cfg, ic.cfg, dc.cfg) {
 						continue
 					}
-					kept++
 					visit(ti, ici, dci, total, ps.base+t.cpi+ic.icpi+dc.dcpi)
 				}
 			}
-			priced += len(ps.caches)
-			if priced >= nextReport {
-				report(false)
-				nextReport = priced + every
-			}
 		}
 	}
-	report(true)
 	return nil
 }
 

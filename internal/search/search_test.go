@@ -167,65 +167,3 @@ func TestAllocationString(t *testing.T) {
 		t.Error("empty allocation string")
 	}
 }
-
-func TestEnumerateProgress(t *testing.T) {
-	var reports []Progress
-	allocs := Enumerate(Table5(), area.Default(), area.BudgetRBE, MachLike(),
-		WithProgress(50_000, func(p Progress) { reports = append(reports, p) }))
-	if len(reports) < 2 {
-		t.Fatalf("got %d progress reports, want at least an interim and a final", len(reports))
-	}
-	final := reports[len(reports)-1]
-	if !final.Done {
-		t.Error("last report should have Done set")
-	}
-	if final.Priced != final.Total {
-		t.Errorf("final Priced = %d, want Total = %d", final.Priced, final.Total)
-	}
-	if final.Kept != len(allocs) {
-		t.Errorf("final Kept = %d, want %d feasible allocations", final.Kept, len(allocs))
-	}
-	s := Table5()
-	wantTotal := len(s.TLBConfigs()) * len(s.CacheConfigs()) * len(s.CacheConfigs())
-	if final.Total != wantTotal {
-		t.Errorf("Total = %d, want %d", final.Total, wantTotal)
-	}
-	for i, p := range reports {
-		if i > 0 && p.Priced < reports[i-1].Priced {
-			t.Errorf("Priced went backwards at report %d", i)
-		}
-		if p.String() == "" {
-			t.Error("empty progress string")
-		}
-	}
-
-	// Rank reports the same way: Kept counts feasible triples, so the
-	// final report's Kept is the ranking's Feasible.
-	var last Progress
-	r, err := Rank(Table5(), area.Default(), area.BudgetRBE, MachLike(), 10,
-		WithProgress(50_000, func(p Progress) { last = p }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !last.Done || last.Priced != last.Total {
-		t.Errorf("Rank's final report %+v: want Done with Priced == Total", last)
-	}
-	if last.Kept != r.Feasible {
-		t.Errorf("Rank's final Kept = %d, want Feasible = %d", last.Kept, r.Feasible)
-	}
-}
-
-// Progress instrumentation must not perturb enumeration results.
-func TestEnumerateProgressSameResults(t *testing.T) {
-	plain := Enumerate(Table5(), area.Default(), area.BudgetRBE, MachLike())
-	traced := Enumerate(Table5(), area.Default(), area.BudgetRBE, MachLike(),
-		WithProgress(10_000, func(Progress) {}))
-	if len(plain) != len(traced) {
-		t.Fatalf("progress changed result count: %d vs %d", len(plain), len(traced))
-	}
-	for i := range plain {
-		if plain[i] != traced[i] {
-			t.Fatalf("allocation %d differs: %v vs %v", i, plain[i], traced[i])
-		}
-	}
-}
