@@ -50,7 +50,7 @@ fuzz:
 # brute force fails here.
 crossval:
 	$(GO) test -race -count=1 \
-		-run 'CrossValidat|AgreesWithDirect|MatchesLegacy|MatchesSerial|MatchSerial|TestTee|TestBatched|TestRefMeter|TestFusedLineMatchesDirect|TestDataLineMatchesDirect|TestTLBMatchesListModel' \
+		-run 'CrossValidat|AgreesWithDirect|MatchesLegacy|MatchesSerial|MatchSerial|TestTee|TestBatched|TestFusedLineMatchesDirect|TestDataLineMatchesDirect|TestTLBMatchesListModel' \
 		./internal/cheetah/ ./internal/experiments/ ./internal/trace/ ./internal/tlb/ \
 		./internal/cache/ ./internal/monitor/ ./internal/telemetry/
 

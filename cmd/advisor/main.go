@@ -19,7 +19,8 @@
 //     regenerated, so it costs time, not the answer
 //   - worker panics answer 500 without taking the daemon down
 //   - GET /healthz reports liveness, GET /readyz readiness (503 while
-//     draining); GET /obs/metrics etc. expose the telemetry plane
+//     draining); GET /obs/metrics and /obs/snapshot expose the
+//     daemon's metric registry
 //   - SIGINT/SIGTERM drains gracefully: admission stops, in-flight
 //     work finishes up to -drain-timeout, aborted requests are
 //     checkpointed to -drain-checkpoint, and the process exits 130;
@@ -97,12 +98,9 @@ func run() int {
 	// work finish (Drain below), not cancel it outright.
 	srv := advisor.New(cfg)
 
-	obsSrv := obs.New(obs.Config{Registry: reg})
-	defer obsSrv.Close()
-
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	mux.Handle("/obs/", http.StripPrefix("/obs", obsSrv.Handler()))
+	mux.Handle("/obs/", http.StripPrefix("/obs", obs.Handler(reg)))
 	httpSrv := obs.NewHTTPServer(mux)
 
 	ln, err := net.Listen("tcp", *addr)

@@ -31,7 +31,6 @@ import (
 	"onchip/internal/lifecycle"
 	"onchip/internal/machine"
 	"onchip/internal/obs"
-	"onchip/internal/telemetry"
 	"onchip/internal/tlb"
 	"onchip/internal/trace"
 	"onchip/internal/wbuf"
@@ -89,25 +88,19 @@ func run() int {
 	r.SkipCorrupt = *skipCorrupt
 
 	sess, err := of.Start(ctx, obs.Binary{
-		Name:    "dinero",
-		Labels:  map[string]string{"trace": *in},
-		Machine: true,
+		Name:   "dinero",
+		Labels: map[string]string{"trace": *in},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer sess.Close()
-	// The machine records into a registry of its own, absorbed after
-	// the replay so no scrape reads a running machine; the corruption
-	// count and the stall-event ring stay live.
-	reg := sess.Registry
-	if reg != nil {
+	if reg := sess.Registry; reg != nil {
 		corrupts := reg.Counter("trace.corrupt_records", "corrupt trace records encountered")
 		r.OnCorrupt = func(*trace.CorruptError) { corrupts.Inc() }
-		cfg.Metrics = telemetry.NewRegistry()
 	}
-	cfg.Tracer = sess.Events
+	cfg.Metrics = sess.Registry
 	m, err := machine.NewE(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dinero:", err)
@@ -119,7 +112,6 @@ func run() int {
 	// Flush even on a failed or interrupted replay: the counters are
 	// exact for the prefix of the trace that was replayed.
 	m.FlushMetrics()
-	reg.Absorb(cfg.Metrics)
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
 		var ce *trace.CorruptError

@@ -24,9 +24,10 @@
 //	                  model fitted to the sweep output
 //
 // Observability flags (all off by default; the default output is
-// byte-identical to an uninstrumented run). -metrics, -serve, -spans,
-// -prof-span and -prof-span-out are the flags every simulation binary
-// shares (internal/obs):
+// byte-identical to an uninstrumented run). -metrics, -spans, -prof-span
+// and -prof-span-out are the flags every simulation binary shares
+// (internal/obs); each writes its file when the run ends, interrupted
+// or not:
 //
 //	-metrics FILE   write a JSONL run manifest plus every collected
 //	                metric (one JSON object per line; arrangement and
@@ -39,18 +40,11 @@
 //	-progress       stream live progress lines to stderr: timing-
 //	                machine measurements and workload sweeps as they
 //	                finish
-//	-pprof ADDR     serve net/http/pprof on ADDR (e.g. localhost:6060)
-//	                for the duration of the run
-//	-serve ADDR     serve the live observability plane on ADDR for the
-//	                duration of the run: GET /metrics (Prometheus),
-//	                /snapshot (JSON), /events (SSE tail of the stall-
-//	                event ring) and /spans (execution-span summary)
 //	-spans FILE     record hierarchical execution spans (per-workload
 //	                generation phases, per-worker sweep jobs and search)
 //	                and write them as Chrome trace-event JSON to FILE on
 //	                exit; load the file in Perfetto (ui.perfetto.dev)
-//	                or chrome://tracing. With -serve, GET /spans reports
-//	                the live summary.
+//	                or chrome://tracing
 //	-prof-span NAME capture a CPU profile bracketed exactly by the first
 //	                span named NAME (-prof-span-out sets the .pprof path)
 //
@@ -69,7 +63,7 @@
 // telemetry flushes, partial results are written, and the process
 // exits with status 130. A second signal aborts immediately.
 //
-// Regression comparison (see EXPERIMENTS.md "Live monitoring"):
+// Regression comparison (see EXPERIMENTS.md "Run files"):
 //
 //	memalloc compare [-threshold F] <a.jsonl> <b.jsonl>
 //	                diff the result-class metrics of two -metrics
@@ -81,8 +75,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
+	"math"
 	"os"
 	"time"
 
@@ -105,7 +98,6 @@ func run() int {
 	spacePreset := flag.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid, priced exhaustively) or big (>=1M triples, searched pruned; off-grid configurations priced by the power-law miss model)")
 	traceFile := flag.String("trace", "", "write the machine stall-event window as JSONL to this file")
 	progress := flag.Bool("progress", false, "stream live progress lines to stderr")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	traceCacheDir := flag.String("trace-cache", "", "cache generated workload reference streams (compressed, content-addressed) under this directory; warm runs replay instead of regenerating")
 	flag.Usage = usage
 	flag.Parse()
@@ -132,6 +124,11 @@ func run() int {
 	if code >= 0 {
 		return code
 	}
+	opt := experiments.Options{Refs: *refs, SpacePreset: *spacePreset}
+	if err := opt.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "memalloc:", err)
+		return 2
+	}
 
 	// Shutdown contract: the first SIGINT/SIGTERM cancels ctx --
 	// telemetry is flushed, and the -metrics/-trace files are still
@@ -139,34 +136,17 @@ func run() int {
 	ctx, stopSignals := lifecycle.Notify(context.Background(), "memalloc", nil)
 	defer stopSignals()
 
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "memalloc: pprof:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "memalloc: pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
-	}
-
 	sess, err := of.Start(ctx, obs.Binary{
-		Name:    "memalloc",
-		Labels:  map[string]string{"experiments": fmt.Sprint(ids)},
-		Machine: true,
-		Ring:    *traceFile != "",
+		Name:   "memalloc",
+		Labels: map[string]string{"experiments": fmt.Sprint(ids)},
+		Ring:   *traceFile != "",
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer sess.Close()
-	opt := experiments.Options{
-		Refs:        *refs,
-		Metrics:     sess.Registry,
-		Tracer:      sess.Events,
-		Spans:       sess.Spans,
-		Context:     ctx,
-		SpacePreset: *spacePreset,
-	}
+	opt.Metrics, opt.Tracer, opt.Spans, opt.Context = sess.Registry, sess.Events, sess.Spans, ctx
 	if *traceCacheDir != "" {
 		tc, err := tracecache.Open(*traceCacheDir)
 		if err != nil {
@@ -280,6 +260,12 @@ without a class is a result metric.`)
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		fs.Usage()
+		return 2
+	}
+	// A NaN threshold would pass any drift and a negative one flag
+	// every metric.
+	if !(*threshold >= 0) || math.IsInf(*threshold, 1) {
+		fmt.Fprintf(os.Stderr, "memalloc compare: -threshold must be a finite non-negative number (got %v)\n", *threshold)
 		return 2
 	}
 	var runs [2]obs.Run

@@ -7,7 +7,7 @@
 //
 //	monster -workload mpeg_play -refs 2000000          # Ultrix, Mach and user-only
 //	monster -suite                                     # all workloads (Table 4)
-//	monster -suite -metrics run.jsonl -serve :6060     # with the observability plane
+//	monster -suite -metrics run.jsonl                  # with the run's metrics file
 package main
 
 import (
@@ -36,19 +36,27 @@ func run() int {
 	suite := flag.Bool("suite", false, "run the whole suite under both OSes (Table 4)")
 	flag.Parse()
 
+	spec, err := workload.ByName(*wl)
+	if err == nil && *refs < 1 {
+		err = fmt.Errorf("-refs must be at least 1 (got %d)", *refs)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "monster:", err)
+		return 1
+	}
+
 	ctx, stopSignals := lifecycle.Notify(context.Background(), "monster", nil)
 	defer stopSignals()
 	sess, err := of.Start(ctx, obs.Binary{
-		Name:    "monster",
-		Labels:  map[string]string{"workload": *wl, "suite": fmt.Sprint(*suite)},
-		Machine: true,
+		Name:   "monster",
+		Labels: map[string]string{"workload": *wl, "suite": fmt.Sprint(*suite)},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	defer sess.Close()
-	reg, tr := sess.Registry, sess.Events
+	reg := sess.Registry
 
 	// Cancellation is checked between measurements: each row that was
 	// fully measured before the interrupt is printed, then the metrics
@@ -58,7 +66,7 @@ func run() int {
 	if *suite {
 		for _, v := range []osmodel.Variant{osmodel.Ultrix, osmodel.Mach} {
 			span := lane.Start("suite." + v.String())
-			rows, err := monitor.MeasureRows(ctx, monitor.Suite(v, workload.All(), *refs, machine.DECstation3100()), reg, tr)
+			rows, err := monitor.MeasureRows(ctx, monitor.Suite(v, workload.All(), *refs, machine.DECstation3100()), reg, nil)
 			span.End()
 			if err == nil {
 				rows = append(rows, monitor.Average(rows))
@@ -72,13 +80,8 @@ func run() int {
 			}
 		}
 	} else {
-		spec, err := workload.ByName(*wl)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "monster:", err)
-			return sess.Exit(1)
-		}
 		span := lane.Start("measure")
-		rows, err := monitor.MeasureRows(ctx, monitor.Conditions(spec, *refs, machine.DECstation3100()), reg, tr)
+		rows, err := monitor.MeasureRows(ctx, monitor.Conditions(spec, *refs, machine.DECstation3100()), reg, nil)
 		span.End()
 		for _, row := range rows {
 			printRow(row)

@@ -60,6 +60,9 @@ func run() int {
 	flag.Parse()
 
 	spec, err := workload.ByName(*wl)
+	if err == nil && *refs < 1 {
+		err = fmt.Errorf("-refs must be at least 1 (got %d)", *refs)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tapeworm:", err)
 		return 1
@@ -111,9 +114,6 @@ func run() int {
 	sink := trace.SinkFunc(func(r trace.Ref) {
 		if r.Kind == trace.IFetch {
 			instrs++
-			if measuring {
-				instrC.Inc() // live view of the measured window only
-			}
 		}
 		hw.Translate(r.Addr, r.ASID)
 	})
@@ -130,6 +130,7 @@ func run() int {
 		meas := lane.Start("generate.measure")
 		interrupted = !generateCtx(ctx, sys, *refs, sink)
 		meas.End()
+		instrC.Add(instrs)
 	}
 	if !measuring || instrs == 0 {
 		// Interrupted before the measured window opened: the counts so

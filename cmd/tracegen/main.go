@@ -54,6 +54,19 @@ func run() int {
 		return 0
 	}
 
+	spec, err := workload.ByName(*wl)
+	var v osmodel.Variant
+	if err == nil {
+		v, err = variant(*osName)
+	}
+	if err == nil && *refs < 1 {
+		err = fmt.Errorf("-refs must be at least 1 (got %d)", *refs)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		return 1
+	}
+
 	ctx, stopSignals := lifecycle.Notify(context.Background(), "tracegen", nil)
 	defer stopSignals()
 	sess, err := of.Start(ctx, obs.Binary{
@@ -68,7 +81,7 @@ func run() int {
 	// The metrics snapshot is still written after an interrupt: it
 	// covers exactly the records that made it into the (valid) partial
 	// trace file.
-	switch err := generate(ctx, *wl, *osName, *refs, *out, sess.Registry, sess.Spans.Lane("main")); {
+	switch err := generate(ctx, spec, v, *refs, *out, sess.Registry, sess.Spans.Lane("main")); {
 	case errors.Is(err, context.Canceled):
 		return sess.Exit(lifecycle.InterruptExit)
 	case err != nil:
@@ -93,25 +106,17 @@ func variant(name string) (osmodel.Variant, error) {
 // slice stopped, so chunking does not change the generated stream.
 const genChunk = 1 << 20
 
-func generate(ctx context.Context, wl, osName string, refs int, out string, reg *telemetry.Registry, lane *spans.Lane) error {
-	spec, err := workload.ByName(wl)
-	if err != nil {
-		return err
-	}
-	v, err := variant(osName)
-	if err != nil {
-		return err
-	}
+func generate(ctx context.Context, spec osmodel.WorkloadSpec, v osmodel.Variant, refs int, out string, reg *telemetry.Registry, lane *spans.Lane) error {
 	var counter trace.Counter
-	// Publish the live counts pull-style so a -serve scrape watches the
-	// generation advance; the per-service-class OS counters come from
-	// SetMetrics below.
+	// The record count publishes pull-style; the per-service-class OS
+	// counters come from SetMetrics below.
 	reg.CounterFunc("tracegen.references", "trace records generated",
 		func() uint64 { return counter.Total })
 
 	sinks := trace.Tee{&counter}
 	var f *os.File
 	var w *trace.Writer
+	var err error
 	if out != "" {
 		if f, err = os.Create(out); err != nil {
 			return err

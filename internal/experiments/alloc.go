@@ -145,20 +145,10 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, plan sweepPlan,
 	recs := make([]workloadSweep, len(specs))
 	var workloadsDone int
 
-	// Register the sweep's instruments up front so a live /metrics
-	// scrape sees the series (at zero) from the first second of the
-	// model-building phase, not only after the first workload lands.
 	opt.Metrics.GaugeFunc("sweep.workloads_total", "workloads in the model-building sweep",
 		func() float64 { return float64(len(specs)) })
 	wlDone := opt.Metrics.Counter("sweep.workloads_done", "workload sweeps completed")
 	sweepInstrs := opt.Metrics.Counter("sweep.instructions", "instructions simulated by the I-stream sweeps")
-	// The live-progress counter is an arrangement metric: a corrupt
-	// cache entry's partial replay streams into it before the
-	// regeneration does, so it can exceed the stream length while every
-	// result stays the same. sweep.instructions, added only for finished
-	// workloads, is the result-class pin on stream length.
-	arrangement := opt.Metrics.In(telemetry.Arrangement)
-	refsStreamed := arrangement.Counter("sweep.references", "references streamed into the model-building sweeps so far")
 
 	ctx := opt.ctx()
 	// One pool serves every workload sweep. Each engine spreads its
@@ -174,7 +164,7 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, plan sweepPlan,
 	if caches {
 		width = max(workers, 0)
 	}
-	arrangement.Gauge("sweep.workers",
+	opt.Metrics.In(telemetry.Arrangement).Gauge("sweep.workers",
 		"simulation workers in the shared sweep pool").Set(float64(width))
 	var pool *groupPool
 	if width > 0 {
@@ -251,21 +241,18 @@ func sweepSuite(v osmodel.Variant, specs []osmodel.WorkloadSpec, plan sweepPlan,
 				tw = tapeworm.Attach(hw, tlbConfigs...)
 				tsink = &tlbOnly{hw: hw}
 				sinks = append(sinks, tsink)
-				tail = meterRefs(tsink, refsStreamed)
+				tail = tsink
 				reset = func() {
 					hw.ResetService()
 					tw.ResetServices()
 					tsink.instrs = 0
 				}
 			}
-			both := meterRefs(sinks, refsStreamed)
 			if entry != nil {
-				err = replayPhases(ctx, entry, both, tail, reset, lane)
+				err = replayPhases(ctx, entry, sinks, tail, reset, lane)
 			} else {
-				err = generatePhases(ctx, osmodel.NewSystem(v, spec), refsEach, both, tail, reset, w, lane)
+				err = generatePhases(ctx, osmodel.NewSystem(v, spec), refsEach, sinks, tail, reset, w, lane)
 			}
-			flushMeter(both)
-			flushMeter(tail)
 			if err != nil {
 				return rec, err
 			}
@@ -457,66 +444,6 @@ func replayPhases(ctx context.Context, entry *tracecache.Entry, both, tail trace
 		return err
 	}
 	return segment("replay.tail", tail, true)
-}
-
-// meterRefs threads a sweep sink through a batched reference counter:
-// roughly one atomic add per 64K references lands in the shared
-// counter, so a live /metrics scrape watches the sweep advance at
-// negligible hot-path cost. Callers flush (flushMeter) when the stream
-// ends so the final partial batch is published too. With metrics off
-// (nil counter) the sink passes through untouched.
-func meterRefs(next trace.Sink, c *telemetry.Counter) trace.Sink {
-	if c == nil {
-		return next
-	}
-	return &refMeter{next: next, batch: trace.Batched(next), c: c}
-}
-
-type refMeter struct {
-	next  trace.Sink
-	batch trace.BatchSink
-	c     *telemetry.Counter
-	n     uint64 // references seen but not yet published
-}
-
-const refMeterBatch = 1 << 16
-
-// Ref implements trace.Sink.
-func (m *refMeter) Ref(r trace.Ref) {
-	m.next.Ref(r)
-	m.bump(1)
-}
-
-// Refs implements trace.BatchSink, preserving the generator's batching
-// through the meter.
-func (m *refMeter) Refs(refs []trace.Ref) {
-	m.batch.Refs(refs)
-	m.bump(uint64(len(refs)))
-}
-
-func (m *refMeter) bump(n uint64) {
-	if m.n += n; m.n >= refMeterBatch {
-		m.c.Add(m.n)
-		m.n = 0
-	}
-}
-
-// Flush publishes the pending partial batch. Without it the counter
-// permanently undercounted by up to refMeterBatch-1 references per
-// stream (the batching always held back the tail).
-func (m *refMeter) Flush() {
-	if m.n > 0 {
-		m.c.Add(m.n)
-		m.n = 0
-	}
-}
-
-// flushMeter flushes s when it is a metered sink (with metrics off,
-// meterRefs hands the sink back unwrapped and there is nothing to do).
-func flushMeter(s trace.Sink) {
-	if m, ok := s.(*refMeter); ok {
-		m.Flush()
-	}
 }
 
 // allocTableDepth is how many ranked rows the allocation tables report

@@ -77,6 +77,16 @@ func (o Options) refs(def int) int {
 	return def
 }
 
+// Validate reports options no experiment runs with: a negative Refs
+// or an unknown SpacePreset. Run checks it before every experiment.
+func (o Options) Validate() error {
+	if o.Refs < 0 {
+		return fmt.Errorf("negative reference count %d (0 selects each experiment's default)", o.Refs)
+	}
+	_, err := o.bigSpace()
+	return err
+}
+
 // bigSpace resolves the SpacePreset field.
 func (o Options) bigSpace() (bool, error) {
 	switch o.SpacePreset {
@@ -144,6 +154,9 @@ func Run(id string, opt Options) (Result, error) {
 	r, ok := registry[id]
 	if !ok {
 		return Result{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
+	}
+	if err := opt.Validate(); err != nil {
+		return Result{}, fmt.Errorf("experiments: %s: %w", id, err)
 	}
 	if err := opt.ctx().Err(); err != nil {
 		return Result{}, fmt.Errorf("experiments: %s: %w", id, err)

@@ -38,6 +38,16 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// Every experiment refuses a negative reference count and an unknown
+// design-space preset, not just the ones that read them.
+func TestRunRejectsBadOptions(t *testing.T) {
+	for _, opt := range []Options{{Refs: -5}, {SpacePreset: "bogus"}} {
+		if _, err := Run("fig4", opt); err == nil {
+			t.Errorf("fig4 with %+v: no error", opt)
+		}
+	}
+}
+
 func TestCostExperiments(t *testing.T) {
 	for _, id := range []string{"fig4", "fig5", "fig6", "table1", "paths"} {
 		res, err := Run(id, small)

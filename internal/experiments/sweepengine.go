@@ -249,9 +249,7 @@ type groupPool struct {
 
 // newGroupPool starts `workers` simulation workers. A non-nil tracer
 // gives each worker a lane named "<lanePrefix>.worker.<N>" recording
-// one span per consumed job, which feeds the /spans per-worker
-// utilization and worker-imbalance summary; a nil tracer records
-// nothing.
+// one span per consumed job; a nil tracer records nothing.
 func newGroupPool(workers int, tr *spans.Tracer, lanePrefix string) *groupPool {
 	p := &groupPool{}
 	for w := 0; w < workers; w++ {
@@ -259,7 +257,7 @@ func newGroupPool(workers int, tr *spans.Tracer, lanePrefix string) *groupPool {
 		ch := make(chan *sweepEngine, workers)
 		p.chans = append(p.chans, ch)
 		p.exited.Add(1)
-		lane := tr.WorkerLane(lanePrefix + ".worker." + strconv.Itoa(w))
+		lane := tr.Lane(lanePrefix + ".worker." + strconv.Itoa(w))
 		go p.worker(lane, ch)
 	}
 	return p

@@ -190,39 +190,6 @@ func TestSweepEngineParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRefMeterFlush pins the undercount fix: the meter used to publish
-// only whole 64K batches, silently dropping the tail of every stream.
-func TestRefMeterFlush(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	c := reg.Counter("test.refs", "")
-	m := meterRefs(trace.Discard, c)
-	const n = 100_000 // 1 full batch + 34,464 trailing refs
-	for i := 0; i < n; i++ {
-		m.Ref(trace.Ref{})
-	}
-	flushMeter(m)
-	if c.Value() != n {
-		t.Errorf("scalar path: counter %d, want %d", c.Value(), n)
-	}
-
-	c2 := reg.Counter("test.refs.batch", "")
-	mb := meterRefs(trace.Discard, c2).(*refMeter)
-	batch := make([]trace.Ref, 1000)
-	for i := 0; i < 70; i++ {
-		mb.Refs(batch)
-	}
-	flushMeter(mb)
-	if c2.Value() != 70_000 {
-		t.Errorf("batch path: counter %d, want 70000", c2.Value())
-	}
-
-	// Metrics off: the sink passes through unwrapped, flush is a no-op.
-	if _, metered := meterRefs(trace.Discard, nil).(*refMeter); metered {
-		t.Error("nil counter: expected the sink back unwrapped")
-	}
-	flushMeter(trace.Discard)
-}
-
 // TestSlotSweepMatchesSerial pins the suite sweep's schedule --
 // min(workers, workloads) slots, each reusing one engine, and workers
 // claiming units within each batch -- to serial engines: for every plan

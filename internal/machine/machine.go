@@ -274,11 +274,11 @@ func (m *Machine) event(c Component, cycles uint64) {
 }
 
 // KindName translates a telemetry.Event Kind code into the trace
-// package's reference-kind name, for event dumps and live event tails.
+// package's reference-kind name, for event dumps.
 func KindName(k uint8) string { return trace.Kind(k).String() }
 
 // CompName translates a telemetry.Event Comp code into the component's
-// metric-slug name, for event dumps and live event tails.
+// metric-slug name, for event dumps.
 func CompName(c uint8) string { return Component(c).slug() }
 
 // WriteTrace dumps a tracer's captured event window as JSONL with this

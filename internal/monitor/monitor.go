@@ -157,7 +157,7 @@ func Average(rows []Row) Row {
 // With reg (tr) set, each row records into a registry (ring) of its own,
 // folded into reg (tr) by Registry.Absorb (Tracer.Absorb) once it and
 // every row before it have finished, so they end exactly as a serial
-// run would leave them and a live view never reads a running machine.
+// run would leave them.
 func MeasureRows(ctx context.Context, rows []RowSpec, reg *telemetry.Registry, tr *telemetry.Tracer) ([]Row, error) {
 	return measureRows(ctx, rows, reg, tr, runtime.NumCPU())
 }

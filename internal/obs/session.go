@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"onchip/internal/lifecycle"
-	"onchip/internal/machine"
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
 )
@@ -19,7 +18,6 @@ import (
 // All are off by default, and then a run records nothing.
 type Flags struct {
 	Metrics     string // -metrics FILE: JSONL manifest and metric snapshot at exit
-	Serve       string // -serve ADDR: the live plane for the run's duration
 	Spans       string // -spans FILE: Chrome trace-event JSON at exit
 	ProfSpan    string // -prof-span NAME: CPU profile of the first span so named
 	ProfSpanOut string // -prof-span-out FILE: where -prof-span writes
@@ -28,32 +26,26 @@ type Flags struct {
 // Register defines the shared flags on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Metrics, "metrics", "", "write the run manifest and every metric (span timings included) as JSONL to this file; \"memalloc compare\" diffs two")
-	fs.StringVar(&f.Serve, "serve", "", "serve the live observability plane on this address (e.g. :6060); GET / lists its endpoints")
 	fs.StringVar(&f.Spans, "spans", "", "write the run's execution spans as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
 	fs.StringVar(&f.ProfSpan, "prof-span", "", "capture a CPU profile bracketed by the first span with this name (the span names of a -spans trace)")
 	fs.StringVar(&f.ProfSpanOut, "prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
 }
 
-// Binary describes the binary a session serves.
+// Binary describes the binary a session records for.
 type Binary struct {
 	// Name prefixes the session's messages and is the manifest's
 	// command.
 	Name   string
 	Labels map[string]string // manifest labels
-	// Machine marks a binary that runs the timing machine: under -serve
-	// its session keeps a stall-event ring for /events.
-	Machine bool
-	// Ring asks for the stall-event ring without -serve too (memalloc's
-	// -trace dumps it).
+	// Ring asks for the stall-event ring (memalloc's -trace dumps it).
 	Ring bool
 }
 
 // Session is one run's observability, built from the shared flags by
-// Start: what the run records into, and the -serve plane. Close writes
-// the run's files and stops the plane.
+// Start: what the run records into. Close writes the run's files.
 type Session struct {
-	// Registry collects the run's metrics when -metrics or -serve is
-	// set; nil otherwise.
+	// Registry collects the run's metrics when -metrics is set; nil
+	// otherwise.
 	Registry *telemetry.Registry
 	// Spans records execution spans when -spans or -prof-span is set
 	// or a registry exists, folding them into the registry; nil
@@ -65,7 +57,6 @@ type Session struct {
 	name, metricsFile string
 	manifest          *telemetry.Manifest
 	drainSpans        func()
-	srv               *Server
 	closeOnce         sync.Once
 	closeErr          error
 }
@@ -88,32 +79,16 @@ func (f *Flags) Start(ctx context.Context, b Binary) (*Session, error) {
 		metricsFile: f.Metrics,
 		drainSpans:  func() {},
 	}
-	if f.Metrics != "" || f.Serve != "" {
+	if f.Metrics != "" {
 		s.Registry = telemetry.NewRegistry()
 	}
-	if b.Ring || b.Machine && f.Serve != "" {
+	if b.Ring {
 		s.Events = telemetry.NewTracer(telemetry.DefaultTracerDepth)
 	}
 	if f.Spans != "" || f.ProfSpan != "" || s.Registry != nil {
 		if err := s.startSpans(ctx, f); err != nil {
 			return nil, err
 		}
-	}
-	if f.Serve != "" {
-		s.srv = New(Config{
-			Registry: s.Registry,
-			Tracer:   s.Events,
-			Manifest: s.manifest,
-			KindName: machine.KindName,
-			CompName: machine.CompName,
-			Spans:    s.Spans,
-		})
-		bound, err := s.srv.Start(f.Serve)
-		if err != nil {
-			s.drainSpans()
-			return nil, fmt.Errorf("%s: serve: %w", b.Name, err)
-		}
-		fmt.Fprintf(os.Stderr, "%s: observability plane on http://%s/\n", b.Name, bound)
 	}
 	return s, nil
 }
@@ -154,10 +129,9 @@ func (s *Session) startSpans(ctx context.Context, f *Flags) error {
 	return nil
 }
 
-// Close ends the session: it writes -metrics, drains the spans and
-// closes the -serve plane. Only the first call acts; every call
-// returns the -metrics write error, which Close also reports on
-// stderr.
+// Close ends the session: it writes -metrics and drains the spans.
+// Only the first call acts; every call returns the -metrics write
+// error, which Close also reports on stderr.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		if s.metricsFile != "" {
@@ -166,9 +140,6 @@ func (s *Session) Close() error {
 			}
 		}
 		s.drainSpans()
-		if s.srv != nil {
-			s.srv.Close()
-		}
 	})
 	return s.closeErr
 }

@@ -2,13 +2,10 @@ package obs
 
 import (
 	"context"
-	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"onchip/internal/telemetry"
 )
 
 // startSession starts a front end over f and closes it when the test
@@ -34,7 +31,7 @@ func TestSessionNoFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.Chdir(wd) })
-	s := startSession(t, context.Background(), Flags{}, Binary{Name: "test", Machine: true})
+	s := startSession(t, context.Background(), Flags{}, Binary{Name: "test"})
 	if s.Registry != nil || s.Spans != nil || s.Events != nil {
 		t.Errorf("no flags: registry %v, spans %v, events %v; want all nil", s.Registry, s.Spans, s.Events)
 	}
@@ -103,32 +100,7 @@ func TestSessionExitOnWriteFailure(t *testing.T) {
 	}
 }
 
-// -serve answers /metrics, /snapshot and /spans; /events answers only
-// when the binary runs the timing machine, which gives it a ring.
-func TestSessionServe(t *testing.T) {
-	for _, machine := range []bool{false, true} {
-		s := startSession(t, context.Background(), Flags{Serve: "127.0.0.1:0"}, Binary{Name: "test", Machine: machine})
-		if s.Registry == nil || s.Spans == nil || (s.Events != nil) != machine {
-			t.Fatalf("machine=%v: registry %v, spans %v, events %v", machine, s.Registry, s.Spans, s.Events)
-		}
-		h := s.srv.Handler()
-		for _, path := range []string{"/metrics", "/snapshot", "/spans"} {
-			if rec := get(t, h, path); rec.Code != http.StatusOK {
-				t.Errorf("machine=%v: GET %s: code %d", machine, path, rec.Code)
-			}
-		}
-		want := http.StatusNotFound
-		if machine {
-			s.Events.Record(telemetry.Event{Addr: 1, Cycles: 1})
-			want = http.StatusOK
-		}
-		if rec := get(t, h, "/events?n=1"); rec.Code != want {
-			t.Errorf("machine=%v: GET /events: code %d, want %d", machine, rec.Code, want)
-		}
-	}
-}
-
-// memalloc's -trace asks for the ring without -serve.
+// memalloc's -trace asks for the ring, and the ring alone.
 func TestSessionRing(t *testing.T) {
 	s := startSession(t, context.Background(), Flags{}, Binary{Name: "test", Ring: true})
 	if s.Events == nil || s.Registry != nil {

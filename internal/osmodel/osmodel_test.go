@@ -2,6 +2,7 @@ package osmodel
 
 import (
 	"testing"
+	"time"
 
 	"onchip/internal/trace"
 	"onchip/internal/vm"
@@ -85,6 +86,29 @@ func TestGenerateIsDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("ref %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// A non-positive count emits nothing and returns at once; a negative
+// one must not wrap to a target of about 2^64 references.
+func TestNonPositiveCountReturnsAtOnce(t *testing.T) {
+	for _, n := range []int{0, -5} {
+		sys := NewSystem(Mach, testSpec())
+		var c trace.Counter
+		done := make(chan [2]uint64, 1)
+		go func() {
+			got := sys.Generate(n, &c)
+			st := sys.Run(n, &c)
+			done <- [2]uint64{uint64(got), st.Refs}
+		}()
+		select {
+		case r := <-done:
+			if r[0] != 0 || r[1] != 0 || c.Total != 0 {
+				t.Errorf("n=%d: Generate emitted %d, Run reports %d refs, sink saw %d; want 0", n, r[0], r[1], c.Total)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("n=%d: Generate and Run still running after 5s", n)
 		}
 	}
 }

@@ -344,8 +344,9 @@ func (s *System) AppASID() uint8 { return s.app.ASID }
 
 // Generate implements trace.Generator: run the workload until at least
 // n references have been emitted into sink and return the number
-// actually emitted in this call. Each call continues the same system
-// state, so a long stream can be produced in slices.
+// actually emitted in this call; n <= 0 emits nothing. Each call
+// continues the same system state, so a long stream can be produced in
+// slices.
 func (s *System) Generate(n int, sink trace.Sink) int {
 	before := uint64(0)
 	if s.em != nil {
@@ -362,7 +363,7 @@ func (s *System) Run(n int, sink trace.Sink) GenStats {
 	} else {
 		s.em.SetSink(sink)
 	}
-	target := s.em.Emitted() + uint64(n)
+	target := s.em.Emitted() + uint64(max(n, 0))
 	for s.em.Emitted() < target {
 		s.computePhase()
 		s.maybeTick()

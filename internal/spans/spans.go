@@ -12,14 +12,12 @@
 // unconditionally and the disabled path reduces to an inlined nil
 // check. With tracing off the simulators' output is byte-identical.
 //
-// Recorded spans export three ways: WriteChromeTrace renders the run as
+// Recorded spans export two ways: WriteChromeTrace renders the run as
 // Chrome trace-event JSON (loadable in Perfetto or chrome://tracing),
-// Summarize computes per-phase self-time and per-worker-lane
-// utilization for the obs server's /spans endpoint, and SetMetrics
-// folds every span's duration into a wall-clock telemetry histogram so
-// run files and -metrics output carry them alongside the other metrics.
-// That fold is the one wall-clock path of a run: no stage keeps its own
-// timer.
+// and SetMetrics folds every span's duration into a wall-clock
+// telemetry histogram so -metrics output carries them alongside the
+// other metrics. That fold is the one wall-clock path of a run: no
+// stage keeps its own timer.
 package spans
 
 import (
@@ -151,13 +149,7 @@ func (t *Tracer) StopProfile() {
 // A lane is a virtual thread in the recorded trace: spans started on it
 // nest through its open-span stack, so it must be used by one goroutine
 // at a time. A nil tracer returns a nil (no-op) lane.
-func (t *Tracer) Lane(name string) *Lane { return t.lane(name, false) }
-
-// WorkerLane is Lane for pool workers: the lane is additionally counted
-// in the /spans per-worker utilization and worker-imbalance summary.
-func (t *Tracer) WorkerLane(name string) *Lane { return t.lane(name, true) }
-
-func (t *Tracer) lane(name string, worker bool) *Lane {
+func (t *Tracer) Lane(name string) *Lane {
 	if t == nil {
 		return nil
 	}
@@ -166,7 +158,7 @@ func (t *Tracer) lane(name string, worker bool) *Lane {
 	if l, ok := t.byName[name]; ok {
 		return l
 	}
-	l := &Lane{t: t, id: len(t.lanes), name: name, worker: worker}
+	l := &Lane{t: t, id: len(t.lanes), name: name}
 	t.lanes = append(t.lanes, l)
 	t.byName[name] = l
 	return l
@@ -199,21 +191,10 @@ func (t *Tracer) Records() []Record {
 // at a time (the per-lane stack that gives spans their parents is
 // unsynchronized); distinct lanes are independent and concurrent.
 type Lane struct {
-	t      *Tracer
-	id     int
-	name   string
-	worker bool
-
+	t     *Tracer
+	id    int
+	name  string
 	stack []uint64 // open span ids, innermost last (owner goroutine only)
-
-	// busy accumulates the lane's top-level span durations (nanoseconds,
-	// atomically): the union of time the lane was doing anything, used
-	// for the utilization summary. first/last bound the lane's active
-	// window (nanoseconds since the tracer epoch, updated under t.mu).
-	busy        atomic.Int64
-	spans       atomic.Uint64
-	first, last time.Duration
-	hasFirst    bool
 }
 
 // Name returns the lane's registered name ("" for the nil lane).
@@ -280,8 +261,7 @@ func (s *Span) End() {
 	}
 	l := s.lane
 	t := l.t
-	end := time.Since(t.epoch)
-	dur := end - s.start
+	dur := time.Since(t.epoch) - s.start
 
 	if s.profOut != nil && t.profState.CompareAndSwap(1, 2) {
 		pprof.StopCPUProfile()
@@ -296,19 +276,9 @@ func (s *Span) End() {
 			break
 		}
 	}
-	l.spans.Add(1)
-	if s.parent == 0 {
-		l.busy.Add(int64(dur))
-	}
 
 	t.mu.Lock()
 	delete(t.open, s.id)
-	if !l.hasFirst || s.start < l.first {
-		l.first, l.hasFirst = s.start, true
-	}
-	if end > l.last {
-		l.last = end
-	}
 	if len(t.recs) < t.limit {
 		t.recs = append(t.recs, Record{
 			ID: s.id, Parent: s.parent, Lane: l.id, Name: s.name,

@@ -147,14 +147,6 @@ func testTracerAbsorb(t *testing.T) {
 				t.Errorf("%s, %s: total/len %d/%d, want %d/%d", tc.name, when,
 					folded.Total(), folded.Len(), serial.Total(), serial.Len())
 			}
-			for _, since := range []uint64{0, serial.Total() / 2, serial.Total()} {
-				g, gn := folded.EventsSince(since)
-				w, wn := serial.EventsSince(since)
-				if !reflect.DeepEqual(g, w) || gn != wn {
-					t.Errorf("%s, %s: EventsSince(%d) = %d events, next %d; want %d, next %d",
-						tc.name, when, since, len(g), gn, len(w), wn)
-				}
-			}
 		}
 		check("after the fold")
 		for i := 0; i < 5; i++ {

@@ -8,7 +8,7 @@ import (
 func TestPromName(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"machine.stall_cycles.tlb", "machine_stall_cycles_tlb"},
-		{"sweep.references", "sweep_references"},
+		{"sweep.workloads_done", "sweep_workloads_done"},
 		{"already_legal:name", "already_legal:name"},
 		{"9starts.with-digit", "_starts_with_digit"}, // leading digit illegal
 		{"weird chars!", "weird_chars_"},

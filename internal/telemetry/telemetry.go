@@ -13,9 +13,9 @@
 // unconditionally and the disabled path reduces to an inlined nil check.
 //
 // Instruments use atomic updates, so a single instrument may be shared
-// across goroutines (the design-space sweep runs workloads concurrently,
-// and the live observability server snapshots the registry while
-// sweeps are still counting). Histogram snapshots taken mid-run are
+// across goroutines (the design-space sweep runs workloads
+// concurrently, and the advisor's /obs/metrics snapshots its registry
+// while requests are counting). Histogram snapshots taken mid-run are
 // per-word consistent rather than globally consistent: each bucket,
 // count and sum is read atomically, but a concurrent Observe may land
 // between reads. A simulator that observes per event uses a Tally

@@ -49,8 +49,7 @@ type Probe interface {
 // mirroring the paper's Monster setup, whose logic analyzer captured a
 // 128K-entry window of machine transactions at the CPU pins for
 // post-mortem inspection. The nil *Tracer is a valid no-op instrument.
-// Safe for one recorder plus any number of concurrent readers (the live
-// observability server tails the ring while the machine fills it).
+// Safe for one recorder plus any number of concurrent readers.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []Event // the event with Seq s lives at ring[s%len(ring)]
@@ -121,7 +120,12 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.eventsLocked()
+	older, newer := t.window()
+	if len(older) == 0 {
+		return nil
+	}
+	out := make([]Event, 0, len(older)+len(newer))
+	return append(append(out, older...), newer...)
 }
 
 // Reset empties the ring and restarts Seq at zero, keeping the storage.
@@ -180,38 +184,6 @@ func (t *Tracer) window() (older, newer []Event) {
 		return t.ring[start:end], nil
 	}
 	return t.ring[start:], t.ring[:end-d]
-}
-
-func (t *Tracer) eventsLocked() []Event {
-	older, newer := t.window()
-	if len(older) == 0 {
-		return nil
-	}
-	out := make([]Event, 0, len(older)+len(newer))
-	return append(append(out, older...), newer...)
-}
-
-// EventsSince returns the events with Seq >= since that are still in
-// the window, oldest first, plus the sequence number to pass on the
-// next call. Events that were evicted before the call are silently
-// skipped (the tail resumes at the oldest survivor), so a slow reader
-// loses data but never stalls the recorder.
-func (t *Tracer) EventsSince(since uint64) ([]Event, uint64) {
-	if t == nil {
-		return nil, since
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n <= since {
-		return nil, t.n
-	}
-	evs := t.eventsLocked()
-	// evs is sorted by Seq; skip the prefix below since.
-	lo := 0
-	for lo < len(evs) && evs[lo].Seq < since {
-		lo++
-	}
-	return evs[lo:], t.n
 }
 
 // WriteJSONL dumps the captured window as JSONL, one event per line,

@@ -39,37 +39,10 @@ func TestTracerWraparoundFullDepth(t *testing.T) {
 	}
 }
 
-func TestTracerEventsSince(t *testing.T) {
-	tr := NewTracer(4)
-	evs, next := tr.EventsSince(0)
-	if len(evs) != 0 || next != 0 {
-		t.Fatalf("empty ring: got %d events, next %d", len(evs), next)
-	}
-	for i := 0; i < 10; i++ {
-		tr.Record(Event{})
-	}
-	// Seqs 0..5 evicted; a reader asking from 0 resumes at the oldest
-	// survivor instead of stalling.
-	evs, next = tr.EventsSince(0)
-	if len(evs) != 4 || evs[0].Seq != 6 || next != 10 {
-		t.Fatalf("after wrap: %d events from %d, next %d; want 4 from 6, next 10", len(evs), evs[0].Seq, next)
-	}
-	// Tail is caught up: nothing new.
-	evs, next = tr.EventsSince(next)
-	if len(evs) != 0 || next != 10 {
-		t.Fatalf("caught up: got %d events, next %d", len(evs), next)
-	}
-	tr.Record(Event{})
-	evs, next = tr.EventsSince(next)
-	if len(evs) != 1 || evs[0].Seq != 10 || next != 11 {
-		t.Fatalf("incremental: got %d events, next %d", len(evs), next)
-	}
-}
-
-// TestConcurrentRecordAndDump exercises the full concurrent surface the
-// live observability server creates -- a simulation recording events and
-// observing histograms while HTTP handlers snapshot, render and tail --
-// and relies on the -race run in `make check` to prove it safe.
+// TestConcurrentRecordAndDump exercises the concurrent surface of the
+// ring and the registry -- a simulation recording events and observing
+// histograms while readers snapshot and render them -- and relies on
+// the -race run in `make check` to prove it safe.
 func TestConcurrentRecordAndDump(t *testing.T) {
 	tr := NewTracer(256)
 	r := NewRegistry()
@@ -89,22 +62,15 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 		}
 		close(stop)
 	}()
-	for i := 0; i < 4; i++ { // the serving side: concurrent readers
+	for i := 0; i < 4; i++ { // concurrent readers
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var since uint64
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-				}
-				var evs []Event
-				evs, since = tr.EventsSince(since)
-				var line []byte
-				for _, ev := range evs {
-					line = ev.AppendJSON(line[:0], nil, nil)
 				}
 				tr.WriteJSONL(io.Discard, nil, nil)
 				snap := r.Snapshot()
