@@ -9,11 +9,15 @@
 //
 //   - every computation runs under -timeout via context cancellation
 //     threaded through the sweep and search layers (504 on expiry)
-//   - a bounded worker pool (-workers) with a bounded admission queue
-//     (-queue) sheds overload with 429 + Retry-After
-//   - identical concurrent requests collapse onto one computation
-//     (singleflight on the FNV-64a request signature) and a bounded
-//     LRU (-cache-entries) answers repeats byte-identically
+//   - one request table, keyed by the FNV-64a request signature,
+//     decides each request under one lock: identical requests join
+//     the running computation, a bounded LRU (-cache-entries) answers
+//     repeats byte-identically, and once -workers running plus -queue
+//     waiting computations are unfinished, a new one sheds with 429 +
+//     Retry-After
+//   - a negative -workers, -queue, -timeout, -drain-timeout,
+//     -cache-entries or -max-refs exits 2 before the daemon listens;
+//     0 selects the flag's default
 //   - a failed computation answers 503 with an error naming the
 //     workload; a corrupt -trace-cache entry is evicted and its stream
 //     regenerated, so it costs time, not the answer
@@ -52,18 +56,31 @@ func main() {
 
 func run() int {
 	addr := flag.String("addr", "localhost:8091", "listen address")
-	workers := flag.Int("workers", 2, "concurrent sweep computations")
+	workers := flag.Int("workers", 2, "concurrent sweep computations (0 = 2)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond the workers (0 = 2x workers); a full queue sheds with 429")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-request computation deadline (504 on expiry)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain wait for in-flight work on SIGINT/SIGTERM")
+	timeout := flag.Duration("timeout", 2*time.Minute, "per-request computation deadline, 504 on expiry (0 = 2m)")
+	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain wait for in-flight work on SIGINT/SIGTERM (0 = 30s)")
 	drainCheckpoint := flag.String("drain-checkpoint", "", "write aborted in-flight requests to this JSON file when the drain deadline hits")
-	cacheEntries := flag.Int("cache-entries", 64, "bounded LRU of rendered responses (byte-identical repeats)")
-	maxRefs := flag.Int("max-refs", 50_000_000, "largest per-workload reference count one request may demand")
+	cacheEntries := flag.Int("cache-entries", 64, "bounded LRU of rendered responses, byte-identical repeats (0 = 64)")
+	maxRefs := flag.Int("max-refs", 50_000_000, "largest per-workload reference count one request may demand (0 = 50000000)")
 	traceCacheDir := flag.String("trace-cache", "", "trace-cache directory (warm runs replay recorded reference streams; corrupt entries fall back to regeneration)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "advisor: unexpected arguments %q\n", flag.Args())
 		return 2
+	}
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"workers", *workers < 0}, {"queue", *queue < 0},
+		{"timeout", *timeout < 0}, {"drain-timeout", *drainTimeout < 0},
+		{"cache-entries", *cacheEntries < 0}, {"max-refs", *maxRefs < 0},
+	} {
+		if f.negative {
+			fmt.Fprintf(os.Stderr, "advisor: -%s must not be negative (got %s)\n", f.name, flag.Lookup(f.name).Value)
+			return 2
+		}
 	}
 
 	// First signal cancels ctx (drain begins); a second signal aborts

@@ -69,6 +69,13 @@ func run() int {
 		WB:      wbuf.Config{Entries: *wbEntries, WriteCycles: 5},
 		Unified: *unified,
 	}
+	// Check the machine before the session starts, so a bad cache, TLB
+	// or write-buffer argument writes no -metrics file.
+	m, err := machine.NewE(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dinero:", err)
+		return 2
+	}
 
 	ctx, stopSignals := lifecycle.Notify(context.Background(), "dinero", nil)
 	defer stopSignals()
@@ -99,12 +106,8 @@ func run() int {
 	if reg := sess.Registry; reg != nil {
 		corrupts := reg.Counter("trace.corrupt_records", "corrupt trace records encountered")
 		r.OnCorrupt = func(*trace.CorruptError) { corrupts.Inc() }
-	}
-	cfg.Metrics = sess.Registry
-	m, err := machine.NewE(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dinero:", err)
-		return sess.Exit(2)
+		cfg.Metrics = reg
+		m = machine.New(cfg) // the configuration was checked above
 	}
 	replaySpan := sess.Spans.Lane("main").Start("trace.replay")
 	n, err := r.DrainContext(ctx, m)

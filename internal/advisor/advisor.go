@@ -5,19 +5,22 @@
 // experiments pipeline.
 //
 // The package is the repository's request-lifecycle hardening layer
-// (DESIGN.md section 13). Every request runs under a deadline; a
-// bounded worker pool with a bounded admission queue sheds overload
-// with 429 + Retry-After instead of queueing without bound;
-// identical concurrent requests collapse onto one computation
-// (singleflight keyed by the FNV-64a request signature) and a bounded
-// LRU serves repeats byte-identically; a failed computation answers
-// 503 and a panicking one 500, without taking the daemon down; and
-// graceful drain stops admission, finishes in-flight work up to a
-// deadline, and checkpoints whatever had to be aborted.
+// (DESIGN.md section 13). One table of jobs, keyed by the FNV-64a
+// request signature and guarded by one mutex, makes every request's
+// decision in one step: a running job absorbs identical requests
+// (dedup), a job that answered 200 serves repeats byte-identically
+// from a bounded LRU, and a table already holding Workers+QueueDepth
+// unfinished jobs sheds with 429 + Retry-After instead of queueing
+// without bound. Every job runs under a deadline on one of Workers
+// execution slots; a failed computation answers 503 and a panicking
+// one 500, without taking the daemon down; and graceful drain stops
+// admission, finishes unfinished jobs up to a deadline, and
+// checkpoints whatever had to be aborted.
 package advisor
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -45,10 +48,11 @@ type RunFunc func(ctx context.Context, req experiments.AdviseRequest) (*experime
 type Config struct {
 	// Run overrides the experiments-backed runner (tests).
 	Run RunFunc
-	// Workers is the sweep worker count; 0 selects 2.
+	// Workers is the number of jobs computed at once; 0 selects 2.
 	Workers int
-	// QueueDepth bounds the admission queue beyond the workers; a full
-	// queue sheds with 429. 0 selects 2x workers.
+	// QueueDepth bounds the admitted jobs waiting for a worker: once
+	// Workers+QueueDepth jobs are unfinished, a request that needs a
+	// new computation sheds with 429. 0 selects 2x workers.
 	QueueDepth int
 	// RequestTimeout bounds each computation; 0 selects 2 minutes.
 	RequestTimeout time.Duration
@@ -83,32 +87,50 @@ type Server struct {
 	cfg        Config
 	reg        *telemetry.Registry
 	run        RunFunc
-	pool       *pool
-	flights    *flightGroup
-	cache      *lruCache
+	slots      chan struct{} // Workers execution slots
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	drainOnce  sync.Once
 	drainErr   error
 
-	// The drain gate. gateMu makes the draining check and the inflight
-	// count one step, and drain flips draining under it too: once the
-	// flag is set, every request either was counted before the flip or
-	// is refused. A counted request hands its count to the job it
-	// admits, or gives it back.
-	gateMu        sync.Mutex
-	draining      bool
-	inflight      int           // counted requests and jobs drain waits for
-	idle          chan struct{} // closed when draining and inflight is 0
-	hookAfterGate func()        // test seam: runs right after a request is counted
-
-	pendMu  sync.Mutex
-	pending map[string]experiments.AdviseRequest
+	// The request table. mu makes a request's whole decision --
+	// draining, cache, dedup, shed or run -- one step, and drain flips
+	// draining under it too: once the flag is set, every request either
+	// created or joined its job before the flip, and drain waits for
+	// that job, or it is refused.
+	mu         sync.Mutex
+	jobs       map[string]*job // by signature: unfinished, cached or aborted
+	lru        *list.List      // cached jobs, most recently used first
+	draining   bool
+	unfinished int           // admitted jobs not yet finished
+	running    int           // unfinished jobs holding an execution slot
+	idle       chan struct{} // closed when draining and unfinished is 0
 
 	mRequests, mOK, mShed, mCacheHits, mDedup   *telemetry.Counter
 	mPanics, mTimeouts, mErrors, mDrainRejected *telemetry.Counter
 	mLatency                                    *telemetry.Histogram
 	mInflight                                   *telemetry.Gauge
+}
+
+// job is one table entry: the computation admitted for a signature,
+// and after a 200 its cached answer. res is final once done is closed;
+// waiters read it after the close, cache hits under mu.
+type job struct {
+	key     string
+	req     experiments.AdviseRequest
+	done    chan struct{}
+	res     result
+	cached  *list.Element // the job's place in lru once it answered 200
+	aborted bool          // cut short by the drain deadline; kept for the checkpoint
+}
+
+// result is the rendered outcome of one job, delivered identically to
+// every request that created, joined or hit it: the same status and
+// the exact same body bytes.
+type result struct {
+	status     int
+	body       []byte
+	retryAfter int // seconds; 0 suppresses the Retry-After header
 }
 
 // Retry-After values (seconds) for the two backpressure answers: shed
@@ -149,14 +171,18 @@ func New(cfg Config) *Server {
 	if cfg.BaseContext == nil {
 		cfg.BaseContext = context.Background()
 	}
+	// Negative sizes clamp: at least one slot, no negative queue, at
+	// least one cached answer.
+	cfg.Workers = max(cfg.Workers, 1)
+	cfg.QueueDepth = max(cfg.QueueDepth, 0)
+	cfg.CacheEntries = max(cfg.CacheEntries, 1)
 	s := &Server{
-		cfg:     cfg,
-		reg:     cfg.Metrics,
-		pool:    newPool(cfg.Workers, cfg.QueueDepth),
-		flights: newFlightGroup(),
-		cache:   newLRU(cfg.CacheEntries),
-		pending: make(map[string]experiments.AdviseRequest),
-		idle:    make(chan struct{}),
+		cfg:   cfg,
+		reg:   cfg.Metrics,
+		slots: make(chan struct{}, cfg.Workers),
+		jobs:  make(map[string]*job),
+		lru:   list.New(),
+		idle:  make(chan struct{}),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(cfg.BaseContext)
 	s.run = cfg.Run
@@ -179,10 +205,12 @@ func New(cfg Config) *Server {
 	s.mLatency = s.reg.In(telemetry.WallClock).Histogram("advisor.latency_us", "job latency, microseconds")
 	s.mInflight = r.Gauge("advisor.inflight", "admitted jobs not yet finished")
 	r.GaugeFunc("advisor.queue_depth", "admitted-but-unstarted jobs", func() float64 {
-		return float64(s.pool.QueueLen())
+		queued, _ := s.load()
+		return float64(queued)
 	})
 	r.GaugeFunc("advisor.flights", "in-flight deduplicated computations", func() float64 {
-		return float64(s.flights.Len())
+		_, unfinished := s.load()
+		return float64(unfinished)
 	})
 	return s
 }
@@ -223,7 +251,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "{\"ready\":false,\"reason\":\"draining\"}\n")
 		return
 	}
-	fmt.Fprintf(w, "{\"ready\":true,\"queue\":%d}\n", s.pool.QueueLen())
+	queued, _ := s.load()
+	fmt.Fprintf(w, "{\"ready\":true,\"queue\":%d}\n", queued)
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
@@ -250,43 +279,22 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	key := req.Signature()
 
-	if !s.enter() {
+	j, source := s.admit(key, req)
+	switch source {
+	case "draining":
 		s.mDrainRejected.Inc()
 		s.writeError(w, http.StatusServiceUnavailable, "server is draining", drainRetryAfter)
 		return
-	}
-	if s.hookAfterGate != nil {
-		s.hookAfterGate()
-	}
-	if cached, ok := s.cache.Get(key); ok {
-		s.leave()
-		s.mCacheHits.Inc()
-		s.writeResult(w, flightResult{status: http.StatusOK, body: cached}, key, "cache")
-		return
-	}
-
-	admit := func(c *flightCall) bool {
-		s.addPending(key, req)
-		if !s.pool.TrySubmit(func() { s.runJob(key, req, c) }) {
-			s.removePending(key)
-			return false
-		}
-		s.mInflight.Add(1)
-		return true
-	}
-	c, joined, admitted := s.flights.Join(key, admit)
-	if joined || !admitted {
-		s.leave() // only a job this request admitted keeps its count
-	}
-	if !admitted {
+	case "shed":
 		s.mShed.Inc()
 		s.writeError(w, http.StatusTooManyRequests, "admission queue full", shedRetryAfter)
 		return
-	}
-	source := "run"
-	if joined {
+	case "cache":
+		s.mCacheHits.Inc()
+		s.writeResult(w, j.res, key, source)
+		return
+	case "dedup":
 		s.mDedup.Inc()
-		source = "dedup"
 	}
 	// net/http armed the write deadline at WriteTimeout when it read the
 	// request header, but the job may queue and then run for up to
@@ -294,68 +302,131 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	// for the write.
 	obs.ExtendWriteDeadline(w, 0)
 	select {
-	case <-c.done:
+	case <-j.done:
 		obs.ExtendWriteDeadline(w, obs.WriteTimeout)
-		s.writeResult(w, c.res, key, source)
+		s.writeResult(w, j.res, key, source)
 	case <-r.Context().Done():
 		// Client gone; the job keeps running for other waiters and the
 		// result cache.
 	}
 }
 
-// runJob executes one admitted request on a pool worker and publishes
-// the result to every flight waiter. It recovers its own panics so a
-// crashing computation answers 500 instead of killing the daemon.
-func (s *Server) runJob(key string, req experiments.AdviseRequest, c *flightCall) {
+// admit decides one request under mu and returns the job it is
+// answered from with its source: "cache", "dedup", or "run" for a job
+// it creates. A refused request gets no job and the source "draining"
+// or "shed".
+func (s *Server) admit(key string, req experiments.AdviseRequest) (*job, string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return nil, "draining"
+	}
+	j := s.jobs[key]
+	switch {
+	case j != nil && j.cached != nil:
+		s.lru.MoveToFront(j.cached)
+		return j, "cache"
+	case j != nil && !j.aborted:
+		return j, "dedup"
+	case s.unfinished >= s.cfg.Workers+s.cfg.QueueDepth:
+		return nil, "shed"
+	}
+	j = &job{key: key, req: req, done: make(chan struct{})}
+	s.jobs[key] = j
+	s.unfinished++
+	s.mInflight.Add(1)
+	go s.runJob(j)
+	return j, "run"
+}
+
+// runJob computes an admitted job on an execution slot and publishes
+// its answer.
+func (s *Server) runJob(j *job) {
+	s.slots <- struct{}{}
+	s.mu.Lock()
+	s.running++
+	s.mu.Unlock()
 	start := time.Now()
-	res := flightResult{status: http.StatusInternalServerError, body: errBody("internal error")}
-	aborted := false
+	res, aborted := s.compute(j)
+	s.mLatency.Observe(uint64(time.Since(start).Microseconds()))
+	<-s.slots
+	s.finish(j, res, aborted)
+}
+
+// compute runs a job under the request deadline and renders its
+// answer. It recovers the job's panics, so a crashing computation
+// answers 500 instead of killing the daemon. aborted reports that the
+// base context (the drain deadline) cut the job short.
+func (s *Server) compute(j *job) (res result, aborted bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.mPanics.Inc()
-			s.logf("advisor: worker panic on %s: %v", key, r)
-			res = flightResult{status: http.StatusInternalServerError, body: errBody("internal error: worker panic")}
-			aborted = false
+			s.logf("advisor: worker panic on %s: %v", j.key, r)
+			res, aborted = result{status: http.StatusInternalServerError, body: errBody("internal error: worker panic")}, false
 		}
-		if !aborted {
-			s.removePending(key)
-		}
-		s.flights.finish(key, c, res)
-		s.mLatency.Observe(uint64(time.Since(start).Microseconds()))
-		s.mInflight.Add(-1)
-		s.leave()
 	}()
-
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.RequestTimeout)
 	defer cancel()
-	resp, err := s.run(ctx, req)
+	resp, err := s.run(ctx, j.req)
 	switch {
 	case err == nil:
-		b, merr := json.Marshal(resp)
-		if merr != nil {
+		b, err := json.Marshal(resp)
+		if err != nil {
 			s.mErrors.Inc()
-			res = flightResult{status: http.StatusInternalServerError, body: errBody(merr.Error())}
-			return
+			return result{status: http.StatusInternalServerError, body: errBody(err.Error())}, false
 		}
-		b = append(b, '\n')
-		s.cache.Add(key, b)
-		res = flightResult{status: http.StatusOK, body: b}
+		return result{status: http.StatusOK, body: append(b, '\n')}, false
 	case s.baseCtx.Err() != nil:
 		// Drain (or final shutdown) aborted the job: answer retryable
-		// and leave the request in the pending set for the checkpoint.
-		aborted = true
-		res = flightResult{status: http.StatusServiceUnavailable, body: errBody("server is shutting down"), retryAfter: drainRetryAfter}
+		// and keep the request in the table for the checkpoint.
+		return result{status: http.StatusServiceUnavailable, body: errBody("server is shutting down"), retryAfter: drainRetryAfter}, true
 	case errors.Is(err, context.DeadlineExceeded):
 		s.mTimeouts.Inc()
-		res = flightResult{status: http.StatusGatewayTimeout, body: errBody(fmt.Sprintf("deadline exceeded after %v", s.cfg.RequestTimeout))}
+		return result{status: http.StatusGatewayTimeout, body: errBody(fmt.Sprintf("deadline exceeded after %v", s.cfg.RequestTimeout))}, false
 	default:
 		s.mErrors.Inc()
-		s.logf("advisor: job %s failed: %v", key, err)
-		res = flightResult{status: http.StatusServiceUnavailable, body: errBody(err.Error()), retryAfter: 2}
+		s.logf("advisor: job %s failed: %v", j.key, err)
+		return result{status: http.StatusServiceUnavailable, body: errBody(err.Error()), retryAfter: 2}, false
 	}
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, res flightResult, key, source string) {
+// finish records a job's answer in the table and wakes its waiters. A
+// 200 becomes the cached answer, evicting the least recently used one
+// beyond CacheEntries; an aborted job stays for the drain checkpoint;
+// any other outcome leaves the table, so the next request runs afresh.
+func (s *Server) finish(j *job, res result, aborted bool) {
+	s.mu.Lock()
+	j.res = res
+	switch {
+	case res.status == http.StatusOK:
+		j.cached = s.lru.PushFront(j)
+		if s.lru.Len() > s.cfg.CacheEntries {
+			delete(s.jobs, s.lru.Remove(s.lru.Back()).(*job).key)
+		}
+	case aborted:
+		j.aborted = true
+	default:
+		delete(s.jobs, j.key)
+	}
+	s.unfinished--
+	s.running--
+	s.mInflight.Add(-1)
+	if s.draining && s.unfinished == 0 {
+		close(s.idle)
+	}
+	s.mu.Unlock()
+	close(j.done)
+}
+
+// load reports the admitted jobs waiting for a slot and all unfinished
+// ones.
+func (s *Server) load() (queued, unfinished int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.unfinished - s.running, s.unfinished
+}
+
+func (s *Server) writeResult(w http.ResponseWriter, res result, key, source string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Advisor-Signature", key)
 	w.Header().Set("X-Advisor-Source", source)
@@ -383,27 +454,17 @@ func errBody(msg string) []byte {
 	return append(b, '\n')
 }
 
-func (s *Server) addPending(key string, req experiments.AdviseRequest) {
-	s.pendMu.Lock()
-	s.pending[key] = req
-	s.pendMu.Unlock()
-}
-
-func (s *Server) removePending(key string) {
-	s.pendMu.Lock()
-	delete(s.pending, key)
-	s.pendMu.Unlock()
-}
-
-// Pending snapshots the admitted-but-unfinished requests (after a
-// drain: the ones the deadline aborted), sorted by signature.
+// Pending snapshots the table's unfinished and aborted requests (after
+// a drain: the ones the deadline aborted), sorted by signature.
 func (s *Server) Pending() []PendingRequest {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
+	s.mu.Lock()
 	var ps []PendingRequest
-	for k, r := range s.pending {
-		ps = append(ps, PendingRequest{Signature: k, Request: r})
+	for k, j := range s.jobs {
+		if j.cached == nil {
+			ps = append(ps, PendingRequest{Signature: k, Request: j.req})
+		}
 	}
+	s.mu.Unlock()
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Signature < ps[j].Signature })
 	return ps
 }
@@ -423,33 +484,9 @@ type DrainCheckpoint struct {
 
 // Draining reports whether admission has stopped.
 func (s *Server) Draining() bool {
-	s.gateMu.Lock()
-	defer s.gateMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.draining
-}
-
-// enter counts a request in inflight, or reports false once drain has
-// flipped the flag. The check and the count are one step under gateMu,
-// so drain never misses a request that got past the check.
-func (s *Server) enter() bool {
-	s.gateMu.Lock()
-	defer s.gateMu.Unlock()
-	if s.draining {
-		return false
-	}
-	s.inflight++
-	return true
-}
-
-// leave gives back one count taken by enter, and wakes drain when it
-// was the last.
-func (s *Server) leave() {
-	s.gateMu.Lock()
-	defer s.gateMu.Unlock()
-	s.inflight--
-	if s.draining && s.inflight == 0 {
-		close(s.idle)
-	}
 }
 
 // Drain performs the graceful-shutdown contract: stop admitting new
@@ -463,15 +500,15 @@ func (s *Server) Drain() error {
 }
 
 func (s *Server) drain() error {
-	s.gateMu.Lock()
+	s.mu.Lock()
 	s.draining = true
-	inflight := s.inflight
-	if inflight == 0 {
+	unfinished, queued := s.unfinished, s.unfinished-s.running
+	if unfinished == 0 {
 		close(s.idle)
 	}
-	s.gateMu.Unlock()
+	s.mu.Unlock()
 	s.logf("advisor: draining (in-flight %d, queue %d, deadline %v)",
-		inflight, s.pool.QueueLen(), s.cfg.DrainTimeout)
+		unfinished, queued, s.cfg.DrainTimeout)
 	timer := time.NewTimer(s.cfg.DrainTimeout)
 	defer timer.Stop()
 	select {
@@ -482,7 +519,6 @@ func (s *Server) drain() error {
 		s.baseCancel()
 		<-s.idle
 	}
-	s.pool.Close()
 	s.baseCancel()
 	return s.writeDrainCheckpoint()
 }

@@ -10,8 +10,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,22 +47,131 @@ func fakeResponse(req experiments.AdviseRequest) *experiments.AdviseResponse {
 	}
 }
 
+// serve posts body straight to h and returns the recorded answer.
+func serve(h http.Handler, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/advise", strings.NewReader(body)))
+	return rec
+}
+
+// TestLRUBoundsAndRecency: with room for two answers, a cache hit
+// refreshes its entry, a third answer evicts the least recently used
+// one, and an evicted request runs again.
 func TestLRUBoundsAndRecency(t *testing.T) {
-	c := newLRU(2)
-	c.Add("a", []byte("A"))
-	c.Add("b", []byte("B"))
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a should be cached")
+	var mu sync.Mutex
+	runs := map[int]int{}
+	srv := New(Config{
+		Workers:      1,
+		CacheEntries: 2,
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
+			mu.Lock()
+			runs[req.Refs]++
+			mu.Unlock()
+			return fakeResponse(req), nil
+		},
+	})
+	defer srv.Drain()
+	h := srv.Handler()
+	const a, b, c = 2000, 3000, 4000
+	for _, step := range []struct {
+		refs   int
+		source string
+	}{
+		{a, "run"}, {b, "run"},
+		{a, "cache"}, // a is now the most recently used
+		{c, "run"},   // evicts b
+		{a, "cache"},
+		{b, "run"}, // b runs again and evicts c, not the refreshed a
+		{a, "cache"},
+		{c, "run"},
+	} {
+		rec := serve(h, fmt.Sprintf(`{"workloads":["mab"],"refs":%d}`, step.refs))
+		if got := rec.Header().Get("X-Advisor-Source"); rec.Code != http.StatusOK || got != step.source {
+			t.Fatalf("refs %d: status %d source %q, want 200 from %s", step.refs, rec.Code, got, step.source)
+		}
 	}
-	c.Add("c", []byte("C")) // evicts b (a was refreshed)
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b should have been evicted as least recently used")
+	if want := map[int]int{a: 1, b: 2, c: 2}; fmt.Sprint(runs) != fmt.Sprint(want) {
+		t.Fatalf("runs per request = %v, want %v", runs, want)
 	}
-	if got, ok := c.Get("a"); !ok || string(got) != "A" {
-		t.Fatalf("a should survive, got %q ok=%v", got, ok)
+	if got := srv.mCacheHits.Value(); got != 3 {
+		t.Fatalf("cache_hits = %d, want 3", got)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+}
+
+// TestTableRunsEachSignatureOnce fires identical requests at staggered
+// offsets around each job's completion, over a few hundred signatures.
+// Whether a twin arrives while its job is finishing (dedup) or just
+// after (cache), it must share the one computation: every signature
+// runs exactly once and all its bodies are byte-identical.
+func TestTableRunsEachSignatureOnce(t *testing.T) {
+	const sigs, twins, parallel = 300, 8, 8
+	var runs [sigs]atomic.Int32
+	var ending [sigs]chan struct{}
+	for i := range ending {
+		ending[i] = make(chan struct{})
+	}
+	srv := New(Config{
+		Workers:      parallel,
+		QueueDepth:   sigs,
+		CacheEntries: sigs,
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
+			i := req.Refs - 2000
+			if runs[i].Add(1) == 1 {
+				close(ending[i])
+			}
+			// The twins fire 0-210 us after ending closes, so about a
+			// third join the job and the rest hit its cached answer.
+			time.Sleep(100 * time.Microsecond)
+			return fakeResponse(req), nil
+		},
+	})
+	defer srv.Drain()
+	h := srv.Handler()
+
+	recs := make([][]*httptest.ResponseRecorder, sigs)
+	slots := make(chan struct{}, parallel) // signatures in flight at once
+	var all sync.WaitGroup
+	for i := 0; i < sigs; i++ {
+		body := fmt.Sprintf(`{"workloads":["mab"],"refs":%d}`, 2000+i)
+		recs[i] = make([]*httptest.ResponseRecorder, twins+1)
+		slots <- struct{}{}
+		var wg sync.WaitGroup
+		wg.Add(twins + 1)
+		go func() {
+			defer wg.Done()
+			recs[i][0] = serve(h, body)
+		}()
+		for k := 1; k <= twins; k++ {
+			go func() {
+				defer wg.Done()
+				<-ending[i]
+				time.Sleep(time.Duration(k-1) * 30 * time.Microsecond)
+				recs[i][k] = serve(h, body)
+			}()
+		}
+		all.Add(1)
+		go func() {
+			defer all.Done()
+			wg.Wait()
+			<-slots
+		}()
+	}
+	all.Wait()
+
+	sources := map[string]int{}
+	for i, rs := range recs {
+		if n := runs[i].Load(); n != 1 {
+			t.Errorf("signature %d ran %d times, want 1", i, n)
+		}
+		for k, rec := range rs {
+			sources[rec.Header().Get("X-Advisor-Source")]++
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), rs[0].Body.Bytes()) {
+				t.Errorf("signature %d request %d: status %d body %s, want 200 %s", i, k, rec.Code, rec.Body, rs[0].Body)
+			}
+		}
+	}
+	if sources["run"] != sigs || sources["dedup"]+sources["cache"] != sigs*twins {
+		t.Errorf("sources = %v, want %d runs and %d dedup or cache", sources, sigs, sigs*twins)
 	}
 }
 
@@ -393,12 +504,13 @@ func (l logLines) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestDrainWaitsForRequestPastTheCheck pins the drain gate. The
-// hookAfterGate seam parks a request after it passed the draining
-// check and before it was admitted, and drain flips the flag while it
-// is parked. The parked request must already be counted in what drain
-// waits for: once released it is admitted and answered 200, and Drain
-// waits for its job. A request that arrives after the flip answers 503.
+// TestDrainWaitsForRequestPastTheCheck pins the drain gate. A request
+// decides under the table lock and drain flips the draining flag under
+// the same lock, so a request that got past the check is already a
+// job drain waits for. Here the job parks in its runner while drain
+// flips the flag: drain's first log line counts it, it answers 200
+// once released, and Drain returns only after it. A request that
+// arrives after the flip answers 503.
 func TestDrainWaitsForRequestPastTheCheck(t *testing.T) {
 	parked, release := make(chan struct{}), make(chan struct{})
 	logs := make(logLines, 2) // drain logs two lines
@@ -407,40 +519,34 @@ func TestDrainWaitsForRequestPastTheCheck(t *testing.T) {
 		DrainTimeout: time.Hour,
 		Logw:         logs,
 		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
+			close(parked)
+			<-release
 			return fakeResponse(req), nil
 		},
 	})
-	var once sync.Once
-	srv.hookAfterGate = func() {
-		once.Do(func() {
-			close(parked)
-			<-release
-		})
-	}
-	post := func(body string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/advise", strings.NewReader(body)))
-		return rec
-	}
-
 	first := make(chan *httptest.ResponseRecorder, 1)
-	go func() { first <- post(`{"workloads":["mab"],"refs":2000}`) }()
+	go func() { first <- serve(srv.Handler(), `{"workloads":["mab"],"refs":2000}`) }()
 	<-parked
 	drained := make(chan error, 1)
 	go func() { drained <- srv.Drain() }()
 
 	// Drain's first log line comes right after the flip and reports how
-	// many requests and jobs it waits for.
+	// many jobs it waits for.
 	line := <-logs
 	var waiting int
 	if _, err := fmt.Sscanf(line, "advisor: draining (in-flight %d", &waiting); err != nil {
 		t.Fatalf("drain log %q: %v", line, err)
 	}
 	if waiting != 1 {
-		t.Errorf("drain flipped with %d request(s) counted, want the parked one", waiting)
+		t.Errorf("drain flipped with %d job(s) counted, want the parked one", waiting)
 	}
-	if rec := post(`{"workloads":["mab"],"refs":3000}`); rec.Code != http.StatusServiceUnavailable {
+	if rec := serve(srv.Handler(), `{"workloads":["mab"],"refs":3000}`); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("request after the flip: status %d, want 503", rec.Code)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) while an admitted job was parked", err)
+	default:
 	}
 	close(release)
 	if rec := <-first; rec.Code != http.StatusOK {
@@ -451,6 +557,67 @@ func TestDrainWaitsForRequestPastTheCheck(t *testing.T) {
 	}
 	if got := srv.mDrainRejected.Value(); got != 1 {
 		t.Errorf("drain_rejected = %d, want 1", got)
+	}
+}
+
+// TestDrainFlipUnderLoad races the draining flag against clients that
+// post distinct requests until they are refused. Every answer is a 200
+// from a job that finished before Drain returned, or a 503 refusal; no
+// job runs after Drain returns.
+func TestDrainFlipUnderLoad(t *testing.T) {
+	const clients = 8
+	var finished atomic.Int64
+	srv := New(Config{
+		Workers:      2,
+		QueueDepth:   clients,
+		DrainTimeout: time.Hour,
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
+			finished.Add(1)
+			return fakeResponse(req), nil
+		},
+	})
+	h := srv.Handler()
+	var next, ok, refused atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				rec := serve(h, fmt.Sprintf(`{"workloads":["mab"],"refs":%d}`, 2000+next.Add(1)))
+				switch rec.Code {
+				case http.StatusOK:
+					ok.Add(1)
+				case http.StatusServiceUnavailable:
+					refused.Add(1)
+					return
+				default:
+					t.Errorf("status %d %s, want 200 or 503", rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for finished.Load() < 20 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d jobs finished before the drain, want 20", finished.Load())
+		}
+		runtime.Gosched()
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	atDrain := finished.Load()
+	wg.Wait()
+	if got := finished.Load(); got != atDrain {
+		t.Errorf("%d job(s) finished after Drain returned", got-atDrain)
+	}
+	if ok.Load() != atDrain {
+		t.Errorf("%d answers were 200 but %d jobs finished before Drain returned", ok.Load(), atDrain)
+	}
+	if got := srv.mDrainRejected.Value(); got != uint64(refused.Load()) || got < clients {
+		t.Errorf("drain_rejected = %d, refused = %d, want equal and at least %d", got, refused.Load(), clients)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // FuzzAdviseRequest holds the request boundary to its contract for
-// arbitrary POST bodies: a rejected request never reaches the pool,
-// and an accepted one is normalized to a fixed point -- normalizing it
+// arbitrary POST bodies: a rejected request is never admitted, and
+// an accepted one is normalized to a fixed point -- normalizing it
 // again, or after the JSON round trip a drain checkpoint makes, signs
 // it the same -- and answers under that signature.
 func FuzzAdviseRequest(f *testing.F) {

@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 
 	"onchip/internal/area"
 	"onchip/internal/osmodel"
 	"onchip/internal/search"
-	"onchip/internal/sig"
 	"onchip/internal/workload"
 )
 
@@ -118,19 +118,23 @@ func (r *AdviseRequest) Normalize(maxRefs int) error {
 	return nil
 }
 
-// Signature content-addresses the normalized request with the FNV-64a
-// signature idiom of internal/sig. Two
-// requests with equal signatures provably ask for the same sweep, so
-// the advisor keys its result cache and singleflight dedup on it.
-// Call only after Normalize.
+// Signature content-addresses the normalized request: FNV-64a over
+// each value formatted with %v and terminated by '|' (so adjacent
+// values cannot collide by concatenation), rendered as 16 lower-case
+// hex digits. Two requests with equal signatures ask for the same
+// sweep, so the advisor keys its request table -- dedup, result cache
+// and drain checkpoint -- on it. Call only after Normalize.
 func (r AdviseRequest) Signature() string {
-	h := sig.New()
-	h.Put("advise", adviseVersion, r.OS, len(r.Workloads))
+	vs := []any{"advise", adviseVersion, r.OS, len(r.Workloads)}
 	for _, w := range r.Workloads {
-		h.Put(w)
+		vs = append(vs, w)
 	}
-	h.Put(r.Refs, r.BudgetRBE, r.MaxCacheAssoc, r.Top, r.Space)
-	return h.String()
+	vs = append(vs, r.Refs, r.BudgetRBE, r.MaxCacheAssoc, r.Top, r.Space)
+	h := fnv.New64a()
+	for _, v := range vs {
+		fmt.Fprintf(h, "%v|", v)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // RankedAllocation is one row of the advisor's answer: Table 6/7's
@@ -146,8 +150,8 @@ type RankedAllocation struct {
 
 // AdviseResponse is the advisor's answer. Its JSON rendering contains
 // no timestamps or run-local state, so identical requests marshal to
-// byte-identical bodies -- the property the result cache, singleflight
-// dedup, and the chaos harness's correctness oracle all rest on.
+// byte-identical bodies -- the property the advisor's result cache and
+// dedup, and the chaos harness's correctness oracle, all rest on.
 type AdviseResponse struct {
 	Signature string `json:"signature"`
 	// Request echoes the normalized parameters the answer is for.

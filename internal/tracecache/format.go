@@ -2,7 +2,7 @@
 // repeat sweep never pays for generation twice. Entries are
 // content-addressed -- the filename is an FNV-64a hash over the
 // workload, OS model, seed, reference count, and format version, in
-// the style of internal/sig's content signatures -- so a stale entry
+// the style of the advisor's request signatures -- so a stale entry
 // is simply never looked up, and a changed model re-keys rather than
 // corrupts.
 //

@@ -33,8 +33,8 @@ type Key struct {
 }
 
 // hash is the content address: FNV-64a over the format version and
-// every key field, NUL-separated (the same signature idiom as
-// internal/sig).
+// every key field, NUL-separated (the same idiom as the advisor's
+// request signature, experiments.AdviseRequest.Signature).
 func (k Key) hash() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "octc/%d\x00%s\x00%s\x00%d\x00%d\x00%s",
